@@ -4,7 +4,8 @@ Single-target verifiers follow the definitions literally (enumerate the
 A-primes, factor every companion, and so on).  Range verification re-derives
 the same verdicts from window arithmetic that is feasible for millions of
 targets: striding byte masks, a running prime count, and a per-chunk
-distinct-factor sieve.  The test suite pins the two routes together.
+distinct-factor sieve that also factors the midpoint flankers, so no range
+route trial-divides.  The test suite pins the two routes together.
 
 Range runs are split into fixed-size chunks of consecutive even numbers.
 Chunk boundaries never depend on the worker count and results are merged in
@@ -18,6 +19,8 @@ import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import and_
 
 from .classify import (
     EvenTarget,
@@ -717,59 +720,72 @@ def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
     return out
 
 
-def _chunk_midpoints(c_lo, c_hi, table, want_coprime, want_decompose) -> dict:
-    bits = table.odd_bits
-    cop_fail = None
-    dec_fail = None
-    boundary = []
-    checked = 0
-    both_prime = 0
-    for two_n in range(c_lo, c_hi + 1, 2):
-        if two_n == 6:
-            boundary.append({"two_n": 6})
-            continue
-        checked += 1
+def _chunk_midpoint_coprime(c_lo, c_hi, table) -> dict:
+    first = max(c_lo, 8)
+    fail = None
+    for two_n in range(first, c_hi + 1, 2):
         v1, v2 = midpoint_values(two_n)
         g1 = math.gcd(v1, two_n)
         g2 = math.gcd(v2, two_n)
-        if (g1 != 1 or g2 != 1) and cop_fail is None:
-            cop_fail = {"two_n": two_n, "values": [v1, v2], "gcds": [g1, g2]}
-        if want_decompose and dec_fail is None:
-            p1 = bits[v1 >> 1]
-            p2 = bits[v2 >> 1]
-            for v, vp in ((v1, p1), (v2, p2)):
-                if vp:
-                    if two_n % v == 0:
-                        dec_fail = {"two_n": two_n, "value": v,
-                                    "reason": "prime midpoint divides target"}
-                        break
-                    continue
-                bad = _shared_factor(v, two_n, table)
-                if bad is not None:
-                    dec_fail = {"two_n": two_n, "value": v, "shared_prime": bad}
+        if g1 != 1 or g2 != 1:
+            fail = {"two_n": two_n, "values": [v1, v2], "gcds": [g1, g2]}
+            break
+    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+            "boundary": [{"two_n": 6}] if c_lo == 6 else []}
+
+
+def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
+    """Check that the midpoint flankers of each even in [c_lo, c_hi] factor
+    over its A-primes.
+
+    ``halo`` lists the odd prime factors of the evens in [c_lo - 4, c_hi + 4],
+    2 evens past each end of the chunk.  A flanker v of 2N has 2v = 2N -+ 2 or
+    2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  An odd prime
+    shared by v * rad(v) and a target 2v -+ 2 or 2v -+ 4 divides v*v - 1 or
+    v*v - 4, so two gcds per flanker find every target that can fail; only
+    those and the targets with two prime flankers are checked, in ascending
+    order.
+    """
+    bits = table.odd_bits
+    first = max(c_lo, 8)
+    vb = ((first >> 1) - 2) | 1
+    vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
+    todo = set()
+    for v, rad in zip(vs, map(math.prod, halo[vb - (c_lo >> 1) + 2 :: 2])):
+        if math.gcd(v * rad, v * v - 1) != 1:
+            todo.update((2 * v - 2, 2 * v + 2))
+        if math.gcd(v * rad, v * v - 4) != 1:
+            todo.update((2 * v - 4, 2 * v + 4))
+    pr = bits[vb >> 1 : (vb >> 1) + len(vs)]
+    for step in (1, 2):  # prime flankers v, v + 2 * step of 2v + 2 * step
+        todo.update(compress(range(2 * (vb + step), c_hi + 1, 4),
+                             map(and_, pr, pr[step:])))
+    fail = None
+    both_prime = 0
+    for two_n in sorted(t for t in todo if first <= t <= c_hi):
+        v1, v2 = midpoint_values(two_n)
+        for v in (v1, v2):
+            if bits[v >> 1]:
+                if two_n % v == 0:
+                    fail = {"two_n": two_n, "value": v,
+                            "reason": "prime midpoint divides target"}
                     break
-            if dec_fail is None and p1 and p2:
-                both_prime += 1
-                if v1 + v2 != two_n:
-                    dec_fail = {"two_n": two_n, "values": [v1, v2],
-                                "reason": "prime midpoints do not sum back"}
-    out = {}
-    if want_coprime:
-        out["coprime"] = {"checked": checked, "fail": cop_fail,
-                          "boundary": list(boundary)}
-    if want_decompose:
-        out["decompose"] = {"checked": checked, "fail": dec_fail,
-                            "boundary": list(boundary),
-                            "both_prime_pairs": both_prime}
-    return out
-
-
-def _shared_factor(v: int, two_n: int, table: PrimeTable) -> int | None:
-    """First prime factor of v dividing two_n, or None (full factorization)."""
-    for q, _ in factorize(v, table):
-        if two_n % q == 0:
-            return q
-    return None
+                continue
+            # lists ascend, so shared[0] is the smallest shared prime
+            shared = [q for q in halo[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
+            if shared:
+                fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
+                break
+        if fail is None and bits[v1 >> 1] and bits[v2 >> 1]:
+            both_prime += 1
+            if v1 + v2 != two_n:
+                fail = {"two_n": two_n, "values": [v1, v2],
+                        "reason": "prime midpoints do not sum back"}
+        if fail is not None:
+            break
+    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+            "boundary": [{"two_n": 6}] if c_lo == 6 else [],
+            "both_prime_pairs": both_prime}
 
 
 def _chunk_prime_power(c_lo, c_hi, table) -> dict:
@@ -847,12 +863,18 @@ def _comet_job(args) -> list:
 
 
 def _evaluate_chunk(c_lo, c_hi, names, table) -> dict:
+    """Partial results of the named claims for the evens in [c_lo, c_hi].
+
+    One factor sieve serves all claims that need factors; it runs 2 evens
+    past each end of the chunk, where the midpoint flankers' factors sit.
+    """
     claims = {ClaimId(name) for name in names}
     out = {}
-    facs = None
+    halo = facs = None
     if claims & {ClaimId.SAME_TYPE_LEMMA, ClaimId.S_BOUND,
-                 ClaimId.COMPANION_DECOMPOSES}:
-        facs = _odd_factor_lists(c_lo, c_hi, table)
+                 ClaimId.COMPANION_DECOMPOSES, ClaimId.MIDPOINT_DECOMPOSES}:
+        halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
+        facs = halo[2:-2]
     if ClaimId.SAME_TYPE_LEMMA in claims:
         out[ClaimId.SAME_TYPE_LEMMA.value] = _chunk_same_type(c_lo, c_hi, facs, table)
     if ClaimId.S_BOUND in claims:
@@ -869,14 +891,12 @@ def _evaluate_chunk(c_lo, c_hi, names, table) -> dict:
             out[ClaimId.GOLDBACH_WITNESS.value] = scan["witness"]
         if want_pairing:
             out[ClaimId.PAIRING_NON_EMPTY.value] = scan["pairing"]
-    want_cop = ClaimId.MIDPOINT_COPRIME in claims
-    want_dec = ClaimId.MIDPOINT_DECOMPOSES in claims
-    if want_cop or want_dec:
-        mids = _chunk_midpoints(c_lo, c_hi, table, want_cop, want_dec)
-        if want_cop:
-            out[ClaimId.MIDPOINT_COPRIME.value] = mids["coprime"]
-        if want_dec:
-            out[ClaimId.MIDPOINT_DECOMPOSES.value] = mids["decompose"]
+    if ClaimId.MIDPOINT_COPRIME in claims:
+        out[ClaimId.MIDPOINT_COPRIME.value] = _chunk_midpoint_coprime(c_lo, c_hi, table)
+    if ClaimId.MIDPOINT_DECOMPOSES in claims:
+        out[ClaimId.MIDPOINT_DECOMPOSES.value] = _chunk_midpoint_decomposes(
+            c_lo, c_hi, halo, table
+        )
     if ClaimId.PRIME_POWER_EXCLUSION in claims:
         out[ClaimId.PRIME_POWER_EXCLUSION.value] = _chunk_prime_power(
             c_lo, c_hi, table

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from goldbach_ab import (
     verify_s_bounds,
     verify_same_type_lemma,
 )
+import goldbach_ab.claims as claims_mod
 from goldbach_ab.claims import (
     _odd_factor_lists,
     _pi_odd_upto,
@@ -305,6 +307,71 @@ def test_range_verify_worker_count_invariance(table_20k, workers):
     outs = range_verify(6, 3_000, workers=workers, table=table_20k, chunk_evens=128)
     outs1 = range_verify(6, 3_000, workers=1, table=table_20k, chunk_evens=128)
     assert [o.as_dict() for o in outs] == [o.as_dict() for o in outs1]
+
+
+def test_range_verify_chunk_size_invariance(table_20k):
+    # lo = 6 puts the first chunk's halo at the even 2
+    base = [o.as_dict() for o in range_verify(6, 4_000, table=table_20k)]
+    for chunk_evens in (1, 2, 3, 64):
+        outs = range_verify(6, 4_000, table=table_20k, chunk_evens=chunk_evens)
+        assert [o.as_dict() for o in outs] == base, chunk_evens
+
+
+@pytest.mark.parametrize("chunk_evens", [3, 8192])
+def test_range_both_prime_pairs_match_midpoint_reports(table_20k, chunk_evens):
+    ranged = range_verify(8, 5_000, claims=(ClaimId.MIDPOINT_DECOMPOSES,),
+                          table=table_20k, chunk_evens=chunk_evens)[0]
+    want = sum(
+        1
+        for two_n in range(8, 5_001, 2)
+        if midpoint_report(EvenTarget(two_n), _split(two_n, table_20k),
+                           table_20k).both_prime_pair
+    )
+    assert ranged.payload["both_prime_pairs"] == want > 0
+
+
+def _doctor_factor_lists(monkeypatch, even, q):
+    """Make every chunk factor sieve that covers ``even`` also list prime q."""
+    real = claims_mod._odd_factor_lists
+
+    def doctored(c_lo, c_hi, table):
+        facs = real(c_lo, c_hi, table)
+        if c_lo <= even <= c_hi:
+            i = (even - c_lo) >> 1
+            facs[i] = sorted(facs[i] + [q])
+        return facs
+
+    monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
+@pytest.mark.parametrize(
+    "v, q", [(25, 3), (25, 23), (45, 23), (1001, 167), (1025, 3)]
+)
+def test_range_midpoint_decomposes_reports_doctored_factor(
+    table_20k, monkeypatch, v, q, chunk_evens, workers
+):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the doctored sieve reaches pool workers only under fork")
+    assert not is_prime_td(v)
+    listed = sorted([*factorize_td(v), q])
+    # Brute force: the four targets with flanker v, ascending; the first one
+    # some listed factor divides is the smallest failure.
+    want = None
+    for n in (v - 2, v - 1, v + 1, v + 2):
+        two_n = 2 * n
+        assert v in midpoints_td(two_n)
+        shared = [p for p in listed if two_n % p == 0]
+        if shared:
+            want = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
+            break
+    assert want is not None
+    _doctor_factor_lists(monkeypatch, 2 * v, q)
+    out = range_verify(6, 2_100, claims=(ClaimId.MIDPOINT_DECOMPOSES,),
+                       workers=workers, table=table_20k, chunk_evens=chunk_evens)[0]
+    assert out.status == "fail"
+    assert out.payload["counterexample"] == want
 
 
 def test_range_verify_usage_errors(table_1k):
