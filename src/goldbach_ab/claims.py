@@ -3,9 +3,14 @@
 Single-target verifiers follow the definitions literally (enumerate the
 A-primes, factor every companion, and so on).  Range verification re-derives
 the same verdicts from window arithmetic that is feasible for millions of
-targets: striding byte masks, a running prime count, and a per-chunk
-distinct-factor sieve that also factors the midpoint flankers, so no range
-route trial-divides.  The test suite pins the two routes together.
+targets: a running prime count, and a per-chunk distinct-factor sieve that
+also factors the midpoint flankers, so no range route trial-divides.  The
+same-type, companion and comet routes hold each target's windows at one bit
+per odd in a big int: the prime window and its mirror are cut from the
+table packed once per chunk, and the B-type mask and its mirror are ORs
+of stride patterns, the mirror shifted to the residue class of the reversed
+first multiple.  The test suite pins the two routes together, and the bit
+windows to the byte windows of ``classify``.
 
 Range runs are split into fixed-size chunks of consecutive even numbers.
 Chunk boundaries never depend on the worker count and results are merged in
@@ -22,17 +27,10 @@ from enum import Enum
 from itertools import compress
 from operator import and_
 
-from .classify import (
-    EvenTarget,
-    PrimeSplit,
-    btype_bytes,
-    prime_window,
-    split_primes,
-)
+from .classify import EvenTarget, PrimeSplit, prime_window, split_primes
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
     census,
-    census_from_windows,
     first_mixed_partition,
     goldbach_pairs_from_window,
     kind_of_prime_pair,
@@ -502,6 +500,78 @@ def evaluate_claims(
 
 
 # ---------------------------------------------------------------------------
+# Range verification: bit-packed windows
+# ---------------------------------------------------------------------------
+
+# Mark patterns of the primes below this bound are kept for a whole chunk;
+# they are the factors most targets share.  That is at most 10 patterns of
+# about c_hi / 2 bits each.
+_MARKS_CACHE_BELOW = 32
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _low_bit(x: int) -> int:
+    """Index of the lowest set bit of x > 0."""
+    return (x ^ (x - 1)).bit_length() - 1
+
+
+class _BitWindows:
+    """The windows of ``classify`` for the evens of one chunk, one bit per odd.
+
+    For a target 2N with k = N - 2, bit j stands for the odd value 3 + 2j.
+    Each method returns a window and its reversal over all k bits, both cut
+    to ``mask``, the low ``width <= k`` bits.
+    """
+
+    def __init__(self, table: PrimeTable, c_hi: int):
+        self.k_max = (c_hi >> 1) - 2
+        # The table's bits for 1, 3, ..., c_hi - 3; base-2 parsing of their
+        # ASCII image is linear.  fwd has bit j for 3 + 2j, rev has them all
+        # in reverse order.
+        text = table.odd_bits[: self.k_max + 1].translate(_ASCII_BITS)
+        self.fwd = int(text[:0:-1], 2)
+        self.rev = int(text, 2)
+        self.marks: dict[int, int] = {}
+
+    def primes(self, k: int, mask: int) -> tuple[int, int]:
+        """``prime_window`` and its reversal."""
+        return self.fwd & mask, (self.rev >> (self.k_max - k)) & mask
+
+    def btype(self, k: int, qs, mask: int) -> tuple[int, int]:
+        """``btype_bytes(k, qs)`` and its reversal.
+
+        q marks j0 + mq with j0 = (q - 3) / 2 < q, so the reversal marks the
+        residue class of r = (k - 1 - j0) mod q, none of which lies above
+        k - 1 - j0: the same marks shifted by r - j0.
+        """
+        b = rb = 0
+        for q in qs:
+            j0 = (q - 3) >> 1
+            if j0 < k:
+                v = self._marks(q, mask)
+                b |= v
+                r = (k - 1 - j0) % q
+                rb |= v << (r - j0) if r >= j0 else v >> (j0 - r)
+        return b & mask, rb & mask
+
+    def _marks(self, q: int, mask: int) -> int:
+        """Bits j0 + mq, m >= 0, for every mq below the width of ``mask``."""
+        v = self.marks.get(q)
+        if v is None:
+            j0 = (q - 3) >> 1
+            cached = q < _MARKS_CACHE_BELOW
+            n = self.k_max if cached else mask.bit_length()
+            v, span = 1 << j0, q
+            while span < n:
+                v |= v << span
+                span <<= 1
+            if cached:  # doubling overshoots by up to n bits
+                self.marks[q] = v = v & ((1 << (j0 + n)) - 1)
+        return v
+
+
+# ---------------------------------------------------------------------------
 # Range verification: chunk evaluators
 # ---------------------------------------------------------------------------
 
@@ -546,24 +616,21 @@ def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]
 
 
 def _chunk_same_type(c_lo, c_hi, facs, table) -> dict:
+    """Bit form of the census' mixed count: a partition (a, 2N - a) is mixed
+    exactly where the B-type window and its reversal differ."""
+    win = _BitWindows(table, c_hi)
     checked = 0
     mixed_total = 0
     fail = None
-    for i in range(len(facs)):
+    for i, qs in enumerate(facs):
         two_n = c_lo + 2 * i
-        n = two_n >> 1
-        k = n - 2
-        h = partition_total(two_n)
-        bmask = btype_bytes(k, tuple(facs[i]))
-        fwd = int.from_bytes(bmask[:h], "little")
-        rev = int.from_bytes(bmask[k - h :][::-1], "little")
-        x = fwd ^ rev
+        b, rb = win.btype((two_n >> 1) - 2, qs, (1 << partition_total(two_n)) - 1)
+        x = b ^ rb
         checked += 1
         if x:
             mixed_total += x.bit_count()
             if fail is None:
-                j = x.to_bytes(h, "little").find(1)
-                a = 3 + 2 * j
+                a = 3 + 2 * _low_bit(x)
                 fail = {"two_n": two_n, "partition": [a, two_n - a]}
     return {"checked": checked, "mixed_total": mixed_total, "fail": fail,
             "boundary": []}
@@ -605,12 +672,12 @@ def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
     companions, (3) the factor route marked every odd prime factor of 2N,
     and (4) spot targets get a direct divisibility test.
     """
-    bits = table.odd_bits
+    win = _BitWindows(table, c_hi)
     checked = 0
     a_total = 0
     fail = None
     boundary = []
-    for i in range(len(facs)):
+    for i, qs in enumerate(facs):
         two_n = c_lo + 2 * i
         if two_n == 6:
             boundary.append({"two_n": 6})
@@ -618,42 +685,36 @@ def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
         checked += 1
         if fail is not None:
             continue
-        n = two_n >> 1
-        k = n - 2
-        bmask = btype_bytes(k, tuple(facs[i]))
-        pwin = bits[1 : n - 1]
-        b_int = int.from_bytes(bmask, "little")
-        p_int = int.from_bytes(pwin, "little")
-        a_int = p_int & ~b_int
-        a_total += a_int.bit_count()
-        if a_int == 0:
+        k = (two_n >> 1) - 2
+        mask = (1 << k) - 1
+        b, rb = win.btype(k, qs, mask)
+        pf, pr = win.primes(k, mask)
+        a = pf & (b ^ mask)  # b ^ mask is ~b within the window
+        a_total += a.bit_count()
+        if a == 0:
             continue
-        rev_b = int.from_bytes(bmask[::-1], "little")
-        viol = a_int & rev_b
+        viol = a & rb
         if viol:
-            j = viol.to_bytes(k, "little").find(1)
-            p = 3 + 2 * j
+            p = 3 + 2 * _low_bit(viol)
             fail = {"two_n": two_n, "p": p, "companion": two_n - p,
                     "reason": "companion is B-type"}
             continue
-        abytes = a_int.to_bytes(k, "little")
-        rev_p = int.from_bytes(pwin[::-1], "little")
-        rev_a = int.from_bytes(abytes[::-1], "little")
-        if (a_int & rev_p) != (a_int & rev_a):
-            x = (a_int & rev_p) ^ (a_int & rev_a)
-            j = x.to_bytes(k, "little").find(1)
-            p = 3 + 2 * j
+        rev_a = pr & (rb ^ mask)  # reversal of a over k bits
+        x = (a & pr) ^ (a & rev_a)
+        if x:
+            p = 3 + 2 * _low_bit(x)
             fail = {"two_n": two_n, "p": p, "companion": two_n - p,
                     "reason": "prime companion is not an A-prime"}
             continue
-        for q in facs[i]:
-            if two_n % q != 0 or bmask[(q - 3) >> 1] != 1 or abytes[(q - 3) >> 1]:
+        for q in qs:
+            bit = 1 << ((q - 3) >> 1)
+            if two_n % q != 0 or not b & bit or a & bit:
                 fail = {"two_n": two_n, "q": q,
                         "reason": "factor route missed an odd prime factor"}
                 break
         if fail is not None:
             continue
-        for j in (abytes.find(1), abytes.rfind(1)):
+        for j in (_low_bit(a), a.bit_length() - 1):
             p = 3 + 2 * j
             if (two_n - p) % p == 0:
                 fail = {"two_n": two_n, "p": p, "companion": two_n - p,
@@ -821,22 +882,28 @@ def _chunk_prime_power(c_lo, c_hi, table) -> dict:
 
 
 def _chunk_comet(c_lo, c_hi, table) -> list[tuple[int, int, int, int, int]]:
-    """Rows (two_n, r, s, a_count, b_count) for every even in the chunk."""
+    """Rows (two_n, r, s, a_count, b_count) for every even in the chunk.
+
+    The counts are ``census_from_windows`` on bit windows cut to the h
+    partitions of each target.
+    """
     bits = table.odd_bits
     facs = _odd_factor_lists(c_lo, c_hi, table)
+    win = _BitWindows(table, c_hi)
     pi = _pi_odd_upto(c_lo - 3, table)
     rows = []
-    for i in range(len(facs)):
+    for i, qs in enumerate(facs):
         two_n = c_lo + 2 * i
         if i:
             pi += bits[(two_n - 3) >> 1]
-        n = two_n >> 1
-        k = n - 2
-        bmask = btype_bytes(k, tuple(facs[i]))
-        pwin = bits[1 : n - 1]
-        _, a_count, b_count, _, r = census_from_windows(two_n, bmask, pwin)
-        s = pi - len(facs[i])
-        rows.append((two_n, r, s, a_count, b_count))
+        k = (two_n >> 1) - 2
+        h = partition_total(two_n)
+        mask = (1 << h) - 1
+        b, rb = win.btype(k, qs, mask)
+        pf, pr = win.primes(k, mask)
+        r = (pf & pr).bit_count()
+        a_count = h - (b | rb).bit_count()
+        rows.append((two_n, r, pi - len(qs), a_count, (b & rb).bit_count()))
     return rows
 
 
@@ -913,7 +980,8 @@ def _map_chunks(job, args_list, workers: int, table: PrimeTable) -> list:
     if workers <= 1 or len(args_list) <= 1:
         _worker_init(table)
         return [job(a) for a in args_list]
-    with multiprocessing.Pool(workers, _worker_init, (table,)) as pool:
+    processes = min(workers, len(args_list))
+    with multiprocessing.Pool(processes, _worker_init, (table,)) as pool:
         return pool.map(job, args_list, chunksize=1)
 
 

@@ -116,3 +116,31 @@ def b_type_goldbach_pairs_td(two_n: int, prime=None) -> list[tuple[int, int]]:
 def midpoints_td(two_n: int) -> tuple[int, int]:
     n = two_n // 2
     return (n - 1, n + 1) if n % 2 == 0 else (n - 2, n + 2)
+
+
+def doctored_same_type_td(two_n: int, listed) -> tuple[list[int], int]:
+    """(smallest mixed partition or [], mixed count) of 2N when ``listed`` are
+    taken as its odd prime factors: an odd m is B-type iff it shares a factor
+    with their product."""
+    rad = math.prod(listed)
+    mixed = [a for a, b in partitions_td(two_n)
+             if (math.gcd(a, rad) == 1) != (math.gcd(b, rad) == 1)]
+    return ([mixed[0], two_n - mixed[0]] if mixed else []), len(mixed)
+
+
+def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
+    """First failure of the companion checks when ``listed`` are taken as the
+    odd prime factors of 2N: the smallest A-prime whose companion shares a
+    listed factor, else the smallest listed prime that does not divide 2N."""
+    if prime is None:
+        prime = is_prime_td
+    rad = math.prod(listed)
+    for p in range(3, two_n - 2, 2):
+        if prime(p) and math.gcd(p, rad) == 1 and math.gcd(two_n - p, rad) != 1:
+            return {"two_n": two_n, "p": p, "companion": two_n - p,
+                    "reason": "companion is B-type"}
+    for q in sorted(listed):
+        if two_n % q:
+            return {"two_n": two_n, "q": q,
+                    "reason": "factor route missed an odd prime factor"}
+    return None

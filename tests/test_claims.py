@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from goldbach_ab import (
 )
 import goldbach_ab.claims as claims_mod
 from goldbach_ab.claims import (
+    _BitWindows,
     _odd_factor_lists,
     _pi_odd_upto,
     claim_goldbach_witness,
@@ -34,9 +36,17 @@ from goldbach_ab.claims import (
     claim_pairing_non_empty,
     claim_companion_decomposes,
 )
+from goldbach_ab.classify import btype_bytes, prime_window
 from goldbach_ab.partition import PartitionKind, goldbach_partitions
 
-from oracles import factorize_td, is_prime_td, midpoints_td, split_td
+from oracles import (
+    doctored_companion_fail_td,
+    doctored_same_type_td,
+    factorize_td,
+    is_prime_td,
+    midpoints_td,
+    split_td,
+)
 
 evens = st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n)
 
@@ -374,6 +384,91 @@ def test_range_midpoint_decomposes_reports_doctored_factor(
     assert out.payload["counterexample"] == want
 
 
+def _listed_with(two_n, q):
+    """The odd prime factors of ``two_n`` plus the non-factor prime q."""
+    assert is_prime_td(q) and two_n % q and 3 <= q <= two_n - 3
+    return sorted([*(p for p in factorize_td(two_n) if p != 2), q])
+
+
+# (two_n, q): q lands below and above N, on a power of two, and on 2000,
+# where no A-prime has a companion divisible by 1951 (2000 - 1951 = 49).
+_DOCTORED_EVENS = [(30, 7), (1024, 3), (1366, 41), (2000, 1951), (2002, 5)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
+@pytest.mark.parametrize("two_n, q", _DOCTORED_EVENS)
+def test_range_same_type_reports_doctored_factor(
+    table_20k, monkeypatch, two_n, q, chunk_evens, workers
+):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the doctored sieve reaches pool workers only under fork")
+    want, mixed = doctored_same_type_td(two_n, _listed_with(two_n, q))
+    _doctor_factor_lists(monkeypatch, two_n, q)
+    out = range_verify(6, 2_100, claims=(ClaimId.SAME_TYPE_LEMMA,),
+                       workers=workers, table=table_20k, chunk_evens=chunk_evens)[0]
+    assert out.status == "fail"
+    assert out.payload["counterexample"] == {"two_n": two_n, "partition": want}
+    assert out.payload["mixed_total"] == mixed > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
+@pytest.mark.parametrize("two_n, q", _DOCTORED_EVENS)
+def test_range_companions_report_doctored_factor(
+    table_20k, monkeypatch, two_n, q, chunk_evens, workers
+):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the doctored sieve reaches pool workers only under fork")
+    want = doctored_companion_fail_td(two_n, _listed_with(two_n, q))
+    assert want is not None
+    _doctor_factor_lists(monkeypatch, two_n, q)
+    out = range_verify(6, 2_100, claims=(ClaimId.COMPANION_DECOMPOSES,),
+                       workers=workers, table=table_20k, chunk_evens=chunk_evens)[0]
+    assert out.status == "fail"
+    assert out.payload["counterexample"] == want
+
+
+def test_doctored_companion_cases_reach_both_failure_branches():
+    reasons = {doctored_companion_fail_td(two_n, _listed_with(two_n, q))["reason"]
+               for two_n, q in _DOCTORED_EVENS}
+    assert reasons == {"companion is B-type",
+                       "factor route missed an odd prime factor"}
+
+
+class _InProcessPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+def test_pool_is_capped_at_the_chunk_count(table_20k, monkeypatch):
+    base = [o.as_dict() for o in range_verify(8, 20_000, table=table_20k)]
+    rows = comet_rows(8, 2_000, table=table_20k, chunk_evens=300)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(claims_mod, "multiprocessing",
+                        SimpleNamespace(Pool=_InProcessPool))
+    # 2 chunks at the default chunk size, 4 at 300 evens
+    outs = range_verify(8, 20_000, workers=64, table=table_20k)
+    assert [o.as_dict() for o in outs] == base
+    assert comet_rows(8, 2_000, workers=64, table=table_20k, chunk_evens=300) == rows
+    assert comet_rows(8, 2_000, workers=3, table=table_20k, chunk_evens=300) == rows
+    assert _InProcessPool.sizes == [2, 4, 3]
+
+
 def test_range_verify_usage_errors(table_1k):
     with pytest.raises(UsageError):
         range_verify(7, 9, table=table_1k)
@@ -420,6 +515,25 @@ def test_comet_rows_worker_invariance(table_1k):
         assert comet_rows(
             6, 1_000, workers=workers, table=table_1k, chunk_evens=64
         ) == base
+
+
+def test_comet_rows_chunk_size_invariance(table_20k):
+    base = comet_rows(6, 4_000, table=table_20k, chunk_evens=8192)
+    for chunk_evens in (1, 2, 3, 64):
+        assert comet_rows(6, 4_000, table=table_20k, chunk_evens=chunk_evens) == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n),
+       st.integers(min_value=0, max_value=40))
+def test_comet_rows_match_census_at_sampled_targets(table_20k, two_n, span):
+    hi = min(two_n + 2 * span, 20_000)
+    rows = comet_rows(two_n, hi, table=table_20k, chunk_evens=7)
+    assert [row[0] for row in rows] == list(range(two_n, hi + 1, 2))
+    for t2, r, s, a_count, b_count in rows:
+        c = census(EvenTarget(t2), table_20k)
+        assert (r, a_count, b_count) == (c.goldbach_count, c.a_count, c.b_count)
+        assert s == _split(t2, table_20k).s
 
 
 def test_comet_spot_rows(table_1k):
@@ -474,3 +588,48 @@ def test_prime_power_and_pairing_hold_to_1e6():
         pairing.payload["a_pair_evens"] + pairing.payload["b_self_evens"]
         == pairing.payload["evens_checked"]
     )
+
+
+# ---------------------------------------------------------------------------
+# bit-packed windows against the byte windows
+# ---------------------------------------------------------------------------
+
+
+def _bits(window: bytes) -> int:
+    """One bit per byte of a 0/1 window, byte j to bit j."""
+    return sum(1 << j for j, v in enumerate(window) if v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_btype_matches_btype_bytes(table_20k, data):
+    c_hi = data.draw(st.integers(min_value=6, max_value=20_000).map(lambda n: n & ~1))
+    k_max = (c_hi >> 1) - 2
+    win = _BitWindows(table_20k, c_hi)  # one window set: cached marks are reused
+    odd = st.integers(min_value=1, max_value=k_max + 60).map(lambda i: 2 * i + 1)
+    for _ in range(3):
+        k = data.draw(st.integers(min_value=max(k_max - 500, 1), max_value=k_max))
+        qs = tuple(data.draw(st.lists(
+            st.one_of(st.just(3), st.sampled_from((31, 37, 2 * k + 1, 2 * k + 3)),
+                      odd.filter(is_prime_td)),
+            max_size=5, unique=True,
+        ).map(sorted)))
+        width = data.draw(st.integers(min_value=1, max_value=k))
+        mask = (1 << width) - 1
+        bmask = btype_bytes(k, qs)
+        b, rb = win.btype(k, qs, mask)
+        assert b == _bits(bmask) & mask, (k, qs, width)
+        assert rb == _bits(bmask[::-1]) & mask, (k, qs, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n), st.data())
+def test_packed_primes_match_prime_window(table_20k, two_n, data):
+    c_hi = data.draw(st.integers(min_value=two_n >> 1, max_value=10_000)) * 2
+    k = (two_n >> 1) - 2
+    width = data.draw(st.integers(min_value=1, max_value=k))
+    mask = (1 << width) - 1
+    pwin = prime_window(EvenTarget(two_n), table_20k)
+    pf, pr = _BitWindows(table_20k, c_hi).primes(k, mask)
+    assert pf == _bits(pwin) & mask
+    assert pr == _bits(pwin[::-1]) & mask
