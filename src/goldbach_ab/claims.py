@@ -9,7 +9,16 @@ same-type, companion and comet routes hold each target's windows at one bit
 per odd in a big int: the prime window and its mirror are cut from the
 table packed once per chunk, and the B-type mask and its mirror are ORs
 of stride patterns, the mirror shifted to the residue class of the reversed
-first multiple.  The test suite pins the two routes together, and the bit
+first multiple.
+
+The linear claims evaluate a whole chunk per step.  The Goldbach scan holds
+the chunk's unresolved targets in one int and resolves, for each odd prime
+p in ascending order, all targets whose partner 2N - p is prime with one
+shifted window of the table packed from just below the chunk.  The prime
+count behind s is counted once below the range and carried from chunk to
+chunk in the job.  The remaining per-target work runs in C-level iteration
+(``accumulate``, ``map``, slice assignment).  The test suite pins the fast
+routes to the single-target routes and to scalar oracles, and the bit
 windows to the byte windows of ``classify``.
 
 Range runs are split into fixed-size chunks of consecutive even numbers.
@@ -24,8 +33,8 @@ import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import and_
+from itertools import accumulate, compress, islice
+from operator import and_, mul, sub
 
 from .classify import EvenTarget, PrimeSplit, prime_window, split_primes
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
@@ -516,6 +525,22 @@ def _low_bit(x: int) -> int:
     return (x ^ (x - 1)).bit_length() - 1
 
 
+def _stride(start: int, step: int, width: int) -> int:
+    """Bits start + m * step for every m * step below ``width``, built by
+    doubling; it may overshoot by up to ``width`` bits."""
+    v, span = 1 << start, step
+    while span < width:
+        v |= v << span
+        span <<= 1
+    return v
+
+
+def _pack(bits: bytes) -> int:
+    """A 0/1 byte string as an int, byte j to bit j; base-2 parsing of the
+    ASCII image is linear."""
+    return int(bits.translate(_ASCII_BITS)[::-1], 2)
+
+
 class _BitWindows:
     """The windows of ``classify`` for the evens of one chunk, one bit per odd.
 
@@ -562,10 +587,7 @@ class _BitWindows:
             j0 = (q - 3) >> 1
             cached = q < _MARKS_CACHE_BELOW
             n = self.k_max if cached else mask.bit_length()
-            v, span = 1 << j0, q
-            while span < n:
-                v |= v << span
-                span <<= 1
+            v = _stride(j0, q, n)
             if cached:  # doubling overshoots by up to n bits
                 self.marks[q] = v = v & ((1 << (j0 + n)) - 1)
         return v
@@ -586,32 +608,27 @@ def _pi_odd_upto(x: int, table: PrimeTable) -> int:
 def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]]:
     """Distinct odd prime factors of every even number in [c_lo, c_hi].
 
-    Sieve-style: stride over the even multiples of each odd prime up to
-    sqrt(c_hi), dividing cofactors down; whatever survives above 1 is a
+    Sieve-style, one slice per odd prime power q <= c_hi / 2: the evens
+    divisible by 2q sit at stride q from index (-c_lo / 2) mod q.  Each prime
+    up to sqrt(c_hi) is appended along its stride and divides the odd parts
+    down along the strides of its powers; whatever survives above 1 is a
     single prime factor larger than the root.
     """
-    nev = (c_hi - c_lo) // 2 + 1
-    cof = [0] * nev
-    for i in range(nev):
-        v = c_lo + 2 * i
-        while v % 2 == 0:
-            v //= 2
-        cof[i] = v
-    facs: list[list[int]] = [[] for _ in range(nev)]
+    cof = [v // (v & -v) for v in range(c_lo, c_hi + 1, 2)]
+    facs: list[list[int]] = [[] for _ in cof]
+    h = c_lo >> 1
     root = math.isqrt(c_hi)
     for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
-        q = 2 * p
-        first = ((c_lo + q - 1) // q) * q
-        for m in range(first, c_hi + 1, q):
-            i = (m - c_lo) >> 1
-            facs[i].append(p)
-            v = cof[i] // p
-            while v % p == 0:
-                v //= p
-            cof[i] = v
-    for i in range(nev):
-        if cof[i] > 1:
-            facs[i].append(cof[i])
+        for lst in facs[-h % p :: p]:
+            lst.append(p)
+        q = p
+        while q <= c_hi >> 1:
+            s = -h % q
+            cof[s::q] = [c // p for c in cof[s::q]]
+            q *= p
+    for lst, c in zip(facs, cof):
+        if c > 1:
+            lst.append(c)
     return facs
 
 
@@ -636,31 +653,27 @@ def _chunk_same_type(c_lo, c_hi, facs, table) -> dict:
             "boundary": []}
 
 
-def _chunk_s_bound(c_lo, c_hi, facs, table) -> dict:
-    bits = table.odd_bits
-    pi = _pi_odd_upto(c_lo - 3, table)
-    checked = 0
-    fail = None
+def _chunk_s_bound(c_lo, c_hi, pi, facs, table) -> dict:
+    """s(2N) = pi(2N - 3) - omega_odd(2N) for the whole chunk: a running prime
+    count from the carried pi = pi(c_lo - 3), less each target's listed
+    factors; the first minimum, maximum and s < 2 in target order."""
+    i0 = (c_lo >> 1) - 1  # table index of c_lo - 1, the next odd counted
+    pis = accumulate(table.odd_bits[i0 : i0 + len(facs) - 1], initial=pi)
+    ss = list(map(sub, pis, map(len, facs)))
     boundary = []
-    min_s = None
-    max_s = None
-    for i in range(len(facs)):
-        two_n = c_lo + 2 * i
-        if i:
-            pi += bits[(two_n - 3) >> 1]
-        s = pi - len(facs[i])
-        if two_n == 6:
-            boundary.append({"two_n": 6, "s": s})
-            continue
-        checked += 1
-        if s < 2 and fail is None:
-            fail = {"two_n": two_n, "s": s}
-        if min_s is None or s < min_s[0]:
-            min_s = [s, two_n]
-        if max_s is None or s > max_s[0]:
-            max_s = [s, two_n]
-    return {"checked": checked, "fail": fail, "boundary": boundary,
-            "min_s": min_s, "max_s": max_s}
+    if c_lo == 6:
+        boundary.append({"two_n": 6, "s": ss.pop(0)})
+        c_lo = 8
+    out = {"checked": len(ss), "fail": None, "boundary": boundary,
+           "min_s": None, "max_s": None}
+    if ss:
+        lo, hi = min(ss), max(ss)
+        out["min_s"] = [lo, c_lo + 2 * ss.index(lo)]
+        out["max_s"] = [hi, c_lo + 2 * ss.index(hi)]
+        if lo < 2:
+            i = next(i for i, s in enumerate(ss) if s < 2)
+            out["fail"] = {"two_n": c_lo + 2 * i, "s": ss[i]}
+    return out
 
 
 def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
@@ -668,9 +681,9 @@ def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
 
     For each target: A-primes are the unmarked primes of the window, their
     companions sit at mirrored indices, and the checks are (1) no companion
-    is marked B-type, (2) prime companions are exactly the A-prime
-    companions, (3) the factor route marked every odd prime factor of 2N,
-    and (4) spot targets get a direct divisibility test.
+    is marked B-type, (2) every listed factor divides 2N, and (3) spot
+    targets get a direct divisibility test.  Once (1) holds, a prime
+    companion is an A-prime, and a listed factor is marked, never an A-prime.
     """
     win = _BitWindows(table, c_hi)
     checked = 0
@@ -688,8 +701,7 @@ def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
         k = (two_n >> 1) - 2
         mask = (1 << k) - 1
         b, rb = win.btype(k, qs, mask)
-        pf, pr = win.primes(k, mask)
-        a = pf & (b ^ mask)  # b ^ mask is ~b within the window
+        a = win.fwd & (b ^ mask)  # b ^ mask is ~b within the window
         a_total += a.bit_count()
         if a == 0:
             continue
@@ -699,16 +711,8 @@ def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
             fail = {"two_n": two_n, "p": p, "companion": two_n - p,
                     "reason": "companion is B-type"}
             continue
-        rev_a = pr & (rb ^ mask)  # reversal of a over k bits
-        x = (a & pr) ^ (a & rev_a)
-        if x:
-            p = 3 + 2 * _low_bit(x)
-            fail = {"two_n": two_n, "p": p, "companion": two_n - p,
-                    "reason": "prime companion is not an A-prime"}
-            continue
         for q in qs:
-            bit = 1 << ((q - 3) >> 1)
-            if two_n % q != 0 or not b & bit or a & bit:
+            if two_n % q:
                 fail = {"two_n": two_n, "q": q,
                         "reason": "factor route missed an odd prime factor"}
                 break
@@ -725,56 +729,76 @@ def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
 
 
 def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
-    """Smallest-prime Goldbach scan shared by the witness and pairing claims."""
+    """Smallest-prime Goldbach scan shared by the witness and pairing claims,
+    over all targets of the chunk at once.
+
+    Bit i of ``left`` stands for the target c_lo + 2i whose smallest prime p
+    with 2N - p marked prime is still unknown.  For each odd prime p in
+    ascending order, the targets with 2N - p marked prime are one shifted
+    window of the table packed from index c_lo / 2 - P / 2 on, where P
+    doubles whenever the scan passes it; a window hit resolves its targets.
+    The hits on the stride of the multiples of p have p | 2N; a true table
+    allows that only for 2N = p + p, so any other such hit fails the witness
+    claim.
+    """
     bits = table.odd_bits
-    odd_primes = table.prime_list
-    nprimes = len(odd_primes)
-    witness_fail = None
-    pairing_fail = None
-    pairing_boundary = []
-    a_pair_evens = 0
+    h = c_lo >> 1
+    nev = (c_hi - c_lo) // 2 + 1
+    left = (1 << nev) - 1
     b_self_evens = 0
-    checked = 0
-    max_min_p = None
-    for two_n in range(c_lo, c_hi + 1, 2):
-        n = two_n >> 1
-        found = 0
-        j = 1
-        while j < nprimes:
-            p = odd_primes[j]
-            if p > n:
-                break
-            if bits[(two_n - p) >> 1]:
-                found = p
-                break
-            j += 1
-        checked += 1
-        if not found:
-            detail = {"two_n": two_n, "count": 0}
-            if witness_fail is None:
-                witness_fail = detail
-            if pairing_fail is None and two_n != 6:
-                pairing_fail = detail
+    divisible = None  # (bit, p) of the first divisible partner marked prime
+    last = None  # (p, hit) of the last prime with hits
+    span = 64
+    base = max(0, h - span // 2)
+    packed = _pack(bits[base : c_hi >> 1])
+    for p in islice(table.prime_list, 1, None):
+        if not left or p > c_hi >> 1:
+            break
+        if p > span:
+            span <<= 1
+            base = max(0, h - span // 2)
+            packed = _pack(bits[base : c_hi >> 1])
+        shift = h - ((p + 1) >> 1) - base  # bit 0 of the window: c_lo - p
+        hit = (packed >> shift if shift >= 0 else packed << -shift) & left
+        if p > h:  # only targets with N >= p take p
+            hit = hit >> (p - h) << (p - h)
+        if not hit:
             continue
-        if max_min_p is None or found > max_min_p[0]:
-            max_min_p = [found, two_n]
-        if two_n % found == 0:
-            if found != n and witness_fail is None:
-                witness_fail = {"two_n": two_n, "p": found,
-                                "reason": "divisible partner reported prime"}
-            b_self_evens += 1
+        left ^= hit
+        last = p, hit
+        div = hit & _stride(-h % p, p, nev)
+        if div:
+            b_self_evens += div.bit_count()
+            if 0 <= p - h < nev:  # 2N = p + p
+                div &= ~(1 << (p - h))
+            if div and (divisible is None or _low_bit(div) < divisible[0]):
+                divisible = _low_bit(div), p
+    a_pair_evens = nev - left.bit_count() - b_self_evens
+    witness_fail = pairing_fail = None
+    if left:
+        witness_fail = {"two_n": c_lo + 2 * _low_bit(left), "count": 0}
+    if divisible and (not left or divisible[0] < _low_bit(left)):
+        witness_fail = {"two_n": c_lo + 2 * divisible[0], "p": divisible[1],
+                        "reason": "divisible partner reported prime"}
+    pairing_boundary = []
+    if c_lo == 6:  # the boundary target 2N = 6 = 3 + 3 never fails pairing
+        if left & 1:
+            left ^= 1
         else:
-            a_pair_evens += 1
-        if two_n == 6:
-            pairing_boundary.append({"two_n": 6, "pair": [found, two_n - found]})
-    out = {"checked": checked}
+            pairing_boundary.append({"two_n": 6, "pair": [3, 3]})
+    if left:
+        pairing_fail = {"two_n": c_lo + 2 * _low_bit(left), "count": 0}
+    max_min_p = None
+    if last:
+        max_min_p = [last[0], c_lo + 2 * _low_bit(last[1])]
+    out = {"checked": nev}
     if want_witness:
-        out["witness"] = {"checked": checked, "fail": witness_fail, "boundary": [],
+        out["witness"] = {"checked": nev, "fail": witness_fail, "boundary": [],
                           "a_pair_evens": a_pair_evens,
                           "b_self_evens": b_self_evens,
                           "max_min_p": max_min_p}
     if want_pairing:
-        out["pairing"] = {"checked": checked - len(pairing_boundary),
+        out["pairing"] = {"checked": nev - len(pairing_boundary),
                           "fail": pairing_fail, "boundary": pairing_boundary,
                           "a_pair_evens": a_pair_evens,
                           "b_self_evens": b_self_evens}
@@ -782,15 +806,23 @@ def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
 
 
 def _chunk_midpoint_coprime(c_lo, c_hi, table) -> dict:
+    """One gcd per target, of 2N with the product of its flankers, over each
+    residue class of 2N mod 4 (flankers N -+ 1 for even N, N -+ 2 for odd N)."""
     first = max(c_lo, 8)
+    bad = []
+    for t0 in (first, first + 2):
+        d = 1 + (t0 >> 1) % 2
+        ts = range(t0, c_hi + 1, 4)
+        prods = map(mul, range((t0 >> 1) - d, c_hi, 2), range((t0 >> 1) + d, c_hi, 2))
+        if sum(map(math.gcd, prods, ts)) != len(ts):  # some gcd above 1
+            bad.append(next(t for t in ts
+                            if math.gcd(math.prod(midpoint_values(t)), t) != 1))
     fail = None
-    for two_n in range(first, c_hi + 1, 2):
+    if bad:
+        two_n = min(bad)
         v1, v2 = midpoint_values(two_n)
-        g1 = math.gcd(v1, two_n)
-        g2 = math.gcd(v2, two_n)
-        if g1 != 1 or g2 != 1:
-            fail = {"two_n": two_n, "values": [v1, v2], "gcds": [g1, g2]}
-            break
+        fail = {"two_n": two_n, "values": [v1, v2],
+                "gcds": [math.gcd(v1, two_n), math.gcd(v2, two_n)]}
     return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
             "boundary": [{"two_n": 6}] if c_lo == 6 else []}
 
@@ -801,11 +833,12 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
 
     ``halo`` lists the odd prime factors of the evens in [c_lo - 4, c_hi + 4],
     2 evens past each end of the chunk.  A flanker v of 2N has 2v = 2N -+ 2 or
-    2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  An odd prime
-    shared by v * rad(v) and a target 2v -+ 2 or 2v -+ 4 divides v*v - 1 or
-    v*v - 4, so two gcds per flanker find every target that can fail; only
-    those and the targets with two prime flankers are checked, in ascending
-    order.
+    2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  A listed
+    prime of v that divides a target 2v -+ 2 or 2v -+ 4 divides v*v - 1 or
+    v*v - 4, which no odd factor of v does; so the flankers whose listed
+    primes do not all divide v take two gcds that find every target that can
+    fail.  Only those and the targets with two prime flankers are checked, in
+    ascending order.
     """
     bits = table.odd_bits
     first = max(c_lo, 8)
@@ -813,10 +846,11 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
     vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
     todo = set()
     for v, rad in zip(vs, map(math.prod, halo[vb - (c_lo >> 1) + 2 :: 2])):
-        if math.gcd(v * rad, v * v - 1) != 1:
-            todo.update((2 * v - 2, 2 * v + 2))
-        if math.gcd(v * rad, v * v - 4) != 1:
-            todo.update((2 * v - 4, 2 * v + 4))
+        if v % rad:
+            if math.gcd(rad, v * v - 1) != 1:
+                todo.update((2 * v - 2, 2 * v + 2))
+            if math.gcd(rad, v * v - 4) != 1:
+                todo.update((2 * v - 4, 2 * v + 4))
     pr = bits[vb >> 1 : (vb >> 1) + len(vs)]
     for step in (1, 2):  # prime flankers v, v + 2 * step of 2v + 2 * step
         todo.update(compress(range(2 * (vb + step), c_hi + 1, 4),
@@ -852,37 +886,29 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
 def _chunk_prime_power(c_lo, c_hi, table) -> dict:
     """Enumerate every 2N = p + p**k identity in the chunk and check that its
     prime divides 2N (so the solution prime is B-type, never an A-prime)."""
-    bits = table.odd_bits
-    checked = 0
-    inspected = 0
+    first = max(c_lo, 8)
+    # k = 1: 2N = N + N for every odd N marked prime, at table index N >> 1 =
+    # 2N >> 2 for the targets 2N = 2 mod 4.  N divides 2N, so these only count.
+    inspected = table.odd_bits[first >> 2 : ((c_hi - 2) >> 2) + 1].count(1)
     fail = None
-    boundary = []
-    for two_n in range(c_lo, c_hi + 1, 2):
-        if two_n == 6:
-            boundary.append({"two_n": 6})
-            continue
-        checked += 1
-        n = two_n >> 1
-        if n % 2 == 1 and bits[n >> 1]:  # k = 1 solution: 2N = n + n
-            inspected += 1
-            if two_n % n != 0 and fail is None:
-                fail = {"two_n": two_n, "p": n, "k": 1}
     root = math.isqrt(c_hi)
     for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
         v = p * p
         while p + v <= c_hi:
             two_n = p + v
-            if two_n >= c_lo and two_n != 6:
+            if two_n >= c_lo:
                 inspected += 1
                 if two_n % p != 0 and fail is None:
                     fail = {"two_n": two_n, "p": p, "power": v}
             v *= p
-    return {"checked": checked, "fail": fail, "boundary": boundary,
+    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+            "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "identities_inspected": inspected}
 
 
-def _chunk_comet(c_lo, c_hi, table) -> list[tuple[int, int, int, int, int]]:
-    """Rows (two_n, r, s, a_count, b_count) for every even in the chunk.
+def _chunk_comet(c_lo, c_hi, pi, table) -> list[tuple[int, int, int, int, int]]:
+    """Rows (two_n, r, s, a_count, b_count) for every even in the chunk, with
+    pi = pi(c_lo - 3) carried in.
 
     The counts are ``census_from_windows`` on bit windows cut to the h
     partitions of each target.
@@ -890,7 +916,6 @@ def _chunk_comet(c_lo, c_hi, table) -> list[tuple[int, int, int, int, int]]:
     bits = table.odd_bits
     facs = _odd_factor_lists(c_lo, c_hi, table)
     win = _BitWindows(table, c_hi)
-    pi = _pi_odd_upto(c_lo - 3, table)
     rows = []
     for i, qs in enumerate(facs):
         two_n = c_lo + 2 * i
@@ -919,17 +944,13 @@ def _worker_init(table: PrimeTable) -> None:
     _WORKER_TABLE = table
 
 
-def _claims_job(args) -> dict:
-    c_lo, c_hi, names = args
-    return _evaluate_chunk(c_lo, c_hi, names, _WORKER_TABLE)
+def _pooled(task):
+    """Run one chunk job in a pool worker, on the table the pool handed it."""
+    job, args = task
+    return job(*args, _WORKER_TABLE)
 
 
-def _comet_job(args) -> list:
-    c_lo, c_hi = args
-    return _chunk_comet(c_lo, c_hi, _WORKER_TABLE)
-
-
-def _evaluate_chunk(c_lo, c_hi, names, table) -> dict:
+def _evaluate_chunk(c_lo, c_hi, pi, names, table) -> dict:
     """Partial results of the named claims for the evens in [c_lo, c_hi].
 
     One factor sieve serves all claims that need factors; it runs 2 evens
@@ -945,7 +966,7 @@ def _evaluate_chunk(c_lo, c_hi, names, table) -> dict:
     if ClaimId.SAME_TYPE_LEMMA in claims:
         out[ClaimId.SAME_TYPE_LEMMA.value] = _chunk_same_type(c_lo, c_hi, facs, table)
     if ClaimId.S_BOUND in claims:
-        out[ClaimId.S_BOUND.value] = _chunk_s_bound(c_lo, c_hi, facs, table)
+        out[ClaimId.S_BOUND.value] = _chunk_s_bound(c_lo, c_hi, pi, facs, table)
     if ClaimId.COMPANION_DECOMPOSES in claims:
         out[ClaimId.COMPANION_DECOMPOSES.value] = _chunk_companions(
             c_lo, c_hi, facs, table
@@ -971,18 +992,29 @@ def _evaluate_chunk(c_lo, c_hi, names, table) -> dict:
     return out
 
 
-def _chunk_ranges(lo: int, hi: int, chunk_evens: int) -> list[tuple[int, int]]:
+def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
+                  ) -> list[tuple[int, int, int]]:
+    """(c_lo, c_hi, pi(c_lo - 3)) per chunk: one prime count below lo, then
+    each chunk's own span."""
     span = 2 * chunk_evens
-    return [(c, min(c + span - 2, hi)) for c in range(lo, hi + 1, span)]
+    pi = _pi_odd_upto(lo - 3, table)
+    chunks = []
+    for c in range(lo, hi + 1, span):
+        chunks.append((c, min(c + span - 2, hi), pi))
+        pi += table.odd_bits[(c >> 1) - 1 : ((c + span) >> 1) - 1].count(1)
+    return chunks
 
 
 def _map_chunks(job, args_list, workers: int, table: PrimeTable) -> list:
+    """job(*args, table) for every args in order, in a pool when it pays.
+
+    Only pool workers keep the table in a global; the in-process path hands
+    it over directly, so nothing keeps it alive after the run."""
     if workers <= 1 or len(args_list) <= 1:
-        _worker_init(table)
-        return [job(a) for a in args_list]
+        return [job(*args, table) for args in args_list]
     processes = min(workers, len(args_list))
     with multiprocessing.Pool(processes, _worker_init, (table,)) as pool:
-        return pool.map(job, args_list, chunksize=1)
+        return pool.map(_pooled, [(job, args) for args in args_list], chunksize=1)
 
 
 def _validate_range(lo: int, hi: int, workers: int) -> None:
@@ -1075,8 +1107,8 @@ def range_verify(
         )
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     names = tuple(c.value for c in selected)
-    jobs = [(c_lo, c_hi, names) for c_lo, c_hi in _chunk_ranges(lo, hi, chunk_evens)]
-    partials = _map_chunks(_claims_job, jobs, workers, table)
+    jobs = [(*chunk, names) for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
+    partials = _map_chunks(_evaluate_chunk, jobs, workers, table)
     outcomes = []
     for cid in selected:
         per_claim = [p[cid.value] for p in partials]
@@ -1099,8 +1131,8 @@ def comet_rows(
         raise UsageError(
             f"table limit {table.limit} does not cover range end {hi}"
         )
-    jobs = _chunk_ranges(lo, hi, chunk_evens)
-    chunks = _map_chunks(_comet_job, jobs, workers, table)
+    jobs = _chunk_ranges(lo, hi, chunk_evens, table)
+    chunks = _map_chunks(_chunk_comet, jobs, workers, table)
     rows = []
     for chunk in chunks:
         rows.extend(chunk)

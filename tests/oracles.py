@@ -6,6 +6,7 @@ the two is meaningful.
 """
 
 import math
+from bisect import bisect_right
 
 
 def is_prime_td(n: int) -> bool:
@@ -144,3 +145,160 @@ def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
             return {"two_n": two_n, "q": q,
                     "reason": "factor route missed an odd prime factor"}
     return None
+
+
+# ---------------------------------------------------------------------------
+# Scalar chunk evaluators: one even target per iteration.  They read the same
+# table (and, for s_bound, the same factor lists) as the range kernels, and
+# return the same partial dicts.
+# ---------------------------------------------------------------------------
+
+
+def s_bound_chunk(c_lo, c_hi, facs, table) -> dict:
+    bits = table.odd_bits
+    pi = bits[1 : (c_lo - 2) >> 1].count(1)  # odd primes <= c_lo - 3
+    checked = 0
+    fail = None
+    boundary = []
+    min_s = None
+    max_s = None
+    for i in range(len(facs)):
+        two_n = c_lo + 2 * i
+        if i:
+            pi += bits[(two_n - 3) >> 1]
+        s = pi - len(facs[i])
+        if two_n == 6:
+            boundary.append({"two_n": 6, "s": s})
+            continue
+        checked += 1
+        if s < 2 and fail is None:
+            fail = {"two_n": two_n, "s": s}
+        if min_s is None or s < min_s[0]:
+            min_s = [s, two_n]
+        if max_s is None or s > max_s[0]:
+            max_s = [s, two_n]
+    return {"checked": checked, "fail": fail, "boundary": boundary,
+            "min_s": min_s, "max_s": max_s}
+
+
+def pair_scan_chunk(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
+    """Smallest-prime Goldbach scan shared by the witness and pairing claims."""
+    bits = table.odd_bits
+    odd_primes = table.prime_list
+    nprimes = len(odd_primes)
+    witness_fail = None
+    pairing_fail = None
+    pairing_boundary = []
+    a_pair_evens = 0
+    b_self_evens = 0
+    checked = 0
+    max_min_p = None
+    for two_n in range(c_lo, c_hi + 1, 2):
+        n = two_n >> 1
+        found = 0
+        j = 1
+        while j < nprimes:
+            p = odd_primes[j]
+            if p > n:
+                break
+            if bits[(two_n - p) >> 1]:
+                found = p
+                break
+            j += 1
+        checked += 1
+        if not found:
+            detail = {"two_n": two_n, "count": 0}
+            if witness_fail is None:
+                witness_fail = detail
+            if pairing_fail is None and two_n != 6:
+                pairing_fail = detail
+            continue
+        if max_min_p is None or found > max_min_p[0]:
+            max_min_p = [found, two_n]
+        if two_n % found == 0:
+            if found != n and witness_fail is None:
+                witness_fail = {"two_n": two_n, "p": found,
+                                "reason": "divisible partner reported prime"}
+            b_self_evens += 1
+        else:
+            a_pair_evens += 1
+        if two_n == 6:
+            pairing_boundary.append({"two_n": 6, "pair": [found, two_n - found]})
+    out = {"checked": checked}
+    if want_witness:
+        out["witness"] = {"checked": checked, "fail": witness_fail, "boundary": [],
+                          "a_pair_evens": a_pair_evens,
+                          "b_self_evens": b_self_evens,
+                          "max_min_p": max_min_p}
+    if want_pairing:
+        out["pairing"] = {"checked": checked - len(pairing_boundary),
+                          "fail": pairing_fail, "boundary": pairing_boundary,
+                          "a_pair_evens": a_pair_evens,
+                          "b_self_evens": b_self_evens}
+    return out
+
+
+def midpoint_coprime_chunk(c_lo, c_hi, table) -> dict:
+    first = max(c_lo, 8)
+    fail = None
+    for two_n in range(first, c_hi + 1, 2):
+        v1, v2 = midpoints_td(two_n)
+        g1 = math.gcd(v1, two_n)
+        g2 = math.gcd(v2, two_n)
+        if g1 != 1 or g2 != 1:
+            fail = {"two_n": two_n, "values": [v1, v2], "gcds": [g1, g2]}
+            break
+    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+            "boundary": [{"two_n": 6}] if c_lo == 6 else []}
+
+
+def prime_power_chunk(c_lo, c_hi, table) -> dict:
+    """Every 2N = p + p**k identity in the chunk, checked for p | 2N."""
+    bits = table.odd_bits
+    checked = 0
+    inspected = 0
+    fail = None
+    boundary = []
+    for two_n in range(c_lo, c_hi + 1, 2):
+        if two_n == 6:
+            boundary.append({"two_n": 6})
+            continue
+        checked += 1
+        n = two_n >> 1
+        if n % 2 == 1 and bits[n >> 1]:  # k = 1 solution: 2N = n + n
+            inspected += 1
+            if two_n % n != 0 and fail is None:
+                fail = {"two_n": two_n, "p": n, "k": 1}
+    root = math.isqrt(c_hi)
+    for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
+        v = p * p
+        while p + v <= c_hi:
+            two_n = p + v
+            if two_n >= c_lo and two_n != 6:
+                inspected += 1
+                if two_n % p != 0 and fail is None:
+                    fail = {"two_n": two_n, "p": p, "power": v}
+            v *= p
+    return {"checked": checked, "fail": fail, "boundary": boundary,
+            "identities_inspected": inspected}
+
+
+def doctored_pair_scan_fails_td(lo: int, hi: int, prime) -> tuple:
+    """(witness, pairing) counterexamples over [lo, hi] when ``prime(m)`` says
+    which partners 2N - p are prime: the smallest target without a partner,
+    or, for the witness claim only, one whose smallest partner prime p divides
+    2N - p with p < N."""
+    witness = pairing = None
+    for two_n in range(lo, hi + 1, 2):
+        n = two_n // 2
+        p = next((p for p in range(3, n + 1, 2)
+                  if is_prime_td(p) and prime(two_n - p)), None)
+        if p is None:
+            detail = {"two_n": two_n, "count": 0}
+            witness = witness or detail
+            if two_n != 6:
+                pairing = pairing or detail
+        elif two_n % p == 0 and p != n:
+            witness = witness or {"two_n": two_n, "p": p,
+                                  "reason": "divisible partner reported prime"}
+    return witness, pairing

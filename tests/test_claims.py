@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,11 @@ from goldbach_ab import (
 import goldbach_ab.claims as claims_mod
 from goldbach_ab.claims import (
     _BitWindows,
+    _chunk_midpoint_coprime,
+    _chunk_pair_scan,
+    _chunk_prime_power,
+    _chunk_ranges,
+    _chunk_s_bound,
     _odd_factor_lists,
     _pi_odd_upto,
     claim_goldbach_witness,
@@ -38,9 +44,12 @@ from goldbach_ab.claims import (
 )
 from goldbach_ab.classify import btype_bytes, prime_window
 from goldbach_ab.partition import PartitionKind, goldbach_partitions
+from goldbach_ab.sieve import PrimeTable
 
+import oracles
 from oracles import (
     doctored_companion_fail_td,
+    doctored_pair_scan_fails_td,
     doctored_same_type_td,
     factorize_td,
     is_prime_td,
@@ -436,6 +445,81 @@ def test_doctored_companion_cases_reach_both_failure_branches():
                        "factor route missed an odd prime factor"}
 
 
+def _doctored_table(table, clear=(), mark=()):
+    """``table`` with the odd values in ``clear`` marked composite and those in
+    ``mark`` marked prime; ``prime_list`` stays as it is."""
+    bits = bytearray(table.odd_bits)
+    for m in clear:
+        bits[m >> 1] = 0
+    for m in mark:
+        bits[m >> 1] = 1
+    return PrimeTable(table.limit, bytes(bits), table.prime_list)
+
+
+# Every prime partner of 1000 cleared; the partner 3 of 6 cleared (only the
+# witness claim fails: 6 is the pairing boundary); 27 marked prime, so that
+# 30 = 3 + 27 has a partner divisible by its prime; and both of the first and
+# last at once, so one chunk holds both kinds of witness failure.
+_PARTNERS_OF_1000 = tuple(q for q in range(500, 998) if is_prime_td(q))
+_DOCTORED_PARTNERS = {
+    "no-partner": (_PARTNERS_OF_1000, ()),
+    "no-partner-at-6": ((3,), ()),
+    "divisible-partner": ((), (27,)),
+    "divisible-then-no-partner": (_PARTNERS_OF_1000, (27,)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
+@pytest.mark.parametrize("case", sorted(_DOCTORED_PARTNERS))
+def test_range_witness_and_pairing_report_doctored_table(
+    table_20k, case, chunk_evens, workers
+):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("doctored range tests run pools only under fork")
+    clear, mark = _DOCTORED_PARTNERS[case]
+    table = _doctored_table(table_20k, clear, mark)
+    witness, pairing = doctored_pair_scan_fails_td(
+        6, 2_100, lambda m: (is_prime_td(m) and m not in clear) or m in mark
+    )
+    assert witness is not None
+    outs = range_verify(6, 2_100, workers=workers, table=table,
+                        chunk_evens=chunk_evens,
+                        claims=(ClaimId.GOLDBACH_WITNESS, ClaimId.PAIRING_NON_EMPTY))
+    by_id = {o.claim_id: o for o in outs}
+    out = by_id[ClaimId.GOLDBACH_WITNESS]
+    assert out.status == "fail"
+    assert out.payload["counterexample"] == witness
+    out = by_id[ClaimId.PAIRING_NON_EMPTY]
+    if pairing is None:
+        assert out.status != "fail"
+    else:
+        assert out.status == "fail"
+        assert out.payload["counterexample"] == pairing
+
+
+def test_doctored_partner_cases_reach_every_failure_branch():
+    got = set()
+    for clear, mark in _DOCTORED_PARTNERS.values():
+        witness, pairing = doctored_pair_scan_fails_td(
+            6, 2_100, lambda m: (is_prime_td(m) and m not in clear) or m in mark
+        )
+        got.add(("witness", witness.get("reason", "count")))
+        got.add(("pairing", pairing is not None))
+    assert got == {("witness", "count"),
+                   ("witness", "divisible partner reported prime"),
+                   ("pairing", True), ("pairing", False)}
+
+
+def test_in_process_range_runs_release_the_table():
+    table = build_table(3_001)
+    ref = weakref.ref(table)
+    range_verify(8, 3_000, table=table, chunk_evens=500)
+    comet_rows(8, 3_000, table=table, chunk_evens=500)
+    del table
+    assert ref() is None
+
+
 class _InProcessPool:
     """Stands in for multiprocessing.Pool: records its size, maps in-process."""
 
@@ -633,3 +717,56 @@ def test_packed_primes_match_prime_window(table_20k, two_n, data):
     pf, pr = _BitWindows(table_20k, c_hi).primes(k, mask)
     assert pf == _bits(pwin) & mask
     assert pr == _bits(pwin[::-1]) & mask
+
+
+# ---------------------------------------------------------------------------
+# whole-chunk kernels against the scalar oracles
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chunk_kernels_match_scalar_oracles(table_20k, data):
+    lo = data.draw(st.one_of(
+        st.sampled_from((6, 8)),
+        st.integers(min_value=5, max_value=9_000).map(lambda n: 2 * n),
+    ))
+    hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=lo // 2 + 300))
+    chunk_evens = data.draw(st.one_of(st.sampled_from((1, 2, 3, 64)),
+                                      st.integers(min_value=1, max_value=400)))
+    # flipped bits of small odds reach both failure branches of the scan
+    flips = data.draw(st.lists(
+        st.one_of(st.integers(min_value=1, max_value=40),
+                  st.integers(min_value=1, max_value=hi // 2)),
+        max_size=6,
+    ))
+    table = table_20k
+    if flips:
+        bits = bytearray(table.odd_bits)
+        for i in flips:
+            bits[i] ^= 1
+        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+    chunks = _chunk_ranges(lo, hi, chunk_evens, table)
+    assert chunks[0][0] == lo and chunks[-1][1] == hi
+    for c_lo, c_hi, pi in chunks:
+        facs = _odd_factor_lists(c_lo, c_hi, table)
+        assert (_chunk_s_bound(c_lo, c_hi, pi, facs, table)
+                == oracles.s_bound_chunk(c_lo, c_hi, facs, table))
+        assert (_chunk_pair_scan(c_lo, c_hi, table, True, True)
+                == oracles.pair_scan_chunk(c_lo, c_hi, table, True, True))
+        assert (_chunk_midpoint_coprime(c_lo, c_hi, table)
+                == oracles.midpoint_coprime_chunk(c_lo, c_hi, table))
+        assert (_chunk_prime_power(c_lo, c_hi, table)
+                == oracles.prime_power_chunk(c_lo, c_hi, table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=9_900).map(lambda n: 2 * n),
+       st.integers(min_value=0, max_value=300))
+def test_odd_factor_lists_on_random_ranges(table_20k, c_lo, span):
+    c_hi = min(c_lo + 2 * span, 20_000)
+    facs = _odd_factor_lists(c_lo, c_hi, table_20k)
+    assert len(facs) == (c_hi - c_lo) // 2 + 1
+    for i, fac in enumerate(facs):
+        two_n = c_lo + 2 * i
+        assert fac == sorted(q for q in factorize_td(two_n) if q != 2), two_n
