@@ -16,6 +16,7 @@ import time
 
 from goldbach_ab import ClaimId, build_table, range_verify
 from goldbach_ab.cli import parse_claims
+from goldbach_ab.sieve import pi_upto
 
 
 def main() -> int:
@@ -29,7 +30,7 @@ def main() -> int:
     claims = parse_claims(args.claims)
     t0 = time.perf_counter()
     table = build_table(args.hi + 1)
-    print(f"prime table up to {table.limit}: {len(table.prime_list)} primes "
+    print(f"prime table up to {table.limit}: {pi_upto(table.limit, table)} primes "
           f"in {time.perf_counter() - t0:.2f}s")
 
     worst = "pass"

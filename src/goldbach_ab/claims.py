@@ -33,7 +33,7 @@ import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from operator import and_, mul, sub
 
 from .classify import EvenTarget, PrimeSplit, prime_window, split_primes
@@ -609,16 +609,17 @@ def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]
     """Distinct odd prime factors of every even number in [c_lo, c_hi].
 
     Sieve-style, one slice per odd prime power q <= c_hi / 2: the evens
-    divisible by 2q sit at stride q from index (-c_lo / 2) mod q.  Each prime
-    up to sqrt(c_hi) is appended along its stride and divides the odd parts
-    down along the strides of its powers; whatever survives above 1 is a
-    single prime factor larger than the root.
+    divisible by 2q sit at stride q from index (-c_lo / 2) mod q.  Each of
+    the table's small primes up to sqrt(c_hi) is appended along its stride
+    and divides the odd parts down along the strides of its powers; whatever
+    survives above 1 is a single prime factor larger than them: the table
+    reaches c_hi - 7 at least, so two larger factors would exceed c_hi.
     """
     cof = [v // (v & -v) for v in range(c_lo, c_hi + 1, 2)]
     facs: list[list[int]] = [[] for _ in cof]
     h = c_lo >> 1
-    root = math.isqrt(c_hi)
-    for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
+    small = table.small_primes
+    for p in small[1 : bisect_right(small, math.isqrt(c_hi))]:
         for lst in facs[-h % p :: p]:
             lst.append(p)
         q = p
@@ -733,10 +734,11 @@ def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
     over all targets of the chunk at once.
 
     Bit i of ``left`` stands for the target c_lo + 2i whose smallest prime p
-    with 2N - p marked prime is still unknown.  For each odd prime p in
-    ascending order, the targets with 2N - p marked prime are one shifted
-    window of the table packed from index c_lo / 2 - P / 2 on, where P
-    doubles whenever the scan passes it; a window hit resolves its targets.
+    with 2N - p marked prime is still unknown.  For each odd prime p up to
+    c_hi / 2, read off the table in ascending order, the targets with
+    2N - p marked prime are one shifted window of the table packed from
+    index c_lo / 2 - P / 2 on, where P doubles whenever the scan passes it;
+    a window hit resolves its targets.
     The hits on the stride of the multiples of p have p | 2N; a true table
     allows that only for 2N = p + p, so any other such hit fails the witness
     claim.
@@ -751,8 +753,8 @@ def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
     span = 64
     base = max(0, h - span // 2)
     packed = _pack(bits[base : c_hi >> 1])
-    for p in islice(table.prime_list, 1, None):
-        if not left or p > c_hi >> 1:
+    for p in table.odd_primes(3, c_hi >> 1):
+        if not left:
             break
         if p > span:
             span <<= 1
@@ -891,8 +893,8 @@ def _chunk_prime_power(c_lo, c_hi, table) -> dict:
     # 2N >> 2 for the targets 2N = 2 mod 4.  N divides 2N, so these only count.
     inspected = table.odd_bits[first >> 2 : ((c_hi - 2) >> 2) + 1].count(1)
     fail = None
-    root = math.isqrt(c_hi)
-    for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
+    small = table.small_primes
+    for p in small[1 : bisect_right(small, math.isqrt(c_hi))]:
         v = p * p
         while p + v <= c_hi:
             two_n = p + v

@@ -27,7 +27,7 @@ from .claims import (
 )
 from .classify import EvenTarget, factorize_even, split_primes
 from .errors import CounterexampleFound, UsageError
-from .partition import census
+from .partition import census, partition_total
 from .sieve import DEFAULT_SEGMENT_SIZE, build_table
 
 ENV_WORKERS = "GOLDBACH_AB_WORKERS"
@@ -234,17 +234,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_census(cfg: RunConfig) -> int:
+    """A census CSV row is the comet row of 2N; JSON adds the census pairs."""
     t = EvenTarget(cfg.lo)
     table = build_table(t.two_n + 1, cfg.segment_size)
-    cen = census(t, table)
-    split = split_primes(t, table)
+    (row,) = comet_rows(t.two_n, t.two_n, table=table)
+    _, _, s, a_count, b_count = row
     if cfg.fmt == "csv":
-        row = f"{t.two_n},{cen.goldbach_count},{split.s},{cen.a_count},{cen.b_count}"
-        _emit(f"{COMET_HEADER}\n{row}\n", cfg.out)
+        _emit(comet_csv([row]), cfg.out)
     else:
-        report = {"two_n": t.two_n, "s": split.s, **_census_dict(cen)}
+        report = {"two_n": t.two_n, "s": s, **_census_dict(census(t, table))}
         _emit(json.dumps(report, indent=2) + "\n", cfg.out)
-    return 1 if cen.mixed_count else 0
+    return 1 if partition_total(t.two_n) - a_count - b_count else 0
 
 
 # ---------------------------------------------------------------------------

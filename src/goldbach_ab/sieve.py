@@ -1,18 +1,23 @@
 """Prime generation, primality testing and factorization services.
 
 Everything downstream works against a PrimeTable: an immutable, sieve-backed
-oracle for the primes up to a configured limit.  Queries past the limit fall
-back to a Miller-Rabin test with a witness set that is deterministic for all
-64-bit integers, and factorization of large cofactors uses Brent's cycle
-variant of Pollard rho.
+oracle for the primes up to a configured limit.  The table holds the sieve's
+bitmap of the odd numbers plus the small tuple of primes up to the square
+root of the limit; trial division and the range routes read primes from
+these two, and the tuple of every prime below the limit is derived from the
+bitmap only when asked for.  Queries past the limit fall back to a
+Miller-Rabin test with a witness set that is deterministic for all 64-bit
+integers, and factorization of large cofactors uses Brent's cycle variant of
+Pollard rho.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import chain, compress, islice
 
 from .errors import UsageError
 
@@ -67,11 +72,49 @@ class PrimeTable:
 
     ``odd_bits[i]`` is 1 exactly when ``2*i + 1`` is prime, so the bitmap
     covers the odd numbers only; 2 is special-cased everywhere.
+    ``small_primes`` holds 2 and the odd primes up to sqrt(limit), all that
+    trial division below the limit needs, and ``odd_primes`` reads any other
+    run of primes lazily off the bitmap.
+    ``prime_list``, every prime up to ``limit``, is derived on first access
+    and cached; no library route reads it, and pickling drops it.
+
+    A table given an explicit ``primes`` tuple takes that tuple, not the
+    bitmap, as its list of candidate primes: ``prime_list``,
+    ``small_primes`` and ``odd_primes`` all read it.  Primality lookups
+    still read the bitmap, so a bit can be flipped without changing which
+    primes are tried.
     """
 
     limit: int
     odd_bits: bytes
-    prime_list: tuple[int, ...]
+    primes: tuple[int, ...] | None = None
+
+    @cached_property
+    def prime_list(self) -> tuple[int, ...]:
+        if self.primes is not None:
+            return self.primes
+        return (2, *self.odd_primes(3, self.limit))
+
+    @cached_property
+    def small_primes(self) -> tuple[int, ...]:
+        """2 and the odd primes up to sqrt(limit)."""
+        root = max(2, math.isqrt(self.limit))
+        if self.primes is not None:
+            return self.primes[: bisect_right(self.primes, root)]
+        return (2, *self.odd_primes(3, root))
+
+    def odd_primes(self, lo: int, hi: int):
+        """Iterator over the odd primes p with lo <= p <= hi <= limit,
+        ascending; it copies nothing, so stopping early costs nothing more."""
+        if self.primes is not None:
+            ps = self.primes
+            return islice(ps, bisect_left(ps, max(lo, 3)), bisect_right(ps, hi))
+        first = max(lo, 3) | 1
+        bits = memoryview(self.odd_bits)[first >> 1 : (hi >> 1) + 1]
+        return compress(range(first, hi + 1, 2), bits)
+
+    def __reduce__(self):
+        return type(self), (self.limit, self.odd_bits, self.primes)
 
 
 def _small_odd_primes(limit: int) -> list[int]:
@@ -121,8 +164,7 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
             if idx < seg_hi:
                 bits[idx:seg_hi:p] = b"\x00" * len(range(idx, seg_hi, p))
 
-    primes = (2,) + tuple(compress(range(1, limit + 1, 2), bits))
-    return PrimeTable(limit=limit, odd_bits=bytes(bits), prime_list=primes)
+    return PrimeTable(limit, bytes(bits))
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -213,8 +255,7 @@ def _sieve_window(lo: int, hi: int, table: PrimeTable) -> list[int]:
         return out
     size = (hi - first) // 2 + 1
     bits = bytearray(b"\x01") * size
-    root = math.isqrt(hi)
-    for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
+    for p in table.odd_primes(3, math.isqrt(hi)):
         start = max(p * p, p * ((first + p - 1) // p))
         if start % 2 == 0:
             start += p
@@ -228,9 +269,9 @@ def _sieve_window(lo: int, hi: int, table: PrimeTable) -> list[int]:
 def factorize(n: int, table: PrimeTable) -> FactorMultiset:
     """Complete factorization of n >= 1; factorize(1) is the empty multiset.
 
-    Trial division over the table primes handles the bulk; any remaining
-    cofactor is resolved by Miller-Rabin plus Pollard rho, so every 64-bit
-    input factors completely.
+    Trial division handles the bulk: over the small primes when n <= limit,
+    and on up the table for larger n.  Any remaining cofactor is resolved by
+    Miller-Rabin plus Pollard rho, so every 64-bit input factors completely.
 
     >>> factorize(12, build_table(100)).as_dict()
     {2: 2, 3: 1}
@@ -240,7 +281,11 @@ def factorize(n: int, table: PrimeTable) -> FactorMultiset:
     if n >= _U64_BOUND:
         raise UsageError(f"{n} exceeds the supported 64-bit input range")
     exps: dict[int, int] = {}
-    for p in table.prime_list:
+    primes = table.small_primes
+    if n > table.limit:
+        primes = chain(primes, table.odd_primes(math.isqrt(table.limit) + 1,
+                                                table.limit))
+    for p in primes:
         if p * p > n:
             break
         if n % p == 0:
