@@ -4,12 +4,17 @@ Single-target verifiers follow the definitions literally (enumerate the
 A-primes, factor every companion, and so on).  Range verification re-derives
 the same verdicts from window arithmetic that is feasible for millions of
 targets: a running prime count, and a per-chunk distinct-factor sieve that
-also factors the midpoint flankers, so no range route trial-divides.  The
-same-type, companion and comet routes hold each target's windows at one bit
-per odd in a big int: the prime window and its mirror are cut from the
-table packed once per chunk, and the B-type mask and its mirror are ORs
-of stride patterns, the mirror shifted to the residue class of the reversed
-first multiple.
+also factors the midpoint flankers, so no range route trial-divides.
+
+The same-type, companion and comet routes screen each target's factor
+list.  When it is exactly the odd primes of 2N, gcd(a, 2N) = gcd(2N - a, 2N)
+makes the B-type window its own mirror: no partition is mixed, a_count =
+phi(2N) / 2 - 1, and the A-primes are pi(2N - 3) less the listed factors
+marked prime while the table marks no composite (one fresh sieve per run
+checks).  Other targets take the byte windows of ``classify``.  r(2N) comes
+from one square of the bitmap polynomial in C ``decimal`` (Kronecker
+substitution, number-theoretic transform) where a work estimate says the
+targets' prime windows cost more, else from the windows.
 
 The linear claims evaluate a whole chunk per step.  The Goldbach scan holds
 the chunk's unresolved targets in one int and resolves, for each odd prime
@@ -18,8 +23,7 @@ shifted window of the table packed from just below the chunk.  The prime
 count behind s is counted once below the range and carried from chunk to
 chunk in the job.  The remaining per-target work runs in C-level iteration
 (``accumulate``, ``map``, slice assignment).  The test suite pins the fast
-routes to the single-target routes and to scalar oracles, and the bit
-windows to the byte windows of ``classify``.
+routes to the single-target routes and to scalar and bit-window oracles.
 
 Range runs are split into fixed-size chunks of consecutive even numbers.
 Chunk boundaries never depend on the worker count and results are merged in
@@ -33,20 +37,29 @@ import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress
-from operator import and_, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import and_, floordiv, mul, not_, rshift, sub
 
-from .classify import EvenTarget, PrimeSplit, prime_window, split_primes
+from .classify import (
+    EvenTarget, PrimeSplit, btype_bytes, btype_window, prime_window, split_primes,
+)
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
     census,
-    first_mixed_partition,
+    census_from_windows,
     goldbach_pairs_from_window,
     kind_of_prime_pair,
+    mirror_pair,
+    mixed_partitions,
     partition_total,
     self_pair,
 )
 from .sieve import PrimeTable, build_table, factorize
+
+try:  # libmpdec multiplies huge operands by number-theoretic transform
+    import _decimal
+except ImportError:  # pure-Python decimal squares slower than the windows run
+    _decimal = None
 
 # Evens per work chunk; fixed so range output cannot depend on worker count.
 DEFAULT_CHUNK_EVENS = 8192
@@ -334,7 +347,7 @@ def verify_same_type_lemma(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
     if c.mixed_count == 0:
         payload = {"total": c.total, "a_count": c.a_count, "b_count": c.b_count}
         return _single(ClaimId.SAME_TYPE_LEMMA, t.two_n, PASS, payload)
-    witness = first_mixed_partition(t, table)
+    _, witness = mixed_partitions(t.two_n, btype_window(t, table))
     return _single(
         ClaimId.SAME_TYPE_LEMMA,
         t.two_n,
@@ -509,15 +522,15 @@ def evaluate_claims(
 
 
 # ---------------------------------------------------------------------------
-# Range verification: bit-packed windows
+# Range verification: the screen, the bitmap square and the byte windows
 # ---------------------------------------------------------------------------
 
-# Mark patterns of the primes below this bound are kept for a whole chunk;
-# they are the factors most targets share.  That is at most 10 patterns of
-# about c_hi / 2 bits each.
-_MARKS_CACHE_BELOW = 32
-
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+# On one core a square of the bitmap below hi costs about as much as the
+# prime-window ANDs of targets whose N add up to this many times hi
+# (measured from hi = 2e4 to 4.5e6, chunks of 8192 evens).
+_SQUARE_COST = 2000
 
 
 def _low_bit(x: int) -> int:
@@ -541,56 +554,91 @@ def _pack(bits: bytes) -> int:
     return int(bits.translate(_ASCII_BITS)[::-1], 2)
 
 
-class _BitWindows:
-    """The windows of ``classify`` for the evens of one chunk, one bit per odd.
+def _screened_phi(two_n: int, qs) -> int:
+    """phi(2N) when ``qs`` are exactly the odd prime factors of 2N (each q
+    divides 2N, and dividing out their powers leaves a power of two), else 0.
 
-    For a target 2N with k = N - 2, bit j stands for the odd value 3 + 2j.
-    Each method returns a window and its reversal over all k bits, both cut
-    to ``mask``, the low ``width <= k`` bits.
+    >>> _screened_phi(30, [3, 5]), _screened_phi(30, [5]), _screened_phi(30, [3, 5, 7])
+    (8, 0, 0)
     """
+    m, phi = two_n, two_n >> 1
+    for q in qs:
+        if m % q:
+            return 0
+        phi = phi // q * (q - 1)
+        m //= q
+        while not m % q:
+            m //= q
+    return phi if m & (m - 1) == 0 else 0
 
-    def __init__(self, table: PrimeTable, c_hi: int):
-        self.k_max = (c_hi >> 1) - 2
-        # The table's bits for 1, 3, ..., c_hi - 3; base-2 parsing of their
-        # ASCII image is linear.  fwd has bit j for 3 + 2j, rev has them all
-        # in reverse order.
-        text = table.odd_bits[: self.k_max + 1].translate(_ASCII_BITS)
-        self.fwd = int(text[:0:-1], 2)
-        self.rev = int(text, 2)
-        self.marks: dict[int, int] = {}
 
-    def primes(self, k: int, mask: int) -> tuple[int, int]:
-        """``prime_window`` and its reversal."""
-        return self.fwd & mask, (self.rev >> (self.k_max - k)) & mask
+def _pair_count_digits(bits: bytes, lo: int, hi: int) -> tuple[str, int]:
+    """(digits, w): c[N - 1] for N = lo/2, ..., hi/2 in w-digit slots, c the
+    square of sum(bits[i] x^i) with x^0 (the odd 1) forced to 0, so that
+    r(2N) = (c[N - 1] + [N odd and marked]) / 2.  Bit i fills the i-th slot
+    from the left, so the square holds c[k] in its k-th slot; no c[k]
+    exceeds the marked bits, so no carry crosses a slot."""
+    n = (hi >> 1) - 1  # the odds 1, 3, ..., hi - 3
+    src = b"\x00" + bits[1:n]
+    w = len(str(src.count(1)))
+    digits = bytearray(b"0") * (w * n)
+    digits[w - 1 :: w] = src.translate(_ASCII_BITS)
+    x = _decimal.Decimal(digits.decode())
+    del digits
+    ctx = _decimal.Context(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX)
+    sq = str(ctx.multiply(x, x))
+    skip = (2 * n - 1) * w - len(sq)  # the leading zeros str() drops
+    start, stop = ((lo >> 1) - 1) * w - skip, (hi >> 1) * w - skip
+    return sq[max(start, 0) : max(stop, 0)].rjust(stop - start, "0"), w
 
-    def btype(self, k: int, qs, mask: int) -> tuple[int, int]:
-        """``btype_bytes(k, qs)`` and its reversal.
 
-        q marks j0 + mq with j0 = (q - 3) / 2 < q, so the reversal marks the
-        residue class of r = (k - 1 - j0) mod q, none of which lies above
-        k - 1 - j0: the same marks shifted by r - j0.
-        """
-        b = rb = 0
-        for q in qs:
-            j0 = (q - 3) >> 1
-            if j0 < k:
-                v = self._marks(q, mask)
-                b |= v
-                r = (k - 1 - j0) % q
-                rb |= v << (r - j0) if r >= j0 else v >> (j0 - r)
-        return b & mask, rb & mask
+def _window_rs(c_lo: int, c_hi: int, bits: bytes) -> list[int]:
+    """r(2N) for the evens in [c_lo, c_hi]: each target's prime window ANDed
+    with its mirror, one bit per odd.  Bit j of ``fwd`` is the odd 3 + 2j, of
+    ``rev`` table index k_hi - j, so ``rev >> (k_hi - k)`` mirrors the window
+    of 2N = 2k + 4; both cover only what the targets' h bits reach."""
+    k_lo, k_hi = (c_lo >> 1) - 2, (c_hi >> 1) - 2
+    fwd = _pack(bits[1 : partition_total(c_hi) + 1])
+    rev = _pack(bits[k_hi : k_lo - partition_total(c_lo) : -1])
+    return [(fwd & (rev >> (k_hi + 2 - (two_n >> 1)))
+             & ((1 << partition_total(two_n)) - 1)).bit_count()
+            for two_n in range(c_lo, c_hi + 1, 2)]
 
-    def _marks(self, q: int, mask: int) -> int:
-        """Bits j0 + mq, m >= 0, for every mq below the width of ``mask``."""
-        v = self.marks.get(q)
-        if v is None:
-            j0 = (q - 3) >> 1
-            cached = q < _MARKS_CACHE_BELOW
-            n = self.k_max if cached else mask.bit_length()
-            v = _stride(j0, q, n)
-            if cached:  # doubling overshoots by up to n bits
-                self.marks[q] = v = v & ((1 << (j0 + n)) - 1)
-        return v
+
+def _companion_window(two_n: int, qs, bits: bytes) -> tuple[int, dict | None]:
+    """(A-primes, first failed check) of 2N on its byte windows, ``qs`` taken
+    as its odd prime factors: (1) no companion is B-type, (2) every listed
+    factor divides 2N, (3) the lowest and highest A-prime do not divide their
+    companions."""
+    k = (two_n >> 1) - 2
+    b, rb = mirror_pair(btype_bytes(k, qs), k)
+    a = int.from_bytes(bits[1 : k + 1], "little") & ~b
+    count = a.bit_count()
+    if not a:
+        return 0, None
+    if a & rb:
+        p = 3 + 2 * (_low_bit(a & rb) >> 3)
+        return count, {"two_n": two_n, "p": p, "companion": two_n - p,
+                       "reason": "companion is B-type"}
+    for q in qs:
+        if two_n % q:
+            return count, {"two_n": two_n, "q": q,
+                           "reason": "factor route missed an odd prime factor"}
+    for j in (_low_bit(a), a.bit_length() - 1):
+        p = 3 + 2 * (j >> 3)
+        if (two_n - p) % p == 0:
+            return count, {"two_n": two_n, "p": p, "companion": two_n - p,
+                           "reason": "companion divisible by its own prime"}
+    return count, None
+
+
+def _first_false_prime(table: PrimeTable, hi: int) -> int | float:
+    """Smallest odd composite up to hi - 3 that the table marks prime, or inf:
+    the table against a fresh sieve, compared at C speed."""
+    n = (hi >> 1) - 1  # the odds 1, 3, ..., hi - 3
+    x = (int.from_bytes(table.odd_bits[1:n], "little")
+         & ~int.from_bytes(build_table(hi).odd_bits[1:n], "little"))
+    return 3 + 2 * (_low_bit(x) >> 3) if x else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -633,24 +681,19 @@ def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]
     return facs
 
 
-def _chunk_same_type(c_lo, c_hi, facs, table) -> dict:
-    """Bit form of the census' mixed count: a partition (a, 2N - a) is mixed
-    exactly where the B-type window and its reversal differ."""
-    win = _BitWindows(table, c_hi)
-    checked = 0
+def _chunk_same_type(c_lo, c_hi, facs) -> dict:
+    """Mixed partitions of the chunk's evens.  A target whose list passes the
+    screen has none, since gcd(a, 2N) = gcd(2N - a, 2N); any other target
+    compares its B-type byte window with the mirror."""
     mixed_total = 0
     fail = None
-    for i, qs in enumerate(facs):
-        two_n = c_lo + 2 * i
-        b, rb = win.btype((two_n >> 1) - 2, qs, (1 << partition_total(two_n)) - 1)
-        x = b ^ rb
-        checked += 1
-        if x:
-            mixed_total += x.bit_count()
-            if fail is None:
-                a = 3 + 2 * _low_bit(x)
-                fail = {"two_n": two_n, "partition": [a, two_n - a]}
-    return {"checked": checked, "mixed_total": mixed_total, "fail": fail,
+    for two_n, qs in zip(range(c_lo, c_hi + 1, 2), facs):
+        if not _screened_phi(two_n, qs):
+            count, first = mixed_partitions(two_n, btype_bytes((two_n >> 1) - 2, qs))
+            mixed_total += count
+            if first and fail is None:
+                fail = {"two_n": two_n, "partition": list(first)}
+    return {"checked": len(facs), "mixed_total": mixed_total, "fail": fail,
             "boundary": []}
 
 
@@ -677,56 +720,31 @@ def _chunk_s_bound(c_lo, c_hi, pi, facs, table) -> dict:
     return out
 
 
-def _chunk_companions(c_lo, c_hi, facs, table) -> dict:
-    """Window form of the companion checks, one even target at a time.
+def _chunk_companions(c_lo, c_hi, pi, facs, first_false, table) -> dict:
+    """Companion checks for the chunk's evens, with pi = pi(c_lo - 3) carried
+    in and ``first_false`` the smallest composite the table marks prime.
 
-    For each target: A-primes are the unmarked primes of the window, their
-    companions sit at mirrored indices, and the checks are (1) no companion
-    is marked B-type, (2) every listed factor divides 2N, and (3) spot
-    targets get a direct divisibility test.  Once (1) holds, a prime
-    companion is an A-prime, and a listed factor is marked, never an A-prime.
+    On a target whose list passes the screen the checks cannot fail, and its
+    A-primes are pi(2N - 3) less the listed factors marked prime as long as
+    the table marks no composite up to 2N - 3.
     """
-    win = _BitWindows(table, c_hi)
-    checked = 0
+    bits = table.odd_bits
+    i0 = (c_lo >> 1) - 1  # table index of c_lo - 1, the next odd counted
+    pis = accumulate(bits[i0 : i0 + len(facs) - 1], initial=pi)
     a_total = 0
     fail = None
     boundary = []
-    for i, qs in enumerate(facs):
-        two_n = c_lo + 2 * i
+    for two_n, qs, pi in zip(range(c_lo, c_hi + 1, 2), facs, pis):
         if two_n == 6:
             boundary.append({"two_n": 6})
-            continue
-        checked += 1
-        if fail is not None:
-            continue
-        k = (two_n >> 1) - 2
-        mask = (1 << k) - 1
-        b, rb = win.btype(k, qs, mask)
-        a = win.fwd & (b ^ mask)  # b ^ mask is ~b within the window
-        a_total += a.bit_count()
-        if a == 0:
-            continue
-        viol = a & rb
-        if viol:
-            p = 3 + 2 * _low_bit(viol)
-            fail = {"two_n": two_n, "p": p, "companion": two_n - p,
-                    "reason": "companion is B-type"}
-            continue
-        for q in qs:
-            if two_n % q:
-                fail = {"two_n": two_n, "q": q,
-                        "reason": "factor route missed an odd prime factor"}
-                break
-        if fail is not None:
-            continue
-        for j in (_low_bit(a), a.bit_length() - 1):
-            p = 3 + 2 * j
-            if (two_n - p) % p == 0:
-                fail = {"two_n": two_n, "p": p, "companion": two_n - p,
-                        "reason": "companion divisible by its own prime"}
-                break
-    return {"checked": checked, "fail": fail, "boundary": boundary,
-            "a_primes_checked": a_total}
+        elif two_n - 3 < first_false and _screened_phi(two_n, qs):
+            a_total += pi - sum([bits[q >> 1] for q in qs])
+        else:
+            count, detail = _companion_window(two_n, qs, bits)
+            a_total += count
+            fail = fail or detail
+    return {"checked": len(facs) - len(boundary), "fail": fail,
+            "boundary": boundary, "a_primes_checked": a_total}
 
 
 def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
@@ -861,6 +879,9 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
     both_prime = 0
     for two_n in sorted(t for t in todo if first <= t <= c_hi):
         v1, v2 = midpoint_values(two_n)
+        both_prime += bits[v1 >> 1] and bits[v2 >> 1]
+        if fail is not None:
+            continue
         for v in (v1, v2):
             if bits[v >> 1]:
                 if two_n % v == 0:
@@ -873,13 +894,9 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
             if shared:
                 fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
                 break
-        if fail is None and bits[v1 >> 1] and bits[v2 >> 1]:
-            both_prime += 1
-            if v1 + v2 != two_n:
-                fail = {"two_n": two_n, "values": [v1, v2],
-                        "reason": "prime midpoints do not sum back"}
-        if fail is not None:
-            break
+        if fail is None and bits[v1 >> 1] and bits[v2 >> 1] and v1 + v2 != two_n:
+            fail = {"two_n": two_n, "values": [v1, v2],
+                    "reason": "prime midpoints do not sum back"}
     return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
             "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "both_prime_pairs": both_prime}
@@ -908,29 +925,40 @@ def _chunk_prime_power(c_lo, c_hi, table) -> dict:
             "identities_inspected": inspected}
 
 
-def _chunk_comet(c_lo, c_hi, pi, table) -> list[tuple[int, int, int, int, int]]:
+def _chunk_comet(c_lo, c_hi, pi, digits, table) -> list[tuple[int, int, int, int, int]]:
     """Rows (two_n, r, s, a_count, b_count) for every even in the chunk, with
-    pi = pi(c_lo - 3) carried in.
+    pi = pi(c_lo - 3) carried in and ``digits`` the chunk's slots of the
+    bitmap square, or None to take r from each target's prime window.
 
-    The counts are ``census_from_windows`` on bit windows cut to the h
-    partitions of each target.
+    On a passing target the phi(2N) odds prime to 2N form mirrored pairs
+    (a, 2N - a), a != N, and none is mixed: a_count is those pairs less
+    (1, 2N - 1), b_count h - a_count.
     """
     bits = table.odd_bits
     facs = _odd_factor_lists(c_lo, c_hi, table)
-    win = _BitWindows(table, c_hi)
-    rows = []
-    for i, qs in enumerate(facs):
-        two_n = c_lo + 2 * i
-        if i:
-            pi += bits[(two_n - 3) >> 1]
-        k = (two_n >> 1) - 2
-        h = partition_total(two_n)
-        mask = (1 << h) - 1
-        b, rb = win.btype(k, qs, mask)
-        pf, pr = win.primes(k, mask)
-        r = (pf & pr).bit_count()
-        a_count = h - (b | rb).bit_count()
-        rows.append((two_n, r, pi - len(qs), a_count, (b & rb).bit_count()))
+    evens = range(c_lo, c_hi + 1, 2)
+    i0 = (c_lo >> 1) - 1
+    pis = accumulate(bits[i0 : i0 + len(facs) - 1], initial=pi)
+    if digits is None:
+        rs = _window_rs(c_lo, c_hi, bits)
+    else:
+        w = len(digits) // len(facs)
+        n_lo, n_hi = c_lo >> 1, c_hi >> 1
+        odd_n = bytearray(len(facs))  # [N odd and marked]
+        odd_n[(n_lo | 1) - n_lo :: 2] = bits[(n_lo | 1) >> 1 : (n_hi + 1) >> 1]
+        rs = [(int(digits[j : j + w]) + m) >> 1
+              for j, m in zip(range(0, len(digits), w), odd_n)]
+    phis = list(map(_screened_phi, evens, facs))
+    a_counts = list(map(sub, map(rshift, phis, repeat(1)), repeat(1)))
+    hs = map(floordiv, range(c_lo - 2, c_hi - 1, 2), repeat(4))  # h(2N) = (2N - 2) // 4
+    rows = list(zip(evens, rs, map(sub, pis, map(len, facs)), a_counts,
+                    map(sub, hs, a_counts)))
+    for i in compress(range(len(phis)), map(not_, phis)):
+        two_n, _, s = rows[i][:3]
+        n = two_n >> 1
+        _, a_count, b_count, _, r = census_from_windows(
+            two_n, btype_bytes(n - 2, facs[i]), bits[1 : n - 1])
+        rows[i] = two_n, r, s, a_count, b_count
     return rows
 
 
@@ -952,7 +980,7 @@ def _pooled(task):
     return job(*args, _WORKER_TABLE)
 
 
-def _evaluate_chunk(c_lo, c_hi, pi, names, table) -> dict:
+def _evaluate_chunk(c_lo, c_hi, pi, names, first_false, table) -> dict:
     """Partial results of the named claims for the evens in [c_lo, c_hi].
 
     One factor sieve serves all claims that need factors; it runs 2 evens
@@ -966,12 +994,12 @@ def _evaluate_chunk(c_lo, c_hi, pi, names, table) -> dict:
         halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
         facs = halo[2:-2]
     if ClaimId.SAME_TYPE_LEMMA in claims:
-        out[ClaimId.SAME_TYPE_LEMMA.value] = _chunk_same_type(c_lo, c_hi, facs, table)
+        out[ClaimId.SAME_TYPE_LEMMA.value] = _chunk_same_type(c_lo, c_hi, facs)
     if ClaimId.S_BOUND in claims:
         out[ClaimId.S_BOUND.value] = _chunk_s_bound(c_lo, c_hi, pi, facs, table)
     if ClaimId.COMPANION_DECOMPOSES in claims:
         out[ClaimId.COMPANION_DECOMPOSES.value] = _chunk_companions(
-            c_lo, c_hi, facs, table
+            c_lo, c_hi, pi, facs, first_false, table
         )
     want_pairing = ClaimId.PAIRING_NON_EMPTY in claims
     want_witness = ClaimId.GOLDBACH_WITNESS in claims
@@ -1019,13 +1047,20 @@ def _map_chunks(job, args_list, workers: int, table: PrimeTable) -> list:
         return pool.map(_pooled, [(job, args) for args in args_list], chunksize=1)
 
 
-def _validate_range(lo: int, hi: int, workers: int) -> None:
+def _range_table(lo: int, hi: int, workers: int, table: PrimeTable | None
+                 ) -> PrimeTable:
+    """The table a range run reads, after checking its arguments."""
     if lo % 2 or hi % 2:
         raise UsageError(f"range bounds must be even, got [{lo}, {hi}]")
     if not 6 <= lo <= hi:
         raise UsageError(f"need 6 <= lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
+    if table is None:
+        return build_table(hi + 1)
+    if table.limit < hi - 3:
+        raise UsageError(f"table limit {table.limit} does not cover range end {hi}")
+    return table
 
 
 def _merge_stat(best, candidate, better) -> list | None:
@@ -1044,6 +1079,9 @@ def _merge_partials(claim_id: ClaimId, partials: list[dict], lo: int, hi: int
         boundary.extend(p.get("boundary", ()))
     fail = next((p["fail"] for p in partials if p.get("fail") is not None), None)
     payload: dict = {"evens_checked": checked}
+    for key, value in partials[0].items():  # the claim's counters add up
+        if key != "checked" and isinstance(value, int):
+            payload[key] = sum(p[key] for p in partials)
     if claim_id is ClaimId.S_BOUND:
         mn = mx = None
         for p in partials:
@@ -1053,27 +1091,12 @@ def _merge_partials(claim_id: ClaimId, partials: list[dict], lo: int, hi: int
             payload["min_s"] = {"s": mn[0], "two_n": mn[1]}
         if mx:
             payload["max_s"] = {"s": mx[0], "two_n": mx[1]}
-    elif claim_id is ClaimId.SAME_TYPE_LEMMA:
-        payload["mixed_total"] = sum(p["mixed_total"] for p in partials)
     elif claim_id is ClaimId.GOLDBACH_WITNESS:
-        payload["a_pair_evens"] = sum(p["a_pair_evens"] for p in partials)
-        payload["b_self_evens"] = sum(p["b_self_evens"] for p in partials)
         mp = None
         for p in partials:
             mp = _merge_stat(mp, p["max_min_p"], lambda a, b: a > b)
         if mp:
             payload["max_smallest_prime"] = {"p": mp[0], "two_n": mp[1]}
-    elif claim_id is ClaimId.PAIRING_NON_EMPTY:
-        payload["a_pair_evens"] = sum(p["a_pair_evens"] for p in partials)
-        payload["b_self_evens"] = sum(p["b_self_evens"] for p in partials)
-    elif claim_id is ClaimId.COMPANION_DECOMPOSES:
-        payload["a_primes_checked"] = sum(p["a_primes_checked"] for p in partials)
-    elif claim_id is ClaimId.PRIME_POWER_EXCLUSION:
-        payload["identities_inspected"] = sum(
-            p["identities_inspected"] for p in partials
-        )
-    elif claim_id is ClaimId.MIDPOINT_DECOMPOSES:
-        payload["both_prime_pairs"] = sum(p["both_prime_pairs"] for p in partials)
     if fail is not None:
         payload["counterexample"] = fail
         status = FAIL
@@ -1100,16 +1123,14 @@ def range_verify(
     target as the counterexample when a claim fails.  Output is independent
     of the worker count.
     """
-    _validate_range(lo, hi, workers)
-    if table is None:
-        table = build_table(hi + 1)
-    elif table.limit < hi - 3:
-        raise UsageError(
-            f"table limit {table.limit} does not cover range end {hi}"
-        )
+    table = _range_table(lo, hi, workers, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     names = tuple(c.value for c in selected)
-    jobs = [(*chunk, names) for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
+    first_false = None
+    if ClaimId.COMPANION_DECOMPOSES in selected:
+        first_false = _first_false_prime(table, hi)
+    jobs = [(*chunk, names, first_false)
+            for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
     partials = _map_chunks(_evaluate_chunk, jobs, workers, table)
     outcomes = []
     for cid in selected:
@@ -1125,17 +1146,16 @@ def comet_rows(
     table: PrimeTable | None = None,
     chunk_evens: int = DEFAULT_CHUNK_EVENS,
 ) -> list[tuple[int, int, int, int, int]]:
-    """(two_n, r, s, a_count, b_count) for every even in [lo, hi], ascending."""
-    _validate_range(lo, hi, workers)
-    if table is None:
-        table = build_table(hi + 1)
-    elif table.limit < hi - 3:
-        raise UsageError(
-            f"table limit {table.limit} does not cover range end {hi}"
-        )
-    jobs = _chunk_ranges(lo, hi, chunk_evens, table)
+    """(two_n, r, s, a_count, b_count) for every even in [lo, hi], ascending;
+    r from one square of the bitmap when that costs less than the windows."""
+    table = _range_table(lo, hi, workers, table)
+    jobs = [(*chunk, None) for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
+    sum_n = ((hi - lo) // 2 + 1) * (lo + hi) // 4
+    if _decimal is not None and sum_n > _SQUARE_COST * hi:
+        digits, w = _pair_count_digits(table.odd_bits, lo, hi)
+        jobs = [(c_lo, c_hi, pi,
+                 digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w])
+                for c_lo, c_hi, pi, _ in jobs]
+        del digits
     chunks = _map_chunks(_chunk_comet, jobs, workers, table)
-    rows = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return rows
+    return [row for chunk in chunks for row in chunk]

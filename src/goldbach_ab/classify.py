@@ -106,15 +106,6 @@ def classify_odd(m: int, t: EvenTarget, table: PrimeTable) -> NumberClass:
     return NumberClass.A if math.gcd(m, t.two_n) == 1 else NumberClass.B
 
 
-def classify_odd_by_factors(m: int, t: EvenTarget, table: PrimeTable) -> NumberClass:
-    """Factor-route classification: B-type iff some prime factor divides 2N."""
-    _check_window(m, t)
-    for q, _ in factorize(m, table):
-        if t.two_n % q == 0:
-            return NumberClass.B
-    return NumberClass.A
-
-
 def _check_window(m: int, t: EvenTarget) -> None:
     if m % 2 == 0:
         raise UsageError(f"classification applies to odd numbers, got {m}")

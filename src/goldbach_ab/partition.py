@@ -80,11 +80,8 @@ def classify_partition(
 
 def goldbach_partitions(t: EvenTarget, table: PrimeTable) -> list[OddPartition]:
     """The prime-prime partitions of 2N, each tagged with its kind."""
-    c = census(t, table)
-    return [
-        OddPartition(p, q, classify_partition(p, q, t, table))
-        for p, q in c.goldbach_pairs
-    ]
+    pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
+    return [OddPartition(p, q, kind_of_prime_pair(p, q, t.two_n)) for p, q in pairs]
 
 
 def census(t: EvenTarget, table: PrimeTable) -> PartitionCensus:
@@ -114,27 +111,33 @@ def census_from_windows(
     two_n: int, bmask: bytes, pwin: bytes
 ) -> tuple[int, int, int, int, int]:
     """(total, a_count, b_count, mixed_count, goldbach_count) from raw windows."""
-    k = len(bmask)
     h = partition_total(two_n)
-    fwd = int.from_bytes(bmask[:h], "little")
-    rev = int.from_bytes(bmask[k - h :][::-1], "little")
+    fwd, rev = mirror_pair(bmask, h)
     mixed = (fwd ^ rev).bit_count()
     b_count = (fwd & rev).bit_count()
     a_count = h - mixed - b_count
-    pf = int.from_bytes(pwin[:h], "little")
-    pr = int.from_bytes(pwin[k - h :][::-1], "little")
+    pf, pr = mirror_pair(pwin, h)
     r = (pf & pr).bit_count()
     return h, a_count, b_count, mixed, r
+
+
+def mirror_pair(window: bytes, h: int) -> tuple[int, int]:
+    """The first h bytes of a 0/1 window and of its reversal as ints, byte j
+    to bit 8j: bit 8j of the pair stands for the partition (3 + 2j, 2N - 3 - 2j).
+
+    >>> mirror_pair(bytes([1, 0, 0, 1, 1]), 2)
+    (1, 257)
+    """
+    return (int.from_bytes(window[:h], "little"),
+            int.from_bytes(window[len(window) - h :][::-1], "little"))
 
 
 def goldbach_pairs_from_window(
     two_n: int, pwin: bytes
 ) -> tuple[tuple[int, int], ...]:
     """Extract the (p, q) prime pairs, p <= q, from the primality window."""
-    k = len(pwin)
     h = partition_total(two_n)
-    pf = int.from_bytes(pwin[:h], "little")
-    pr = int.from_bytes(pwin[k - h :][::-1], "little")
+    pf, pr = mirror_pair(pwin, h)
     both = (pf & pr).to_bytes(h, "little")
     pairs = []
     i = both.find(1)
@@ -145,30 +148,15 @@ def goldbach_pairs_from_window(
     return tuple(pairs)
 
 
-def first_mixed_partition(
-    t: EvenTarget, table: PrimeTable
-) -> tuple[int, int] | None:
-    """Smallest-a partition whose components classify differently, if any."""
-    bmask = btype_window(t, table)
-    k = len(bmask)
-    h = partition_total(t.two_n)
-    fwd = int.from_bytes(bmask[:h], "little")
-    rev = int.from_bytes(bmask[k - h :][::-1], "little")
-    diff = (fwd ^ rev).to_bytes(h, "little")
-    i = diff.find(1)
-    if i < 0:
-        return None
-    a = 3 + 2 * i
-    return a, t.two_n - a
-
-
-def brute_force_goldbach_count(t: EvenTarget, table: PrimeTable) -> int:
-    """Independent r(2N): test a and 2N - a for primality, odd a in [3, N]."""
-    count = 0
-    for a in range(3, t.n + 1, 2):
-        if table.odd_bits[a >> 1] and table.odd_bits[(t.two_n - a) >> 1]:
-            count += 1
-    return count
+def mixed_partitions(two_n: int, bmask: bytes) -> tuple[int, tuple[int, int] | None]:
+    """(count, smallest-a member) of the partitions of 2N whose components the
+    B-type window ``bmask`` classifies differently."""
+    fwd, rev = mirror_pair(bmask, partition_total(two_n))
+    diff = fwd ^ rev
+    if not diff:
+        return 0, None
+    a = 3 + 2 * (((diff & -diff).bit_length() - 1) >> 3)
+    return diff.bit_count(), (a, two_n - a)
 
 
 def self_pair(t: EvenTarget, table: PrimeTable) -> tuple[int, int] | None:

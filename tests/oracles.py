@@ -8,6 +8,8 @@ the two is meaningful.
 import math
 from bisect import bisect_right
 
+from goldbach_ab import NumberClass
+
 
 def is_prime_td(n: int) -> bool:
     if n < 2:
@@ -63,6 +65,24 @@ def number_class_factors(m: int, two_n: int) -> str:
         if two_n % q == 0:
             return "B"
     return "A"
+
+
+def classify_odd_by_factors(m: int, t, table):
+    """Factor-route classification of an odd m in [3, 2N - 3]: B-type iff some
+    prime factor of m divides 2N."""
+    for q in factorize_td(m):
+        if t.two_n % q == 0:
+            return NumberClass.B
+    return NumberClass.A
+
+
+def brute_force_goldbach_count(t, table) -> int:
+    """r(2N): test a and 2N - a for primality, odd a in [3, N]."""
+    count = 0
+    for a in range(3, t.n + 1, 2):
+        if table.odd_bits[a >> 1] and table.odd_bits[(t.two_n - a) >> 1]:
+            count += 1
+    return count
 
 
 def split_td(two_n: int) -> tuple[list[int], list[int]]:
@@ -131,20 +151,41 @@ def doctored_same_type_td(two_n: int, listed) -> tuple[list[int], int]:
 
 def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
     """First failure of the companion checks when ``listed`` are taken as the
-    odd prime factors of 2N: the smallest A-prime whose companion shares a
-    listed factor, else the smallest listed prime that does not divide 2N."""
+    odd prime factors of 2N, None when 2N has no A-prime: the smallest A-prime
+    whose companion shares a listed factor, else the smallest listed prime
+    that does not divide 2N, else the lowest or highest A-prime p with p
+    dividing 2N - p."""
     if prime is None:
         prime = is_prime_td
     rad = math.prod(listed)
-    for p in range(3, two_n - 2, 2):
-        if prime(p) and math.gcd(p, rad) == 1 and math.gcd(two_n - p, rad) != 1:
+    a_primes = [p for p in range(3, two_n - 2, 2)
+                if prime(p) and math.gcd(p, rad) == 1]
+    if not a_primes:
+        return None
+    for p in a_primes:
+        if math.gcd(two_n - p, rad) != 1:
             return {"two_n": two_n, "p": p, "companion": two_n - p,
                     "reason": "companion is B-type"}
     for q in sorted(listed):
         if two_n % q:
             return {"two_n": two_n, "q": q,
                     "reason": "factor route missed an odd prime factor"}
+    for p in (a_primes[0], a_primes[-1]):
+        if (two_n - p) % p == 0:
+            return {"two_n": two_n, "p": p, "companion": two_n - p,
+                    "reason": "companion divisible by its own prime"}
     return None
+
+
+def comet_row_td(two_n: int, prime) -> tuple[int, int, int, int, int]:
+    """(two_n, r, s, a_count, b_count) when ``prime(m)`` says which odds are
+    prime: r counts the marked pairs, s the marked odds in [3, 2N - 3] less
+    the odd prime factors of 2N, and the counts classify by gcd."""
+    cen = census_td(two_n, prime)
+    marked = sum(1 for m in range(3, two_n - 2, 2) if prime(m))
+    omega = sum(1 for q in factorize_td(two_n) if q != 2)
+    return (two_n, len(cen["pairs"]), marked - omega, cen["a_count"],
+            cen["b_count"])
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +343,164 @@ def doctored_pair_scan_fails_td(lo: int, hi: int, prime) -> tuple:
             witness = witness or {"two_n": two_n, "p": p,
                                   "reason": "divisible partner reported prime"}
     return witness, pairing
+
+
+# ---------------------------------------------------------------------------
+# Bit-window chunk evaluators: the windows of ``classify`` for every target of
+# a chunk at one bit per odd, compared target by target.  The range
+# same-type, companion and comet routes are pinned to these.
+# ---------------------------------------------------------------------------
+
+# Mark patterns of the primes below this bound are kept for a whole chunk;
+# they are the factors most targets share.
+_MARKS_CACHE_BELOW = 32
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _stride(start: int, step: int, width: int) -> int:
+    """Bits start + m * step for every m * step below ``width`` (and up to
+    ``width`` bits beyond)."""
+    v, span = 1 << start, step
+    while span < width:
+        v |= v << span
+        span <<= 1
+    return v
+
+
+class BitWindows:
+    """The windows of ``classify`` for the evens of one chunk, one bit per odd.
+
+    For a target 2N with k = N - 2, bit j stands for the odd value 3 + 2j.
+    Each method returns a window and its reversal over all k bits, both cut
+    to ``mask``, the low ``width <= k`` bits.
+    """
+
+    def __init__(self, table, c_hi: int):
+        self.k_max = (c_hi >> 1) - 2
+        # fwd has bit j for 3 + 2j, rev has them all in reverse order.
+        text = table.odd_bits[: self.k_max + 1].translate(_ASCII_BITS)
+        self.fwd = int(text[:0:-1], 2)
+        self.rev = int(text, 2)
+        self.marks: dict[int, int] = {}
+
+    def primes(self, k: int, mask: int) -> tuple[int, int]:
+        """``prime_window`` and its reversal."""
+        return self.fwd & mask, (self.rev >> (self.k_max - k)) & mask
+
+    def btype(self, k: int, qs, mask: int) -> tuple[int, int]:
+        """``btype_bytes(k, qs)`` and its reversal.
+
+        q marks j0 + mq with j0 = (q - 3) / 2 < q, so the reversal marks the
+        residue class of r = (k - 1 - j0) mod q, none of which lies above
+        k - 1 - j0: the same marks shifted by r - j0.
+        """
+        b = rb = 0
+        for q in qs:
+            j0 = (q - 3) >> 1
+            if j0 < k:
+                v = self._marks(q, mask)
+                b |= v
+                r = (k - 1 - j0) % q
+                rb |= v << (r - j0) if r >= j0 else v >> (j0 - r)
+        return b & mask, rb & mask
+
+    def _marks(self, q: int, mask: int) -> int:
+        """Bits j0 + mq, m >= 0, for every mq below the width of ``mask``."""
+        v = self.marks.get(q)
+        if v is None:
+            j0 = (q - 3) >> 1
+            cached = q < _MARKS_CACHE_BELOW
+            n = self.k_max if cached else mask.bit_length()
+            v = _stride(j0, q, n)
+            if cached:  # doubling overshoots by up to n bits
+                self.marks[q] = v = v & ((1 << (j0 + n)) - 1)
+        return v
+
+
+def same_type_chunk(c_lo, c_hi, facs, table) -> dict:
+    """A partition is mixed where the B-type window and its reversal differ."""
+    win = BitWindows(table, c_hi)
+    mixed_total = 0
+    fail = None
+    for i, qs in enumerate(facs):
+        two_n = c_lo + 2 * i
+        b, rb = win.btype((two_n >> 1) - 2, qs, (1 << ((two_n - 6) // 4 + 1)) - 1)
+        x = b ^ rb
+        if x:
+            mixed_total += x.bit_count()
+            if fail is None:
+                a = 3 + 2 * _low_bit(x)
+                fail = {"two_n": two_n, "partition": [a, two_n - a]}
+    return {"checked": len(facs), "mixed_total": mixed_total, "fail": fail,
+            "boundary": []}
+
+
+def companions_chunk(c_lo, c_hi, facs, table) -> dict:
+    """Every target's A-primes (unmarked primes of its window) are counted;
+    the first target to break a check, in this order, fails: (1) an A-prime's
+    companion is marked B-type, (2) a listed factor does not divide 2N,
+    (3) the lowest or highest A-prime divides its companion."""
+    win = BitWindows(table, c_hi)
+    checked = 0
+    a_total = 0
+    fail = None
+    boundary = []
+    for i, qs in enumerate(facs):
+        two_n = c_lo + 2 * i
+        if two_n == 6:
+            boundary.append({"two_n": 6})
+            continue
+        checked += 1
+        k = (two_n >> 1) - 2
+        mask = (1 << k) - 1
+        b, rb = win.btype(k, qs, mask)
+        a = win.fwd & (b ^ mask)
+        a_total += a.bit_count()
+        if a == 0 or fail is not None:
+            continue
+        viol = a & rb
+        if viol:
+            p = 3 + 2 * _low_bit(viol)
+            fail = {"two_n": two_n, "p": p, "companion": two_n - p,
+                    "reason": "companion is B-type"}
+            continue
+        for q in qs:
+            if two_n % q:
+                fail = {"two_n": two_n, "q": q,
+                        "reason": "factor route missed an odd prime factor"}
+                break
+        if fail is not None:
+            continue
+        for j in (_low_bit(a), a.bit_length() - 1):
+            p = 3 + 2 * j
+            if (two_n - p) % p == 0:
+                fail = {"two_n": two_n, "p": p, "companion": two_n - p,
+                        "reason": "companion divisible by its own prime"}
+                break
+    return {"checked": checked, "fail": fail, "boundary": boundary,
+            "a_primes_checked": a_total}
+
+
+def comet_chunk(c_lo, c_hi, pi, facs, table) -> list:
+    """Rows (two_n, r, s, a_count, b_count), pi = pi(c_lo - 3) carried in;
+    the counts are those of ``census_from_windows`` on the bit windows."""
+    bits = table.odd_bits
+    win = BitWindows(table, c_hi)
+    rows = []
+    for i, qs in enumerate(facs):
+        two_n = c_lo + 2 * i
+        if i:
+            pi += bits[(two_n - 3) >> 1]
+        k = (two_n >> 1) - 2
+        h = (two_n - 6) // 4 + 1
+        mask = (1 << h) - 1
+        b, rb = win.btype(k, qs, mask)
+        pf, pr = win.primes(k, mask)
+        rows.append((two_n, (pf & pr).bit_count(), pi - len(qs),
+                     h - (b | rb).bit_count(), (b & rb).bit_count()))
+    return rows

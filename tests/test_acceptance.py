@@ -25,10 +25,11 @@ from goldbach_ab import (
 from goldbach_ab.cli import main
 from goldbach_ab.partition import (
     PartitionKind,
-    brute_force_goldbach_count,
     partition_total,
 )
 from goldbach_ab.sieve import pi_upto
+
+from oracles import brute_force_goldbach_count
 
 WORKERS = 4
 

@@ -1,7 +1,9 @@
+import functools
 import math
 import multiprocessing
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +31,17 @@ from goldbach_ab import (
 )
 import goldbach_ab.claims as claims_mod
 from goldbach_ab.claims import (
-    _BitWindows,
+    _chunk_comet,
+    _chunk_companions,
     _chunk_midpoint_coprime,
     _chunk_pair_scan,
     _chunk_prime_power,
     _chunk_ranges,
     _chunk_s_bound,
+    _chunk_same_type,
+    _first_false_prime,
     _odd_factor_lists,
+    _pair_count_digits,
     _pi_odd_upto,
     claim_goldbach_witness,
     claim_midpoint_outcomes,
@@ -48,6 +54,8 @@ from goldbach_ab.sieve import PrimeTable
 
 import oracles
 from oracles import (
+    BitWindows,
+    comet_row_td,
     doctored_companion_fail_td,
     doctored_pair_scan_fails_td,
     doctored_same_type_td,
@@ -349,15 +357,16 @@ def test_range_both_prime_pairs_match_midpoint_reports(table_20k, chunk_evens):
     assert ranged.payload["both_prime_pairs"] == want > 0
 
 
-def _doctor_factor_lists(monkeypatch, even, q):
-    """Make every chunk factor sieve that covers ``even`` also list prime q."""
+def _doctor_factor_lists(monkeypatch, even, q, drop=False):
+    """Make every chunk factor sieve that covers ``even`` also list prime q,
+    or with ``drop`` leave its factor q out."""
     real = claims_mod._odd_factor_lists
 
     def doctored(c_lo, c_hi, table):
         facs = real(c_lo, c_hi, table)
         if c_lo <= even <= c_hi:
             i = (even - c_lo) >> 1
-            facs[i] = sorted(facs[i] + [q])
+            facs[i] = [p for p in facs[i] if p != q] if drop else sorted(facs[i] + [q])
         return facs
 
     monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
@@ -445,6 +454,71 @@ def test_doctored_companion_cases_reach_both_failure_branches():
                        "factor route missed an odd prime factor"}
 
 
+def _listed_without(two_n, q):
+    """The odd prime factors of ``two_n`` except its factor q."""
+    assert two_n % q == 0 and is_prime_td(q) and q > 2
+    return sorted(p for p in factorize_td(two_n) if p not in (2, q))
+
+
+# (two_n, q): the factor q of two_n left out of its list, so the lowest
+# A-prime q divides its companion two_n - q.
+_DROPPED_FACTORS = [(30, 3), (1050, 7), (2046, 3)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
+@pytest.mark.parametrize("two_n, q", _DROPPED_FACTORS)
+def test_range_companions_report_dropped_factor(
+    table_20k, monkeypatch, two_n, q, chunk_evens, workers
+):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the doctored sieve reaches pool workers only under fork")
+    want = doctored_companion_fail_td(two_n, _listed_without(two_n, q))
+    assert want == {"two_n": two_n, "p": q, "companion": two_n - q,
+                    "reason": "companion divisible by its own prime"}
+    _doctor_factor_lists(monkeypatch, two_n, q, drop=True)
+    outs = range_verify(6, 2_100, workers=workers, table=table_20k,
+                        chunk_evens=chunk_evens,
+                        claims=(ClaimId.SAME_TYPE_LEMMA, ClaimId.COMPANION_DECOMPOSES))
+    same_type, comp = outs
+    # a dropped factor still divides 2N, so no partition turns mixed
+    assert doctored_same_type_td(two_n, _listed_without(two_n, q)) == ([], 0)
+    assert same_type.status == "pass" and same_type.payload["mixed_total"] == 0
+    assert comp.status == "fail"
+    assert comp.payload["counterexample"] == want
+
+
+@pytest.mark.parametrize("doctor", [(1366, 41, False), (2002, 167, False),
+                                    (50, 3, False), (30, 3, True)])
+def test_failing_run_payloads_do_not_depend_on_chunks(table_20k, monkeypatch, doctor):
+    two_n, q, drop = doctor
+    passing = {o.claim_id: o.payload
+               for o in range_verify(6, 2_100, table=table_20k)}
+    _doctor_factor_lists(monkeypatch, two_n, q, drop=drop)
+    worker_counts = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+    runs = {
+        (chunk_evens, workers): [o.as_dict() for o in range_verify(
+            6, 2_100, workers=workers, table=table_20k, chunk_evens=chunk_evens)]
+        for chunk_evens in (1, 2, 3, 64, 8192) for workers in worker_counts
+    }
+    first = runs[(1, 1)]
+    assert all(run == first for run in runs.values())
+    by_id = {o["claim"]: o for o in first}
+    comp = by_id[ClaimId.COMPANION_DECOMPOSES.value]
+    assert comp["status"] == "fail"
+    # every target counts: one A-prime fewer where a prime is added, and
+    # where q is dropped it and its multiples count again
+    listed = (_listed_without(two_n, q) if drop else _listed_with(two_n, q))
+    a_primes = sum(1 for m in range(3, two_n - 2, 2)
+                   if is_prime_td(m) and math.gcd(m, math.prod(listed)) == 1)
+    assert comp["payload"]["a_primes_checked"] == (
+        passing[ClaimId.COMPANION_DECOMPOSES]["a_primes_checked"]
+        - _split(two_n, table_20k).s + a_primes)
+    mid = by_id[ClaimId.MIDPOINT_DECOMPOSES.value]["payload"]
+    assert (mid["both_prime_pairs"]
+            == passing[ClaimId.MIDPOINT_DECOMPOSES]["both_prime_pairs"])
+
+
 def _doctored_table(table, clear=(), mark=()):
     """``table`` with the odd values in ``clear`` marked composite and those in
     ``mark`` marked prime; ``prime_list`` stays as it is."""
@@ -496,6 +570,57 @@ def test_range_witness_and_pairing_report_doctored_table(
     else:
         assert out.status == "fail"
         assert out.payload["counterexample"] == pairing
+
+
+# A composite marked prime (below and above the screen's reach), and a prime
+# cleared that is a listed factor of many targets.
+_DOCTORED_TABLES = {
+    "composite-27": ((), (27,)),
+    "composite-1309": ((), (1309,)),
+    "cleared-5": ((5,), ()),
+    "cleared-5-composite-27": ((5,), (27,)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 3, 8192])
+@pytest.mark.parametrize("case", sorted(_DOCTORED_TABLES))
+def test_comet_rows_and_a_primes_on_doctored_tables(table_20k, case, chunk_evens,
+                                                      workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("doctored range tests run pools only under fork")
+    clear, mark = _DOCTORED_TABLES[case]
+    table = _doctored_table(table_20k, clear, mark)
+    want_rows, want_a_primes = _doctored_table_oracle(case)
+    rows = comet_rows(6, 2_100, workers=workers, table=table, chunk_evens=chunk_evens)
+    assert rows == want_rows
+    comp = range_verify(6, 2_100, claims=(ClaimId.COMPANION_DECOMPOSES,),
+                        workers=workers, table=table, chunk_evens=chunk_evens)[0]
+    assert comp.status == "boundary"  # a marked composite is an A-type odd
+    assert comp.payload["a_primes_checked"] == want_a_primes
+
+
+@functools.lru_cache
+def _doctored_table_oracle(case):
+    """Comet rows and A-primes counted over [6, 2100] by trial division, with
+    the marks of ``_DOCTORED_TABLES[case]``."""
+    clear, mark = _DOCTORED_TABLES[case]
+    marked = {m for m in range(3, 2_100, 2)
+              if (is_prime_td(m) and m not in clear) or m in mark}
+    rows = [comet_row_td(two_n, marked.__contains__) for two_n in range(6, 2_101, 2)]
+    a_primes = sum(1 for two_n in range(8, 2_101, 2) for m in marked
+                   if m <= two_n - 3 and math.gcd(m, two_n) == 1)
+    return rows, a_primes
+
+
+def test_first_false_prime_is_the_smallest_marked_composite(table_20k):
+    assert _first_false_prime(table_20k, 20_000) == math.inf
+    cleared = _doctored_table(table_20k, (5, 7), ())
+    assert _first_false_prime(cleared, 20_000) == math.inf
+    table = _doctored_table(table_20k, (), (1309, 27, 19_997))
+    assert _first_false_prime(table, 20_000) == 27
+    assert _first_false_prime(table, 28) == math.inf  # 27 lies above 28 - 3
+    assert _first_false_prime(table, 30) == 27
 
 
 def test_doctored_partner_cases_reach_every_failure_branch():
@@ -689,7 +814,7 @@ def _bits(window: bytes) -> int:
 def test_packed_btype_matches_btype_bytes(table_20k, data):
     c_hi = data.draw(st.integers(min_value=6, max_value=20_000).map(lambda n: n & ~1))
     k_max = (c_hi >> 1) - 2
-    win = _BitWindows(table_20k, c_hi)  # one window set: cached marks are reused
+    win = BitWindows(table_20k, c_hi)  # one window set: cached marks are reused
     odd = st.integers(min_value=1, max_value=k_max + 60).map(lambda i: 2 * i + 1)
     for _ in range(3):
         k = data.draw(st.integers(min_value=max(k_max - 500, 1), max_value=k_max))
@@ -714,7 +839,7 @@ def test_packed_primes_match_prime_window(table_20k, two_n, data):
     width = data.draw(st.integers(min_value=1, max_value=k))
     mask = (1 << width) - 1
     pwin = prime_window(EvenTarget(two_n), table_20k)
-    pf, pr = _BitWindows(table_20k, c_hi).primes(k, mask)
+    pf, pr = BitWindows(table_20k, c_hi).primes(k, mask)
     assert pf == _bits(pwin) & mask
     assert pr == _bits(pwin[::-1]) & mask
 
@@ -770,3 +895,109 @@ def test_odd_factor_lists_on_random_ranges(table_20k, c_lo, span):
     for i, fac in enumerate(facs):
         two_n = c_lo + 2 * i
         assert fac == sorted(q for q in factorize_td(two_n) if q != 2), two_n
+
+
+# ---------------------------------------------------------------------------
+# screened window kernels against the bit-window oracles
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_kernels_match_bit_window_oracles(table_20k, data):
+    lo = data.draw(st.one_of(
+        st.sampled_from((6, 8)),
+        st.integers(min_value=5, max_value=9_000).map(lambda n: 2 * n),
+    ))
+    hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=lo // 2 + 300))
+    chunk_evens = data.draw(st.one_of(st.sampled_from((1, 2, 3, 64)),
+                                      st.integers(min_value=1, max_value=400)))
+    flips = data.draw(st.lists(
+        st.one_of(st.integers(min_value=1, max_value=40),
+                  st.integers(min_value=1, max_value=hi // 2 - 1)),
+        max_size=6,
+    ))
+    table = table_20k
+    if flips:
+        bits = bytearray(table.odd_bits)
+        for i in flips:
+            bits[i] ^= 1
+        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+    # doctored lists: None drops a target's smallest factor, a prime is added
+    edits = data.draw(st.dictionaries(
+        st.integers(min_value=lo // 2, max_value=hi // 2).map(lambda n: 2 * n),
+        st.one_of(st.none(), st.sampled_from((3, 5, 7, 41)),
+                  st.integers(min_value=1, max_value=hi // 2).map(
+                      lambda n: 2 * n + 1).filter(is_prime_td)),
+        max_size=3,
+    ))
+    real = claims_mod._odd_factor_lists
+
+    def doctored(c_lo, c_hi, table):
+        facs = real(c_lo, c_hi, table)
+        for two_n, q in edits.items():
+            i = (two_n - c_lo) >> 1
+            if 0 <= i < len(facs):
+                facs[i] = facs[i][1:] if q is None else sorted({*facs[i], q})
+        return facs
+
+    first_false = _first_false_prime(table, hi)
+    digits, w = _pair_count_digits(table.odd_bits, lo, hi)
+    for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
+        facs = doctored(c_lo, c_hi, table)
+        assert (_chunk_same_type(c_lo, c_hi, facs)
+                == oracles.same_type_chunk(c_lo, c_hi, facs, table))
+        assert (_chunk_companions(c_lo, c_hi, pi, facs, first_false, table)
+                == oracles.companions_chunk(c_lo, c_hi, facs, table))
+        want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table)
+        chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
+        with mock.patch.object(claims_mod, "_odd_factor_lists", doctored):
+            assert _chunk_comet(c_lo, c_hi, pi, None, table) == want
+            assert _chunk_comet(c_lo, c_hi, pi, chunk_digits, table) == want
+
+
+@pytest.mark.parametrize("lo, hi, squared", [
+    (8, 100_000, True), (2_000, 20_000, True), (99_000, 99_020, False),
+    (6, 6, False), (50_000, 50_000, False),
+])
+def test_comet_rows_take_r_from_the_square_or_the_windows(table_100k, monkeypatch,
+                                                          lo, hi, squared):
+    calls = []
+    real = claims_mod._pair_count_digits
+
+    def recorded(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(claims_mod, "_pair_count_digits", recorded)
+    rows = comet_rows(lo, hi, table=table_100k)
+    assert calls == ([(lo, hi)] if squared else [])
+    if hi - lo <= 20_000:
+        assert rows == oracles.comet_chunk(lo, hi, _pi_odd_upto(lo - 3, table_100k),
+                                           _odd_factor_lists(lo, hi, table_100k),
+                                           table_100k)
+    # a build without the C decimal module takes every r from the windows
+    monkeypatch.setattr(claims_mod, "_decimal", None)
+    assert comet_rows(lo, hi, table=table_100k, chunk_evens=4_096) == rows
+    assert len(calls) == squared
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n), st.data())
+def test_pair_count_digits_give_r_on_flipped_tables(table_20k, hi, data):
+    lo = 2 * data.draw(st.integers(min_value=3, max_value=hi // 2))
+    flips = data.draw(st.lists(st.integers(min_value=0, max_value=hi // 2), max_size=8))
+    bits = bytearray(table_20k.odd_bits[: hi // 2 + 1])
+    for i in flips:
+        bits[i] ^= 1
+    digits, w = _pair_count_digits(bytes(bits), lo, hi)
+    assert len(digits) == w * ((hi - lo) // 2 + 1)
+    targets = range(lo, hi + 1, 2)
+    sample = {lo, hi, *data.draw(st.lists(st.sampled_from(targets), max_size=20))}
+    for two_n in sorted(sample):
+        j = (two_n - lo) // 2
+        n = two_n // 2
+        c = int(digits[j * w : j * w + w])
+        want = sum(1 for a in range(3, n + 1, 2)
+                   if bits[a >> 1] and bits[(two_n - a) >> 1])
+        assert (c + (n % 2 and bits[n >> 1])) // 2 == want, two_n

@@ -11,9 +11,15 @@ from goldbach_ab import (
     factorize_even,
     split_primes,
 )
-from goldbach_ab.classify import btype_window, classify_odd_by_factors, prime_window
+from goldbach_ab.classify import btype_window, prime_window
 
-from oracles import is_prime_td, number_class_factors, number_class_gcd, split_td
+from oracles import (
+    classify_odd_by_factors,
+    is_prime_td,
+    number_class_factors,
+    number_class_gcd,
+    split_td,
+)
 
 evens = st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n)
 

@@ -12,13 +12,12 @@ from goldbach_ab import (
     odd_partitions,
 )
 from goldbach_ab.partition import (
-    brute_force_goldbach_count,
     kind_of_prime_pair,
     partition_total,
     self_pair,
 )
 
-from oracles import census_td, is_prime_td
+from oracles import brute_force_goldbach_count, census_td, is_prime_td
 
 evens = st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n)
 
