@@ -68,12 +68,8 @@ def number_class_factors(m: int, two_n: int) -> str:
 
 
 def classify_odd_by_factors(m: int, t, table):
-    """Factor-route classification of an odd m in [3, 2N - 3]: B-type iff some
-    prime factor of m divides 2N."""
-    for q in factorize_td(m):
-        if t.two_n % q == 0:
-            return NumberClass.B
-    return NumberClass.A
+    """``number_class_factors`` as the package's ``NumberClass``."""
+    return NumberClass(number_class_factors(m, t.two_n))
 
 
 def brute_force_goldbach_count(t, table) -> int:
