@@ -1,10 +1,12 @@
 """One verifier per structural claim about an even target, plus range runs.
 
-Single-target verifiers follow the definitions literally (enumerate the
-A-primes, factor every companion, and so on).  Range verification re-derives
-the same verdicts from window arithmetic that is feasible for millions of
-targets: a running prime count, and a per-chunk distinct-factor sieve that
-also factors the midpoint flankers, so no range route trial-divides.
+Single-target verifiers follow the definitions (enumerate the A-primes,
+factor every companion over them, and so on), reading the per-target objects
+from one TargetContext, which builds each of them at most once.  Range
+verification re-derives the same verdicts from window arithmetic that is
+feasible for millions of targets: a running prime count, and a per-chunk
+distinct-factor sieve that also factors the midpoint flankers, so no range
+route trial-divides.
 
 The same-type, companion and comet routes screen each target's factor
 list.  When it is exactly the odd primes of 2N, gcd(a, 2N) = gcd(2N - a, 2N)
@@ -37,17 +39,18 @@ import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import and_, floordiv, mul, not_, rshift, sub
 
 from .classify import (
-    EvenTarget, PrimeSplit, btype_bytes, btype_window, prime_window, split_primes,
+    EvenTarget, PrimeSplit, btype_bytes, btype_window, split_primes,
 )
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
+    PartitionCensus,
     census,
     census_from_windows,
-    goldbach_pairs_from_window,
     kind_of_prime_pair,
     mirror_pair,
     mixed_partitions,
@@ -186,6 +189,18 @@ class CompanionRecord:
     exps: ExponentVector
 
 
+def _smallest_factors(top: int, primes) -> list[int]:
+    """sf[i]: the smallest odd one of ``primes`` that divides 2i + 1 <= top,
+    0 when none does; one slice per prime, the largest first."""
+    size = (top >> 1) + 1
+    sf = [0] * size
+    for p in reversed(primes):
+        i = p >> 1
+        if p > 2 and i < size:
+            sf[i::p] = [p] * len(range(i, size, p))
+    return sf
+
+
 def companions(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> list[CompanionRecord]:
@@ -194,31 +209,50 @@ def companions(
     Each record is verified on construction: the companion must be A-type
     (so it decomposes over the A-basis) and must not be divisible by its own
     prime.  A breach raises CounterexampleFound with the witness attached.
+
+    The companions are split by walking one smallest-factor sieve over the
+    table's small primes, the primes ``factorize`` trial-divides by: a
+    cofactor m stops the walk, as a factor of its own, once its smallest
+    listed factor q has q * q > m or none is listed.
     """
+    two_n = t.two_n
+    if table.limit < two_n - 3:
+        raise UsageError(
+            f"table limit {table.limit} does not cover the window of 2N={two_n}"
+        )
+    bits = table.odd_bits
+    sf = _smallest_factors(two_n - 3, table.small_primes)
+    index = {p: i for i, p in enumerate(split.a_primes)}
     records = []
-    for idx, p in enumerate(split.a_primes):
-        c = t.two_n - p
+    for p in split.a_primes:
+        c = m = two_n - p
+        facs = []
+        while m > 1:
+            q = sf[m >> 1]
+            if not q or q * q > m:
+                facs.append((m, 1))
+                break
+            e = 0
+            while not m % q:
+                m //= q
+                e += 1
+            facs.append((q, e))
+        facs.sort()
         try:
-            exps = decompose_over_a_basis(c, split, table)
-        except NotAPureAProduct as exc:
+            nonzero = tuple([(index[q], e) for q, e in facs])
+        except KeyError as exc:  # the smallest factor that is no A-prime
             raise CounterexampleFound(
                 f"companion {c} of A-prime {p} is not A-type",
-                {"two_n": t.two_n, "p": p, "companion": c,
-                 "shared_prime": exc.offending_prime},
-            ) from exc
-        if exps.exponent_at(idx) != 0:
+                {"two_n": two_n, "p": p, "companion": c,
+                 "shared_prime": exc.args[0]},
+            ) from None
+        if not c % p and any(q == p for q, _ in facs):
             raise CounterexampleFound(
                 f"companion {c} of {p} is divisible by {p}",
-                {"two_n": t.two_n, "p": p, "companion": c},
+                {"two_n": two_n, "p": p, "companion": c},
             )
-        records.append(
-            CompanionRecord(
-                p=p,
-                companion=c,
-                companion_is_prime=bool(table.odd_bits[c >> 1]),
-                exps=exps,
-            )
-        )
+        exps = ExponentVector(split.a_primes, nonzero)
+        records.append(CompanionRecord(p, c, bool(bits[c >> 1]), exps))
     return records
 
 
@@ -341,19 +375,67 @@ def _single(claim_id: ClaimId, two_n: int, status: str, payload: dict) -> ClaimO
                         payload=payload)
 
 
-def verify_same_type_lemma(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
-    """Pass iff no odd partition of 2N mixes an A-type with a B-type component."""
-    c = census(t, table)
+class TargetContext:
+    """The per-target objects of 2N on one table, each built on first use and
+    then kept, so that a report and the claim verdicts share them.
+
+    ``companions`` and ``pairing`` hold the CounterexampleFound their builder
+    raised, if any; ``midpoints`` is None below 2N = 8.
+    """
+
+    def __init__(self, t: EvenTarget, table: PrimeTable,
+                 split: PrimeSplit | None = None):
+        self.t = t
+        self.table = table
+        if split is not None:
+            self.split = split
+
+    @cached_property
+    def split(self) -> PrimeSplit:
+        return split_primes(self.t, self.table)
+
+    @cached_property
+    def census(self) -> PartitionCensus:
+        return census(self.t, self.table)
+
+    @cached_property
+    def companions(self) -> list[CompanionRecord] | CounterexampleFound:
+        try:
+            return companions(self.t, self.split, self.table)
+        except CounterexampleFound as exc:
+            return exc
+
+    @cached_property
+    def pairing(self) -> PairingReport | CounterexampleFound:
+        try:
+            return pairing_report(self.t, self.split, self.table)
+        except CounterexampleFound as exc:
+            return exc
+
+    @cached_property
+    def midpoints(self) -> MidpointReport | None:
+        if self.t.two_n < 8:
+            return None
+        return midpoint_report(self.t, self.split, self.table)
+
+
+def _same_type(ctx: TargetContext) -> ClaimOutcome:
+    t, c = ctx.t, ctx.census
     if c.mixed_count == 0:
         payload = {"total": c.total, "a_count": c.a_count, "b_count": c.b_count}
         return _single(ClaimId.SAME_TYPE_LEMMA, t.two_n, PASS, payload)
-    _, witness = mixed_partitions(t.two_n, btype_window(t, table))
+    _, witness = mixed_partitions(t.two_n, btype_window(t, ctx.table))
     return _single(
         ClaimId.SAME_TYPE_LEMMA,
         t.two_n,
         FAIL,
         {"two_n": t.two_n, "mixed_count": c.mixed_count, "partition": witness},
     )
+
+
+def verify_same_type_lemma(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
+    """Pass iff no odd partition of 2N mixes an A-type with a B-type component."""
+    return _same_type(TargetContext(t, table))
 
 
 def verify_s_bounds(t: EvenTarget, split: PrimeSplit) -> ClaimOutcome:
@@ -386,12 +468,11 @@ def prime_power_exclusion(
     )
 
 
-def claim_pairing_non_empty(
-    t: EvenTarget, split: PrimeSplit, table: PrimeTable
-) -> ClaimOutcome:
-    """Pass iff some A-prime pair exists, or the self pair (N, N) covers 2N."""
-    report = pairing_report(t, split, table)
-    bself = self_pair(t, table)
+def _pairing(ctx: TargetContext) -> ClaimOutcome:
+    t, report = ctx.t, ctx.pairing
+    if isinstance(report, CounterexampleFound):
+        return _single(ClaimId.PAIRING_NON_EMPTY, t.two_n, FAIL, report.witness)
+    bself = self_pair(t, ctx.table)
     payload = {
         "pairs": list(report.pairs),
         "unpaired_count": len(report.unpaired),
@@ -405,34 +486,41 @@ def claim_pairing_non_empty(
     return _single(ClaimId.PAIRING_NON_EMPTY, t.two_n, status, payload)
 
 
-def claim_goldbach_witness(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
-    """Pass iff 2N has at least one prime-prime partition."""
-    pwin = prime_window(t, table)
-    pairs = goldbach_pairs_from_window(t.two_n, pwin)
+def claim_pairing_non_empty(
+    t: EvenTarget, split: PrimeSplit, table: PrimeTable
+) -> ClaimOutcome:
+    """Pass iff some A-prime pair exists, or the self pair (N, N) covers 2N;
+    a pairing report that breaks fails with its witness."""
+    return _pairing(TargetContext(t, table, split))
+
+
+def _witness(ctx: TargetContext) -> ClaimOutcome:
+    two_n, pairs = ctx.t.two_n, ctx.census.goldbach_pairs
     if pairs:
         p, q = pairs[0]
         payload = {
             "count": len(pairs),
             "smallest_pair": [p, q],
-            "kind": kind_of_prime_pair(p, q, t.two_n).value,
+            "kind": kind_of_prime_pair(p, q, two_n).value,
         }
-        return _single(ClaimId.GOLDBACH_WITNESS, t.two_n, PASS, payload)
-    return _single(
-        ClaimId.GOLDBACH_WITNESS, t.two_n, FAIL, {"two_n": t.two_n, "count": 0}
-    )
+        return _single(ClaimId.GOLDBACH_WITNESS, two_n, PASS, payload)
+    return _single(ClaimId.GOLDBACH_WITNESS, two_n, FAIL, {"two_n": two_n, "count": 0})
 
 
-def claim_midpoint_outcomes(
-    t: EvenTarget, split: PrimeSplit, table: PrimeTable
-) -> tuple[ClaimOutcome, ClaimOutcome]:
-    """(coprime, decomposes) verdicts from one midpoint inspection."""
+def claim_goldbach_witness(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
+    """Pass iff 2N has at least one prime-prime partition."""
+    return _witness(TargetContext(t, table))
+
+
+def _midpoints(ctx: TargetContext) -> tuple[ClaimOutcome, ClaimOutcome]:
+    t = ctx.t
     if t.two_n == 6:
         payload = {"two_n": 6}
         return (
             _single(ClaimId.MIDPOINT_COPRIME, 6, BOUNDARY, payload),
             _single(ClaimId.MIDPOINT_DECOMPOSES, 6, BOUNDARY, payload),
         )
-    report = midpoint_report(t, split, table)
+    report = ctx.midpoints
     values = [v.value for v in report.values]
     gcds = [math.gcd(v, t.two_n) for v in values]
     if all(g == 1 for g in gcds):
@@ -465,6 +553,29 @@ def claim_midpoint_outcomes(
     return cop, dec
 
 
+def claim_midpoint_outcomes(
+    t: EvenTarget, split: PrimeSplit, table: PrimeTable
+) -> tuple[ClaimOutcome, ClaimOutcome]:
+    """(coprime, decomposes) verdicts from one midpoint inspection."""
+    return _midpoints(TargetContext(t, table, split))
+
+
+def _companion(ctx: TargetContext) -> ClaimOutcome:
+    two_n = ctx.t.two_n
+    if two_n == 6:
+        return _single(ClaimId.COMPANION_DECOMPOSES, 6, BOUNDARY, {"two_n": 6})
+    records = ctx.companions
+    if isinstance(records, CounterexampleFound):
+        return _single(ClaimId.COMPANION_DECOMPOSES, two_n, FAIL, records.witness)
+    prime_companions = sum(1 for r in records if r.companion_is_prime)
+    return _single(
+        ClaimId.COMPANION_DECOMPOSES,
+        two_n,
+        PASS,
+        {"a_primes": len(records), "prime_companions": prime_companions},
+    )
+
+
 def claim_companion_decomposes(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> ClaimOutcome:
@@ -473,52 +584,37 @@ def claim_companion_decomposes(
     Builds the full companion records, so cost grows with the number of
     A-primes; range runs use the window evaluator instead.
     """
-    if t.two_n == 6:
-        return _single(ClaimId.COMPANION_DECOMPOSES, 6, BOUNDARY, {"two_n": 6})
-    try:
-        records = companions(t, split, table)
-    except CounterexampleFound as exc:
-        return _single(ClaimId.COMPANION_DECOMPOSES, t.two_n, FAIL, exc.witness)
-    prime_companions = sum(1 for r in records if r.companion_is_prime)
-    return _single(
-        ClaimId.COMPANION_DECOMPOSES,
-        t.two_n,
-        PASS,
-        {"a_primes": len(records), "prime_companions": prime_companions},
-    )
+    return _companion(TargetContext(t, table, split))
+
+
+_VERDICTS = {
+    ClaimId.SAME_TYPE_LEMMA: _same_type,
+    ClaimId.S_BOUND: lambda ctx: verify_s_bounds(ctx.t, ctx.split),
+    ClaimId.PRIME_POWER_EXCLUSION:
+        lambda ctx: prime_power_exclusion(ctx.t, ctx.split, ctx.table),
+    ClaimId.MIDPOINT_COPRIME: lambda ctx: _midpoints(ctx)[0],
+    ClaimId.MIDPOINT_DECOMPOSES: lambda ctx: _midpoints(ctx)[1],
+    ClaimId.PAIRING_NON_EMPTY: _pairing,
+    ClaimId.GOLDBACH_WITNESS: _witness,
+    ClaimId.COMPANION_DECOMPOSES: _companion,
+}
 
 
 def evaluate_claims(
     t: EvenTarget,
     table: PrimeTable,
     claim_ids: tuple[ClaimId, ...] = ALL_CLAIMS,
+    *,
+    context: TargetContext | None = None,
 ) -> list[ClaimOutcome]:
-    """All requested claim verdicts for a single target, in declaration order."""
-    selected = [c for c in ALL_CLAIMS if c in set(claim_ids)]
-    needs_split = set(selected) - {ClaimId.SAME_TYPE_LEMMA, ClaimId.GOLDBACH_WITNESS}
-    split = split_primes(t, table) if needs_split else None
-    midpoints = None
-    outcomes = []
-    for cid in selected:
-        if cid is ClaimId.SAME_TYPE_LEMMA:
-            outcomes.append(verify_same_type_lemma(t, table))
-        elif cid is ClaimId.S_BOUND:
-            outcomes.append(verify_s_bounds(t, split))
-        elif cid is ClaimId.PRIME_POWER_EXCLUSION:
-            outcomes.append(prime_power_exclusion(t, split, table))
-        elif cid in (ClaimId.MIDPOINT_COPRIME, ClaimId.MIDPOINT_DECOMPOSES):
-            if midpoints is None:
-                midpoints = claim_midpoint_outcomes(t, split, table)
-            outcomes.append(
-                midpoints[0] if cid is ClaimId.MIDPOINT_COPRIME else midpoints[1]
-            )
-        elif cid is ClaimId.PAIRING_NON_EMPTY:
-            outcomes.append(claim_pairing_non_empty(t, split, table))
-        elif cid is ClaimId.GOLDBACH_WITNESS:
-            outcomes.append(claim_goldbach_witness(t, table))
-        elif cid is ClaimId.COMPANION_DECOMPOSES:
-            outcomes.append(claim_companion_decomposes(t, split, table))
-    return outcomes
+    """All requested claim verdicts for a single target, in declaration order.
+
+    They read the objects of ``context``, the TargetContext of ``t`` on
+    ``table``, built here when not given, so nothing is built twice.
+    """
+    ctx = context or TargetContext(t, table)
+    wanted = set(claim_ids)
+    return [_VERDICTS[c](ctx) for c in ALL_CLAIMS if c in wanted]
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +704,11 @@ def _window_rs(c_lo: int, c_hi: int, bits: bytes) -> list[int]:
 def _companion_window(two_n: int, qs, bits: bytes) -> tuple[int, dict | None]:
     """(A-primes, first failed check) of 2N on its byte windows, ``qs`` taken
     as its odd prime factors: (1) no companion is B-type, (2) every listed
-    factor divides 2N, (3) the lowest and highest A-prime do not divide their
-    companions."""
+    factor divides 2N, (3) no A-prime divides its companion.
+
+    An A-prime p divides 2N - p iff it divides 2N, and then it divides m, the
+    odd part of 2N with the listed primes stripped; so (3) reports the
+    smallest A-prime among the divisors of m."""
     k = (two_n >> 1) - 2
     b, rb = mirror_pair(btype_bytes(k, qs), k)
     a = int.from_bytes(bits[1 : k + 1], "little") & ~b
@@ -624,11 +723,16 @@ def _companion_window(two_n: int, qs, bits: bytes) -> tuple[int, dict | None]:
         if two_n % q:
             return count, {"two_n": two_n, "q": q,
                            "reason": "factor route missed an odd prime factor"}
-    for j in (_low_bit(a), a.bit_length() - 1):
-        p = 3 + 2 * (j >> 3)
-        if (two_n - p) % p == 0:
-            return count, {"two_n": two_n, "p": p, "companion": two_n - p,
-                           "reason": "companion divisible by its own prime"}
+    m = two_n >> _low_bit(two_n)
+    for q in qs:
+        while not m % q:
+            m //= q
+    if m > 1:
+        small = [d for d in range(3, math.isqrt(m) + 1, 2) if not m % d]
+        for p in sorted({*small, *(m // d for d in small), m}):
+            if a >> (4 * (p - 3)) & 1:  # byte (p - 3) / 2 of the window
+                return count, {"two_n": two_n, "p": p, "companion": two_n - p,
+                               "reason": "companion divisible by its own prime"}
     return count, None
 
 

@@ -11,21 +11,21 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .claims import (
     ALL_CLAIMS,
     ClaimId,
     ClaimOutcome,
+    TargetContext,
     comet_rows,
-    companions,
     evaluate_claims,
-    midpoint_report,
-    pairing_report,
     range_verify,
 )
-from .classify import EvenTarget, factorize_even, split_primes
+from .classify import EvenTarget, factorize_even
 from .errors import CounterexampleFound, UsageError
 from .partition import census, partition_total
 from .sieve import DEFAULT_SEGMENT_SIZE, build_table
@@ -148,9 +148,11 @@ def _flat_csv(report: dict) -> str:
 
 
 def build_analyze_report(t: EvenTarget, table) -> dict:
+    """The analyze report of 2N; every per-target object is built once, in
+    one TargetContext that the claim verdicts read too."""
+    ctx = TargetContext(t, table)
     fac = factorize_even(t, table)
-    split = split_primes(t, table)
-    cen = census(t, table)
+    split = ctx.split
     report: dict = {
         "two_n": t.two_n,
         "n": t.n,
@@ -163,10 +165,12 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
             "a_primes": list(split.a_primes),
             "b_primes": list(split.b_primes),
         },
-        "census": _census_dict(cen),
+        "census": _census_dict(ctx.census),
     }
-    try:
-        recs = companions(t, split, table)
+    recs = ctx.companions
+    if isinstance(recs, CounterexampleFound):
+        report["companions"] = {"error": str(recs), "witness": recs.witness}
+    else:
         report["companions"] = [
             {
                 "p": r.p,
@@ -176,18 +180,16 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
             }
             for r in recs
         ]
-    except CounterexampleFound as exc:
-        report["companions"] = {"error": str(exc), "witness": exc.witness}
-    try:
-        pairing = pairing_report(t, split, table)
+    pairing = ctx.pairing
+    if isinstance(pairing, CounterexampleFound):
+        report["pairing"] = {"error": str(pairing), "witness": pairing.witness}
+    else:
         report["pairing"] = {
             "pairs": [list(p) for p in pairing.pairs],
             "unpaired": list(pairing.unpaired),
         }
-    except CounterexampleFound as exc:
-        report["pairing"] = {"error": str(exc), "witness": exc.witness}
-    if t.two_n >= 8:
-        mid = midpoint_report(t, split, table)
+    mid = ctx.midpoints
+    if mid is not None:
         report["midpoints"] = {
             "parity": mid.parity,
             "values": [
@@ -206,7 +208,7 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
         }
     else:
         report["midpoints"] = None
-    report["claims"] = [o.as_dict() for o in evaluate_claims(t, table)]
+    report["claims"] = [o.as_dict() for o in evaluate_claims(t, table, context=ctx)]
     return report
 
 
@@ -221,6 +223,78 @@ def _census_dict(cen) -> dict:
     }
 
 
+# json.dumps with indent runs the pure-Python encoder, element by element.
+# The long arrays of a report are written here instead, one join or one
+# %-template per element, and spliced into the dumped skeleton where a
+# marker string stands; the bytes are those of json.dumps(doc, indent=2).
+
+_MARKER = re.compile(r'"\\u0000(\d+)"')  # json.dumps of "\0<i>"
+
+
+def _ints_json(xs, depth: int) -> str:
+    if not xs:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(str, xs)) + "\n" + "  " * depth + "]"
+
+
+def _pairs_json(pairs, depth: int) -> str:
+    if not pairs:
+        return "[]"
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+    item = f"{outer}[\n{inner}%d,\n{inner}%d\n{outer}]"
+    rows = ",\n".join([item % (p, q) for p, q in pairs])
+    return "[\n" + rows + "\n" + "  " * depth + "]"
+
+
+def _companions_json(recs, depth: int) -> str:
+    if not recs:
+        return "[]"
+    i1, i2, i3 = ("  " * (depth + k) for k in (1, 2, 3))
+    item = (f'{i1}{{\n{i2}"p": %d,\n{i2}"companion": %d,\n'
+            f'{i2}"companion_is_prime": %s,\n{i2}"exponents": %s\n{i1}}}')
+    exps_item = f"{{\n{i3}%s\n{i2}}}"
+    sep = ",\n" + i3
+    entry = '"%s": %d'.__mod__
+    fields = itemgetter("p", "companion", "companion_is_prime", "exponents")
+    rows = []
+    for p, c, is_prime, exps in map(fields, recs):
+        body = exps_item % sep.join(map(entry, exps.items())) if exps else "{}"
+        rows.append(item % (p, c, "true" if is_prime else "false", body))
+    return "[\n" + ",\n".join(rows) + "\n" + "  " * depth + "]"
+
+
+_ANALYZE_ARRAYS = {
+    ("prime_split", "a_primes"): _ints_json,
+    ("prime_split", "b_primes"): _ints_json,
+    ("census", "goldbach_pairs"): _pairs_json,
+    ("companions",): _companions_json,
+    ("pairing", "pairs"): _pairs_json,
+    ("pairing", "unpaired"): _ints_json,
+}
+
+_CENSUS_ARRAYS = {("goldbach_pairs",): _pairs_json}
+
+
+def _report_json(doc: dict, arrays: dict) -> str:
+    """json.dumps(doc, indent=2) + newline, with the list at each path of
+    ``arrays`` written by its renderer; ``doc`` is left as it is."""
+    skeleton = dict(doc)
+    texts = []
+    for path, render in arrays.items():
+        *parents, key = path
+        node = skeleton
+        for k in parents:  # copy the dicts on the path, not the caller's
+            child = dict(node[k])
+            node[k] = child
+            node = child
+        if isinstance(node.get(key), list):  # not an {"error", "witness"}
+            texts.append(render(node[key], len(path)))
+            node[key] = f"\0{len(texts) - 1}"
+    text = json.dumps(skeleton, indent=2)
+    return _MARKER.sub(lambda m: texts[int(m[1])], text) + "\n"
+
+
 def cmd_analyze(cfg: RunConfig) -> int:
     t = EvenTarget(cfg.lo)
     table = build_table(t.two_n + 1, cfg.segment_size)
@@ -228,7 +302,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if cfg.fmt == "csv":
         _emit(_flat_csv(report), cfg.out)
     else:
-        _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+        _emit(_report_json(report, _ANALYZE_ARRAYS), cfg.out)
     failed = any(o["status"] == "fail" for o in report["claims"])
     return 1 if failed else 0
 
@@ -243,7 +317,7 @@ def cmd_census(cfg: RunConfig) -> int:
         _emit(comet_csv([row]), cfg.out)
     else:
         report = {"two_n": t.two_n, "s": s, **_census_dict(census(t, table))}
-        _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+        _emit(_report_json(report, _CENSUS_ARRAYS), cfg.out)
     return 1 if partition_total(t.two_n) - a_count - b_count else 0
 
 

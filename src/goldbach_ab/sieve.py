@@ -13,6 +13,7 @@ Pollard rho.
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -134,8 +135,9 @@ def _small_odd_primes(limit: int) -> list[int]:
 def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
     """Sieve all primes up to ``limit`` (inclusive), one segment at a time.
 
-    Beyond the output bitmap itself, memory stays bounded by the segment
-    width plus the base primes below sqrt(limit).
+    Each segment is sieved in its own buffer and appended to the bitmap, so
+    beyond the bitmap itself memory stays bounded by the segment width plus
+    the base primes below sqrt(limit).
 
     >>> build_table(10).prime_list
     (2, 3, 5, 7)
@@ -147,11 +149,11 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
 
     half = (limit + 1) // 2
     base = _small_odd_primes(math.isqrt(limit))
-    bits = bytearray(b"\x01") * half
-    bits[0] = 0  # 1 is not prime
+    out = io.BytesIO()
 
     for seg_lo in range(0, half, segment_size):
         seg_hi = min(seg_lo + segment_size, half)
+        seg = bytearray(b"\x01") * (seg_hi - seg_lo)
         lo_val = 2 * seg_lo + 1
         hi_val = 2 * (seg_hi - 1) + 1
         for p in base:
@@ -160,11 +162,15 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
             start = max(p * p, p * ((lo_val + p - 1) // p))
             if start % 2 == 0:
                 start += p
-            idx = start >> 1
-            if idx < seg_hi:
-                bits[idx:seg_hi:p] = b"\x00" * len(range(idx, seg_hi, p))
+            idx = (start >> 1) - seg_lo
+            if idx < len(seg):
+                seg[idx::p] = b"\x00" * len(range(idx, len(seg), p))
+        if seg_lo == 0:
+            seg[0] = 0  # 1 is not prime
+        out.write(seg)
 
-    return PrimeTable(limit, bytes(bits))
+    # getvalue() hands over the buffer itself: the bitmap is held once
+    return PrimeTable(limit, out.getvalue())
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:

@@ -8,7 +8,13 @@ the two is meaningful.
 import math
 from bisect import bisect_right
 
-from goldbach_ab import NumberClass
+from goldbach_ab import (
+    CompanionRecord,
+    CounterexampleFound,
+    NotAPureAProduct,
+    NumberClass,
+    decompose_over_a_basis,
+)
 
 
 def is_prime_td(n: int) -> bool:
@@ -135,6 +141,31 @@ def midpoints_td(two_n: int) -> tuple[int, int]:
     return (n - 1, n + 1) if n % 2 == 0 else (n - 2, n + 2)
 
 
+def companions_td(t, split, table) -> list:
+    """``companions`` one companion at a time: each is trial-divided over the
+    A-basis by ``decompose_over_a_basis``."""
+    records = []
+    for idx, p in enumerate(split.a_primes):
+        c = t.two_n - p
+        try:
+            exps = decompose_over_a_basis(c, split, table)
+        except NotAPureAProduct as exc:
+            raise CounterexampleFound(
+                f"companion {c} of A-prime {p} is not A-type",
+                {"two_n": t.two_n, "p": p, "companion": c,
+                 "shared_prime": exc.offending_prime},
+            ) from exc
+        if exps.exponent_at(idx) != 0:
+            raise CounterexampleFound(
+                f"companion {c} of {p} is divisible by {p}",
+                {"two_n": t.two_n, "p": p, "companion": c},
+            )
+        records.append(CompanionRecord(p=p, companion=c,
+                                       companion_is_prime=bool(table.odd_bits[c >> 1]),
+                                       exps=exps))
+    return records
+
+
 def doctored_same_type_td(two_n: int, listed) -> tuple[list[int], int]:
     """(smallest mixed partition or [], mixed count) of 2N when ``listed`` are
     taken as its odd prime factors: an odd m is B-type iff it shares a factor
@@ -149,8 +180,7 @@ def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
     """First failure of the companion checks when ``listed`` are taken as the
     odd prime factors of 2N, None when 2N has no A-prime: the smallest A-prime
     whose companion shares a listed factor, else the smallest listed prime
-    that does not divide 2N, else the lowest or highest A-prime p with p
-    dividing 2N - p."""
+    that does not divide 2N, else the smallest A-prime p dividing 2N - p."""
     if prime is None:
         prime = is_prime_td
     rad = math.prod(listed)
@@ -166,7 +196,7 @@ def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
         if two_n % q:
             return {"two_n": two_n, "q": q,
                     "reason": "factor route missed an odd prime factor"}
-    for p in (a_primes[0], a_primes[-1]):
+    for p in a_primes:
         if (two_n - p) % p == 0:
             return {"two_n": two_n, "p": p, "companion": two_n - p,
                     "reason": "companion divisible by its own prime"}
@@ -440,7 +470,8 @@ def companions_chunk(c_lo, c_hi, facs, table) -> dict:
     """Every target's A-primes (unmarked primes of its window) are counted;
     the first target to break a check, in this order, fails: (1) an A-prime's
     companion is marked B-type, (2) a listed factor does not divide 2N,
-    (3) the lowest or highest A-prime divides its companion."""
+    (3) an A-prime divides its companion, the smallest such one reported: it
+    is an odd divisor of 2N, so only those are tried."""
     win = BitWindows(table, c_hi)
     checked = 0
     a_total = 0
@@ -472,9 +503,10 @@ def companions_chunk(c_lo, c_hi, facs, table) -> dict:
                 break
         if fail is not None:
             continue
-        for j in (_low_bit(a), a.bit_length() - 1):
-            p = 3 + 2 * j
-            if (two_n - p) % p == 0:
+        divisors = {d for k in range(1, math.isqrt(two_n) + 1) if two_n % k == 0
+                    for d in (k, two_n // k) if d % 2}
+        for p in sorted(divisors - {1}):
+            if a >> ((p - 3) >> 1) & 1:
                 fail = {"two_n": two_n, "p": p, "companion": two_n - p,
                         "reason": "companion divisible by its own prime"}
                 break

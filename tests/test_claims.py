@@ -2,6 +2,7 @@ import functools
 import math
 import multiprocessing
 import weakref
+from collections import defaultdict
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from goldbach_ab import (
     ALL_CLAIMS,
     ClaimId,
+    CounterexampleFound,
     EvenTarget,
     NotAPureAProduct,
     UsageError,
@@ -43,6 +45,7 @@ from goldbach_ab.claims import (
     _odd_factor_lists,
     _pair_count_digits,
     _pi_odd_upto,
+    TargetContext,
     claim_goldbach_witness,
     claim_midpoint_outcomes,
     claim_pairing_non_empty,
@@ -56,6 +59,7 @@ import oracles
 from oracles import (
     BitWindows,
     comet_row_td,
+    companions_td,
     doctored_companion_fail_td,
     doctored_pair_scan_fails_td,
     doctored_same_type_td,
@@ -152,6 +156,36 @@ def test_companion_invariants_exhaustive(table_1k):
             i = split.a_primes.index(rec.p)
             assert rec.exps.exponent_at(i) == 0
             assert rec.companion_is_prime == is_prime_td(rec.companion)
+
+
+def _records_or_witness(build, t, split, table):
+    try:
+        return build(t, split, table)
+    except CounterexampleFound as exc:
+        return str(exc), exc.witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(evens, st.data())
+def test_companions_match_trial_division_on_flipped_tables(table_20k, two_n, data):
+    # flips below 60 change the small primes the factors are split over
+    flips = data.draw(st.lists(
+        st.one_of(st.integers(min_value=0, max_value=60),
+                  st.integers(min_value=0, max_value=two_n // 2 - 1)),
+        max_size=6,
+    ))
+    table = table_20k
+    if flips:
+        bits = bytearray(table.odd_bits)
+        for i in flips:
+            bits[i] ^= 1
+        explicit = data.draw(st.booleans())  # candidate primes from the tuple
+        table = PrimeTable(table.limit, bytes(bits),
+                           table.prime_list if explicit else None)
+    t = EvenTarget(two_n)
+    split = split_primes(t, table)
+    assert (_records_or_witness(companions, t, split, table)
+            == _records_or_witness(companions_td, t, split, table))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +327,35 @@ def test_evaluate_claims_orders_and_passes(table_1k):
     assert outs6[ClaimId.S_BOUND].status == "boundary"
     assert outs6[ClaimId.MIDPOINT_COPRIME].status == "boundary"
     assert outs6[ClaimId.COMPANION_DECOMPOSES].status == "boundary"
+
+
+def test_evaluate_claims_reads_a_given_context(table_20k):
+    for two_n in (6, 8, 30, 2310, 9240):
+        t = EvenTarget(two_n)
+        ctx = TargetContext(t, table_20k)
+        outs = evaluate_claims(t, table_20k, context=ctx)
+        assert outs == evaluate_claims(t, table_20k)
+        assert ctx.companions == companions(t, ctx.split, table_20k)
+        picked = (ClaimId.GOLDBACH_WITNESS, ClaimId.S_BOUND)
+        assert evaluate_claims(t, table_20k, picked) == [outs[1], outs[6]]
+
+
+def test_single_claims_fail_with_the_report_witness(table_1k):
+    # 27 marked prime: an A-prime of 30 (30 % 27 != 0) whose prime-marked
+    # companion 3 divides 30, so both the companion and the pairing reports
+    # break; the verdicts carry their witnesses instead of raising
+    table = _doctored_table(table_1k, (), (27,))
+    t = EvenTarget(30)
+    by_id = {o.claim_id: o for o in evaluate_claims(t, table)}
+    pairing = by_id[ClaimId.PAIRING_NON_EMPTY]
+    assert pairing.status == "fail"
+    assert pairing.payload == {"two_n": 30, "p": 27, "companion": 3}
+    comp = by_id[ClaimId.COMPANION_DECOMPOSES]
+    assert comp.status == "fail"
+    assert comp.payload == {"two_n": 30, "p": 27, "companion": 3, "shared_prime": 3}
+    split = _split(30, table)
+    assert claim_pairing_non_empty(t, split, table) == pairing
+    assert claim_companion_decomposes(t, split, table) == comp
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +549,82 @@ def test_range_companions_report_dropped_factor(
     assert same_type.status == "pass" and same_type.payload["mixed_total"] == 0
     assert comp.status == "fail"
     assert comp.payload["counterexample"] == want
+
+
+# Every (target, odd prime factor, position of the factor in the list) of
+# [8, 2100].
+_EVERY_DROP = [(two_n, q, i) for two_n in range(8, 2_101, 2)
+               for i, q in enumerate(p for p in sorted(factorize_td(two_n)) if p > 2)]
+
+
+@functools.lru_cache
+def _every_drop_witness():
+    """The oracle's companion failure for every single-factor drop."""
+    marked = frozenset(p for p in range(3, 2_100, 2) if is_prime_td(p))
+    return {(two_n, q): doctored_companion_fail_td(
+                two_n, _listed_without(two_n, q), marked.__contains__)
+            for two_n, q, _ in _EVERY_DROP}
+
+
+def _drop_runs(chunk_evens):
+    """(lo, hi, {two_n: dropped q}) runs that together drop every factor of
+    _EVERY_DROP once, with at most one doctored target per chunk."""
+    if chunk_evens >= 5:  # one run per drop, on a window of one chunk
+        return [(max(6, two_n - 4), two_n + 4, {two_n: q})
+                for two_n, q, _ in _EVERY_DROP]
+    runs = defaultdict(dict)
+    for two_n, q, i in _EVERY_DROP:
+        runs[i, (two_n - 6) // 2 % chunk_evens][two_n] = q
+    return [(6, 2_100, drops) for drops in runs.values()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 3, 8192])
+def test_range_companions_fail_on_every_dropped_factor(
+    table_20k, monkeypatch, chunk_evens, workers
+):
+    """A dropped factor q of 2N is an A-prime dividing its companion 2N - q;
+    each such list fails with the oracle's witness, whichever factor it
+    drops, and each chunk's failure is its doctored target's."""
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the doctored sieve reaches pool workers only under fork")
+    witness = _every_drop_witness()
+    assert all(w == {"two_n": two_n, "p": q, "companion": two_n - q,
+                     "reason": "companion divisible by its own prime"}
+               for (two_n, q), w in witness.items())
+    drops = {}
+    real_lists = claims_mod._odd_factor_lists
+
+    def doctored(c_lo, c_hi, table):
+        facs = real_lists(c_lo, c_hi, table)
+        for two_n, q in drops.items():
+            i = (two_n - c_lo) >> 1
+            if 0 <= i < len(facs):
+                facs[i] = [p for p in facs[i] if p != q]
+        return facs
+
+    chunk_fails = []
+    real_merge = claims_mod._merge_partials
+
+    def merge(claim_id, partials, lo, hi):
+        chunk_fails.extend(p["fail"] for p in partials if p["fail"])
+        return real_merge(claim_id, partials, lo, hi)
+
+    monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
+    monkeypatch.setattr(claims_mod, "_merge_partials", merge)
+    dropped = 0
+    for lo, hi, run in _drop_runs(chunk_evens):
+        drops.clear()
+        drops.update(run)
+        chunk_fails.clear()
+        (out,) = range_verify(lo, hi, claims=(ClaimId.COMPANION_DECOMPOSES,),
+                              workers=workers, table=table_20k,
+                              chunk_evens=chunk_evens)
+        want = [witness[two_n, run[two_n]] for two_n in sorted(run)]
+        assert chunk_fails == want
+        assert out.payload["counterexample"] == want[0]
+        dropped += len(run)
+    assert dropped == len(_EVERY_DROP)
 
 
 @pytest.mark.parametrize("doctor", [(1366, 41, False), (2002, 167, False),

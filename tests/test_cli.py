@@ -4,10 +4,18 @@ import sys
 
 import pytest
 
-from goldbach_ab import ClaimId, UsageError
+from goldbach_ab import (
+    ClaimId,
+    EvenTarget,
+    UsageError,
+    build_table,
+    census,
+    split_primes,
+)
 from goldbach_ab.claims import ALL_CLAIMS, ClaimOutcome
 from goldbach_ab import cli
-from goldbach_ab.cli import COMET_HEADER, main, parse_claims
+from goldbach_ab.cli import COMET_HEADER, build_analyze_report, main, parse_claims
+from goldbach_ab.sieve import PrimeTable
 
 
 def run_main(argv, capsys):
@@ -82,6 +90,95 @@ def test_analyze_csv_flat_format(capsys):
     assert lines[0] == "field,value"
     assert "two_n,10" in lines
     assert any(line.startswith("prime_split.s,") for line in lines)
+
+
+@pytest.mark.parametrize("two_n", [6, 8, 10, 20, 2310, 4620, 6930, 9240, 30030])
+def test_analyze_json_is_the_indented_dump(capsys, two_n):
+    code, out, _ = run_main(["analyze", str(two_n)], capsys)
+    assert code == 0
+    report = build_analyze_report(EvenTarget(two_n), build_table(two_n + 1))
+    assert out == json.dumps(report, indent=2) + "\n"
+    if two_n == 6:  # no A-prime: empty arrays, no midpoints
+        assert report["midpoints"] is None
+        assert report["companions"] == report["prime_split"]["a_primes"] == []
+        assert report["pairing"] == {"pairs": [], "unpaired": []}
+
+
+@pytest.mark.parametrize("two_n", [6, 8, 2310, 30030])
+def test_census_json_is_the_indented_dump(capsys, two_n):
+    t = EvenTarget(two_n)
+    table = build_table(two_n + 1)
+    cen = census(t, table)
+    doc = {"two_n": two_n, "s": split_primes(t, table).s, "total": cen.total,
+           "a_count": cen.a_count, "b_count": cen.b_count,
+           "mixed_count": cen.mixed_count, "goldbach_count": cen.goldbach_count,
+           "goldbach_pairs": [list(p) for p in cen.goldbach_pairs]}
+    code, out, _ = run_main(["census", str(two_n), "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_report_json_matches_dumps_on_edge_shapes():
+    doc = {
+        "prime_split": {"s": 0, "a_primes": [], "b_primes": [3]},
+        "census": {"goldbach_pairs": []},
+        "companions": [{"p": 3, "companion": 7, "companion_is_prime": True,
+                        "exponents": {}},
+                       {"p": 5, "companion": 45, "companion_is_prime": False,
+                        "exponents": {"3": 2, "5": 1}}],
+        "pairing": {"error": 'a "quoted" \u0000 message', "witness": {"p": 3}},
+    }
+    want = json.dumps(doc, indent=2) + "\n"
+    assert cli._report_json(doc, cli._ANALYZE_ARRAYS) == want
+
+
+def _doctored_build(clear=(), mark=()):
+    """build_table with the odds in ``clear`` marked composite and those in
+    ``mark`` marked prime."""
+    def build(limit, segment_size):
+        bits = bytearray(build_table(limit, segment_size).odd_bits)
+        for m in clear:
+            bits[m >> 1] = 0
+        for m in mark:
+            bits[m >> 1] = 1
+        return PrimeTable(limit, bytes(bits))
+
+    return build
+
+
+# (two_n, cleared, marked, reports that break).  A marked composite that
+# shares a factor with 2N without dividing it is an A-prime whose prime
+# companion divides 2N; a cleared prime partner leaves a companion that is
+# no A-prime.
+_DOCTORED_ANALYZE = [
+    (30, (), (27,), {"companions", "pairing"}),
+    (8934, (), (8931,), {"companions", "pairing"}),
+    (100, (97,), (), {"companions"}),
+    (1000, (997,), (), {"companions"}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("two_n, clear, mark, broken", _DOCTORED_ANALYZE)
+def test_analyze_reports_a_doctored_table(monkeypatch, capsys, two_n, clear, mark,
+                                          broken, fmt):
+    build = _doctored_build(clear, mark)
+    monkeypatch.setattr(cli, "build_table", build)
+    code, out, _ = run_main(["analyze", str(two_n), "--format", fmt], capsys)
+    assert code == 1
+    report = build_analyze_report(EvenTarget(two_n), build(two_n + 1, 1 << 18))
+    if fmt == "csv":
+        assert out == cli._flat_csv(report)
+        return
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert {k for k in ("companions", "pairing")
+            if set(report[k]) == {"error", "witness"}} == broken
+    failed = {c["claim"] for c in report["claims"] if c["status"] == "fail"}
+    assert failed == {"companion_decomposes"} | (
+        {"pairing_non_empty"} if "pairing" in broken else set())
+    witness = report["companions"]["witness"]
+    assert witness["two_n"] == two_n
+    assert witness["p"] + witness["companion"] == two_n
 
 
 def test_census_csv_and_json(capsys):

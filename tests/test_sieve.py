@@ -38,6 +38,17 @@ def test_segment_size_does_not_change_output(segment):
     assert segmented.prime_list == default.prime_list
 
 
+@settings(max_examples=200, deadline=None)
+@given(limit=st.integers(min_value=2, max_value=6_000),
+       segment=st.one_of(st.sampled_from((1, 2, 3, 64)),
+                         st.integers(min_value=1, max_value=4_000)))
+def test_bitmap_is_the_sieve_for_any_limit_and_segment(limit, segment):
+    table = build_table(limit, segment_size=segment)
+    primes = set(simple_sieve(limit))
+    assert type(table.odd_bits) is bytes
+    assert table.odd_bits == bytes(m in primes for m in range(1, limit + 1, 2))
+
+
 def test_is_prime_examples(table_1k):
     assert not is_prime(1, table_1k)
     assert is_prime(97, table_1k)
