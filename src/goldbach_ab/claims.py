@@ -30,6 +30,13 @@ routes to the single-target routes and to scalar and bit-window oracles.
 Range runs are split into fixed-size chunks of consecutive even numbers.
 Chunk boundaries never depend on the worker count and results are merged in
 ascending order, so output is identical for any number of workers.
+
+``CLAIM_SPECS`` holds all per-claim knowledge, one ``ClaimSpec`` per
+``ClaimId``: the single-target verdict on a TargetContext, the range kernel
+on a _ChunkContext (whose factor sieve and pair scan the claims of a chunk
+share) and the short CLI names.  Chunk partials merge field by field, with
+no knowledge of the claim, so adding a claim takes one ``ClaimId`` member
+and one ``ClaimSpec``.
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ from __future__ import annotations
 import math
 import multiprocessing
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import and_, floordiv, mul, not_, rshift, sub
+from operator import and_, floordiv, itemgetter, not_, rshift, sub
 
 from .classify import (
     EvenTarget, PrimeSplit, btype_bytes, btype_window, split_primes,
@@ -587,19 +595,6 @@ def claim_companion_decomposes(
     return _companion(TargetContext(t, table, split))
 
 
-_VERDICTS = {
-    ClaimId.SAME_TYPE_LEMMA: _same_type,
-    ClaimId.S_BOUND: lambda ctx: verify_s_bounds(ctx.t, ctx.split),
-    ClaimId.PRIME_POWER_EXCLUSION:
-        lambda ctx: prime_power_exclusion(ctx.t, ctx.split, ctx.table),
-    ClaimId.MIDPOINT_COPRIME: lambda ctx: _midpoints(ctx)[0],
-    ClaimId.MIDPOINT_DECOMPOSES: lambda ctx: _midpoints(ctx)[1],
-    ClaimId.PAIRING_NON_EMPTY: _pairing,
-    ClaimId.GOLDBACH_WITNESS: _witness,
-    ClaimId.COMPANION_DECOMPOSES: _companion,
-}
-
-
 def evaluate_claims(
     t: EvenTarget,
     table: PrimeTable,
@@ -614,7 +609,7 @@ def evaluate_claims(
     """
     ctx = context or TargetContext(t, table)
     wanted = set(claim_ids)
-    return [_VERDICTS[c](ctx) for c in ALL_CLAIMS if c in wanted]
+    return [CLAIM_SPECS[c].verdict(ctx) for c in ALL_CLAIMS if c in wanted]
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +846,7 @@ def _chunk_companions(c_lo, c_hi, pi, facs, first_false, table) -> dict:
             "boundary": boundary, "a_primes_checked": a_total}
 
 
-def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
+def _chunk_pair_scan(c_lo, c_hi, table) -> dict:
     """Smallest-prime Goldbach scan shared by the witness and pairing claims,
     over all targets of the chunk at once.
 
@@ -915,39 +910,30 @@ def _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
     max_min_p = None
     if last:
         max_min_p = [last[0], c_lo + 2 * _low_bit(last[1])]
-    out = {"checked": nev}
-    if want_witness:
-        out["witness"] = {"checked": nev, "fail": witness_fail, "boundary": [],
-                          "a_pair_evens": a_pair_evens,
-                          "b_self_evens": b_self_evens,
-                          "max_min_p": max_min_p}
-    if want_pairing:
-        out["pairing"] = {"checked": nev - len(pairing_boundary),
-                          "fail": pairing_fail, "boundary": pairing_boundary,
-                          "a_pair_evens": a_pair_evens,
-                          "b_self_evens": b_self_evens}
-    return out
+    return {"checked": nev,
+            "witness": {"checked": nev, "fail": witness_fail, "boundary": [],
+                        "a_pair_evens": a_pair_evens,
+                        "b_self_evens": b_self_evens,
+                        "max_min_p": max_min_p},
+            "pairing": {"checked": nev - len(pairing_boundary),
+                        "fail": pairing_fail, "boundary": pairing_boundary,
+                        "a_pair_evens": a_pair_evens,
+                        "b_self_evens": b_self_evens}}
 
 
-def _chunk_midpoint_coprime(c_lo, c_hi, table) -> dict:
-    """One gcd per target, of 2N with the product of its flankers, over each
-    residue class of 2N mod 4 (flankers N -+ 1 for even N, N -+ 2 for odd N)."""
+def _chunk_midpoint_coprime(c_lo, c_hi) -> dict:
+    """Count the chunk's evens from 8 on, which hold the claim by algebra.
+
+    For even N the flankers N -+ 1 are odd and coprime to N; for odd N the
+    flankers N -+ 2 are odd and gcd(N -+ 2, N) = gcd(2, N) = 1.  Either way
+    both flankers are prime to 2N, whatever the table or the factor lists say:
+
+    >>> all(math.gcd(v, 2 * n) == 1
+    ...     for n in range(4, 20_000) for v in midpoint_values(2 * n))
+    True
+    """
     first = max(c_lo, 8)
-    bad = []
-    for t0 in (first, first + 2):
-        d = 1 + (t0 >> 1) % 2
-        ts = range(t0, c_hi + 1, 4)
-        prods = map(mul, range((t0 >> 1) - d, c_hi, 2), range((t0 >> 1) + d, c_hi, 2))
-        if sum(map(math.gcd, prods, ts)) != len(ts):  # some gcd above 1
-            bad.append(next(t for t in ts
-                            if math.gcd(math.prod(midpoint_values(t)), t) != 1))
-    fail = None
-    if bad:
-        two_n = min(bad)
-        v1, v2 = midpoint_values(two_n)
-        fail = {"two_n": two_n, "values": [v1, v2],
-                "gcds": [math.gcd(v1, two_n), math.gcd(v2, two_n)]}
-    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+    return {"checked": (c_hi - first) // 2 + 1, "fail": None,
             "boundary": [{"two_n": 6}] if c_lo == 6 else []}
 
 
@@ -1007,24 +993,20 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
 
 
 def _chunk_prime_power(c_lo, c_hi, table) -> dict:
-    """Enumerate every 2N = p + p**k identity in the chunk and check that its
-    prime divides 2N (so the solution prime is B-type, never an A-prime)."""
+    """Count every 2N = p + p**k identity in the chunk.  Its prime p divides
+    p + p**k = 2N, so it is B-type and never an A-prime: the claim holds by
+    algebra, and the route only counts the identities it covers."""
     first = max(c_lo, 8)
     # k = 1: 2N = N + N for every odd N marked prime, at table index N >> 1 =
-    # 2N >> 2 for the targets 2N = 2 mod 4.  N divides 2N, so these only count.
+    # 2N >> 2 for the targets 2N = 2 mod 4.
     inspected = table.odd_bits[first >> 2 : ((c_hi - 2) >> 2) + 1].count(1)
-    fail = None
     small = table.small_primes
     for p in small[1 : bisect_right(small, math.isqrt(c_hi))]:
         v = p * p
         while p + v <= c_hi:
-            two_n = p + v
-            if two_n >= c_lo:
-                inspected += 1
-                if two_n % p != 0 and fail is None:
-                    fail = {"two_n": two_n, "p": p, "power": v}
+            inspected += c_lo <= p + v
             v *= p
-    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+    return {"checked": (c_hi - first) // 2 + 1, "fail": None,
             "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "identities_inspected": inspected}
 
@@ -1084,46 +1066,84 @@ def _pooled(task):
     return job(*args, _WORKER_TABLE)
 
 
-def _evaluate_chunk(c_lo, c_hi, pi, names, first_false, table) -> dict:
-    """Partial results of the named claims for the evens in [c_lo, c_hi].
+@dataclass
+class _ChunkContext:
+    """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
+    and then kept, so that the chunk's claims share one factor sieve (run 2
+    evens past each end, where the midpoint flankers sit) and one pair scan."""
 
-    One factor sieve serves all claims that need factors; it runs 2 evens
-    past each end of the chunk, where the midpoint flankers' factors sit.
-    """
-    claims = {ClaimId(name) for name in names}
-    out = {}
-    halo = facs = None
-    if claims & {ClaimId.SAME_TYPE_LEMMA, ClaimId.S_BOUND,
-                 ClaimId.COMPANION_DECOMPOSES, ClaimId.MIDPOINT_DECOMPOSES}:
-        halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
-        facs = halo[2:-2]
-    if ClaimId.SAME_TYPE_LEMMA in claims:
-        out[ClaimId.SAME_TYPE_LEMMA.value] = _chunk_same_type(c_lo, c_hi, facs)
-    if ClaimId.S_BOUND in claims:
-        out[ClaimId.S_BOUND.value] = _chunk_s_bound(c_lo, c_hi, pi, facs, table)
-    if ClaimId.COMPANION_DECOMPOSES in claims:
-        out[ClaimId.COMPANION_DECOMPOSES.value] = _chunk_companions(
-            c_lo, c_hi, pi, facs, first_false, table
-        )
-    want_pairing = ClaimId.PAIRING_NON_EMPTY in claims
-    want_witness = ClaimId.GOLDBACH_WITNESS in claims
-    if want_pairing or want_witness:
-        scan = _chunk_pair_scan(c_lo, c_hi, table, want_pairing, want_witness)
-        if want_witness:
-            out[ClaimId.GOLDBACH_WITNESS.value] = scan["witness"]
-        if want_pairing:
-            out[ClaimId.PAIRING_NON_EMPTY.value] = scan["pairing"]
-    if ClaimId.MIDPOINT_COPRIME in claims:
-        out[ClaimId.MIDPOINT_COPRIME.value] = _chunk_midpoint_coprime(c_lo, c_hi, table)
-    if ClaimId.MIDPOINT_DECOMPOSES in claims:
-        out[ClaimId.MIDPOINT_DECOMPOSES.value] = _chunk_midpoint_decomposes(
-            c_lo, c_hi, halo, table
-        )
-    if ClaimId.PRIME_POWER_EXCLUSION in claims:
-        out[ClaimId.PRIME_POWER_EXCLUSION.value] = _chunk_prime_power(
-            c_lo, c_hi, table
-        )
-    return out
+    c_lo: int
+    c_hi: int
+    pi: int
+    first_false: int | float | None
+    table: PrimeTable
+
+    @cached_property
+    def halo(self) -> list[list[int]]:
+        return _odd_factor_lists(self.c_lo - 4, self.c_hi + 4, self.table)
+
+    @cached_property
+    def facs(self) -> list[list[int]]:
+        return self.halo[2:-2]
+
+    @cached_property
+    def scan(self) -> dict:
+        return _chunk_pair_scan(self.c_lo, self.c_hi, self.table)
+
+
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One claim: its single-target verdict, its partial over one chunk and
+    its short CLI names (the full name is its ``ClaimId`` value)."""
+
+    verdict: Callable[[TargetContext], ClaimOutcome]
+    kernel: Callable[[_ChunkContext], dict]
+    aliases: tuple[str, ...] = ()
+
+
+CLAIM_SPECS: dict[ClaimId, ClaimSpec] = {
+    ClaimId.SAME_TYPE_LEMMA: ClaimSpec(
+        _same_type,
+        lambda c: _chunk_same_type(c.c_lo, c.c_hi, c.facs),
+        ("sametype",),
+    ),
+    ClaimId.S_BOUND: ClaimSpec(
+        lambda ctx: verify_s_bounds(ctx.t, ctx.split),
+        lambda c: _chunk_s_bound(c.c_lo, c.c_hi, c.pi, c.facs, c.table),
+        ("sbounds",),
+    ),
+    ClaimId.PRIME_POWER_EXCLUSION: ClaimSpec(
+        lambda ctx: prime_power_exclusion(ctx.t, ctx.split, ctx.table),
+        lambda c: _chunk_prime_power(c.c_lo, c.c_hi, c.table),
+        ("primepower",),
+    ),
+    ClaimId.MIDPOINT_COPRIME: ClaimSpec(
+        lambda ctx: _midpoints(ctx)[0],
+        lambda c: _chunk_midpoint_coprime(c.c_lo, c.c_hi),
+    ),
+    ClaimId.MIDPOINT_DECOMPOSES: ClaimSpec(
+        lambda ctx: _midpoints(ctx)[1],
+        lambda c: _chunk_midpoint_decomposes(c.c_lo, c.c_hi, c.halo, c.table),
+    ),
+    ClaimId.PAIRING_NON_EMPTY: ClaimSpec(
+        _pairing, lambda c: c.scan["pairing"], ("pairing",)
+    ),
+    ClaimId.GOLDBACH_WITNESS: ClaimSpec(
+        _witness, lambda c: c.scan["witness"], ("witness", "goldbach")
+    ),
+    ClaimId.COMPANION_DECOMPOSES: ClaimSpec(
+        _companion,
+        lambda c: _chunk_companions(c.c_lo, c.c_hi, c.pi, c.facs, c.first_false,
+                                    c.table),
+        ("companions", "companion"),
+    ),
+}
+
+
+def _evaluate_chunk(c_lo, c_hi, pi, names, first_false, table) -> dict:
+    """Partial results of the named claims for the evens in [c_lo, c_hi]."""
+    chunk = _ChunkContext(c_lo, c_hi, pi, first_false, table)
+    return {name: CLAIM_SPECS[ClaimId(name)].kernel(chunk) for name in names}
 
 
 def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
@@ -1167,40 +1187,31 @@ def _range_table(lo: int, hi: int, workers: int, table: PrimeTable | None
     return table
 
 
-def _merge_stat(best, candidate, better) -> list | None:
-    if candidate is None:
-        return best
-    if best is None or better(candidate[0], best[0]):
-        return list(candidate)
-    return best
+# Partial fields holding a [value, two_n] extreme: its payload key and value
+# name, and its pick over chunks (on a tie min and max keep the earliest).
+_EXTREMES = {
+    "min_s": ("min_s", "s", min),
+    "max_s": ("max_s", "s", max),
+    "max_min_p": ("max_smallest_prime", "p", max),
+}
 
 
 def _merge_partials(claim_id: ClaimId, partials: list[dict], lo: int, hi: int
                     ) -> ClaimOutcome:
-    checked = sum(p["checked"] for p in partials)
-    boundary: list[dict] = []
-    for p in partials:
-        boundary.extend(p.get("boundary", ()))
-    fail = next((p["fail"] for p in partials if p.get("fail") is not None), None)
-    payload: dict = {"evens_checked": checked}
-    for key, value in partials[0].items():  # the claim's counters add up
-        if key != "checked" and isinstance(value, int):
+    """One claim's outcome from its chunk partials in ascending order:
+    counters add up, the first failure wins and boundary cases concatenate."""
+    fail = next((p["fail"] for p in partials if p["fail"] is not None), None)
+    boundary = [case for p in partials for case in p["boundary"]]
+    payload: dict = {"evens_checked": sum(p["checked"] for p in partials)}
+    for key, value in partials[0].items():
+        if key in _EXTREMES:
+            name, field, pick = _EXTREMES[key]
+            found = [p[key] for p in partials if p[key] is not None]
+            if found:
+                best, two_n = pick(found, key=itemgetter(0))
+                payload[name] = {field: best, "two_n": two_n}
+        elif key != "checked" and isinstance(value, int):
             payload[key] = sum(p[key] for p in partials)
-    if claim_id is ClaimId.S_BOUND:
-        mn = mx = None
-        for p in partials:
-            mn = _merge_stat(mn, p["min_s"], lambda a, b: a < b)
-            mx = _merge_stat(mx, p["max_s"], lambda a, b: a > b)
-        if mn:
-            payload["min_s"] = {"s": mn[0], "two_n": mn[1]}
-        if mx:
-            payload["max_s"] = {"s": mx[0], "two_n": mx[1]}
-    elif claim_id is ClaimId.GOLDBACH_WITNESS:
-        mp = None
-        for p in partials:
-            mp = _merge_stat(mp, p["max_min_p"], lambda a, b: a > b)
-        if mp:
-            payload["max_smallest_prime"] = {"p": mp[0], "two_n": mp[1]}
     if fail is not None:
         payload["counterexample"] = fail
         status = FAIL
@@ -1236,11 +1247,8 @@ def range_verify(
     jobs = [(*chunk, names, first_false)
             for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
     partials = _map_chunks(_evaluate_chunk, jobs, workers, table)
-    outcomes = []
-    for cid in selected:
-        per_claim = [p[cid.value] for p in partials]
-        outcomes.append(_merge_partials(cid, per_claim, lo, hi))
-    return outcomes
+    return [_merge_partials(cid, [p[cid.value] for p in partials], lo, hi)
+            for cid in selected]
 
 
 def comet_rows(

@@ -18,6 +18,7 @@ from operator import itemgetter
 
 from .claims import (
     ALL_CLAIMS,
+    CLAIM_SPECS,
     ClaimId,
     ClaimOutcome,
     TargetContext,
@@ -35,23 +36,11 @@ ENV_SEGMENT_SIZE = "GOLDBACH_AB_SEGMENT_SIZE"
 
 COMET_HEADER = "two_n,r,s,a_count,b_count"
 
+# Each claim's full name without underscores, and its short names.
 _CLAIM_TOKENS = {
-    "sametype": ClaimId.SAME_TYPE_LEMMA,
-    "sametypelemma": ClaimId.SAME_TYPE_LEMMA,
-    "sbound": ClaimId.S_BOUND,
-    "sbounds": ClaimId.S_BOUND,
-    "primepower": ClaimId.PRIME_POWER_EXCLUSION,
-    "primepowerexclusion": ClaimId.PRIME_POWER_EXCLUSION,
-    "midpointcoprime": ClaimId.MIDPOINT_COPRIME,
-    "midpointdecomposes": ClaimId.MIDPOINT_DECOMPOSES,
-    "pairing": ClaimId.PAIRING_NON_EMPTY,
-    "pairingnonempty": ClaimId.PAIRING_NON_EMPTY,
-    "witness": ClaimId.GOLDBACH_WITNESS,
-    "goldbach": ClaimId.GOLDBACH_WITNESS,
-    "goldbachwitness": ClaimId.GOLDBACH_WITNESS,
-    "companions": ClaimId.COMPANION_DECOMPOSES,
-    "companion": ClaimId.COMPANION_DECOMPOSES,
-    "companiondecomposes": ClaimId.COMPANION_DECOMPOSES,
+    token: cid
+    for cid, spec in CLAIM_SPECS.items()
+    for token in (cid.value.replace("_", ""), *spec.aliases)
 }
 
 
@@ -71,7 +60,7 @@ class RunConfig:
 
 def parse_claims(text: str) -> tuple[ClaimId, ...]:
     """Comma-separated claim names (hyphens/underscores ignored) or 'all'."""
-    picked: list[ClaimId] = []
+    picked: set[ClaimId] = set()
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -82,8 +71,7 @@ def parse_claims(text: str) -> tuple[ClaimId, ...]:
         cid = _CLAIM_TOKENS.get(norm)
         if cid is None:
             raise UsageError(f"unknown claim {token!r}")
-        if cid not in picked:
-            picked.append(cid)
+        picked.add(cid)
     if not picked:
         raise UsageError(f"no claims selected from {text!r}")
     return tuple(c for c in ALL_CLAIMS if c in picked)

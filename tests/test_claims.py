@@ -435,6 +435,32 @@ def _doctor_factor_lists(monkeypatch, even, q, drop=False):
     monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
 
 
+@pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
+@pytest.mark.parametrize("variant", ["true", "flipped", "doctored"])
+def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
+    table_20k, monkeypatch, variant, chunk_evens
+):
+    """A chunk builds its factor sieve and pair scan once, for the claims that
+    read them; a claim run alone must give the outcome it has among all
+    claims, failing payloads included."""
+    table = table_20k
+    if variant == "flipped":  # 3, 5 and 7 unmarked: s_bound, pairing, witness fail
+        bits = bytearray(table.odd_bits)
+        for i in (1, 2, 3):
+            bits[i] ^= 1
+        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+    elif variant == "doctored":  # same-type, midpoint-decomposes, companions fail
+        _doctor_factor_lists(monkeypatch, 2002, 167)
+    together = range_verify(6, 4_000, table=table, chunk_evens=chunk_evens)
+    assert [o.claim_id for o in together] == list(ALL_CLAIMS)
+    for o in together:
+        (alone,) = range_verify(6, 4_000, claims=(o.claim_id,), table=table,
+                                chunk_evens=chunk_evens)
+        assert alone.as_dict() == o.as_dict(), o.claim_id
+    failing = sum(o.status == "fail" for o in together)
+    assert failing == (0 if variant == "true" else 3)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
 @pytest.mark.parametrize(
@@ -1016,9 +1042,9 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
         facs = _odd_factor_lists(c_lo, c_hi, table)
         assert (_chunk_s_bound(c_lo, c_hi, pi, facs, table)
                 == oracles.s_bound_chunk(c_lo, c_hi, facs, table))
-        assert (_chunk_pair_scan(c_lo, c_hi, table, True, True)
+        assert (_chunk_pair_scan(c_lo, c_hi, table)
                 == oracles.pair_scan_chunk(c_lo, c_hi, table, True, True))
-        assert (_chunk_midpoint_coprime(c_lo, c_hi, table)
+        assert (_chunk_midpoint_coprime(c_lo, c_hi)
                 == oracles.midpoint_coprime_chunk(c_lo, c_hi, table))
         assert (_chunk_prime_power(c_lo, c_hi, table)
                 == oracles.prime_power_chunk(c_lo, c_hi, table))

@@ -284,6 +284,33 @@ def test_parse_claims_aliases():
         parse_claims("bogus")
     with pytest.raises(UsageError):
         parse_claims(",")
+    vocabulary = {
+        "same_type": ClaimId.SAME_TYPE_LEMMA,
+        "same_type_lemma": ClaimId.SAME_TYPE_LEMMA,
+        "s_bound": ClaimId.S_BOUND,
+        "s_bounds": ClaimId.S_BOUND,
+        "prime_power": ClaimId.PRIME_POWER_EXCLUSION,
+        "prime_power_exclusion": ClaimId.PRIME_POWER_EXCLUSION,
+        "midpoint_coprime": ClaimId.MIDPOINT_COPRIME,
+        "midpoint_decomposes": ClaimId.MIDPOINT_DECOMPOSES,
+        "pairing": ClaimId.PAIRING_NON_EMPTY,
+        "pairing_non_empty": ClaimId.PAIRING_NON_EMPTY,
+        "witness": ClaimId.GOLDBACH_WITNESS,
+        "goldbach": ClaimId.GOLDBACH_WITNESS,
+        "goldbach_witness": ClaimId.GOLDBACH_WITNESS,
+        "companions": ClaimId.COMPANION_DECOMPOSES,
+        "companion": ClaimId.COMPANION_DECOMPOSES,
+        "companion_decomposes": ClaimId.COMPANION_DECOMPOSES,
+    }
+    for name, cid in vocabulary.items():
+        for token in (name, name.replace("_", ""), name.replace("_", "-"),
+                      name.upper(), name.title().replace("_", "-"), f" {name} "):
+            assert parse_claims(token) == (cid,), token
+    for token in ("all", "ALL", "All", "sbound,all"):
+        assert parse_claims(token) == ALL_CLAIMS, token
+    for token in ("midpoint", "same", "goldbachs"):
+        with pytest.raises(UsageError):
+            parse_claims(token)
 
 
 def test_workers_env_override(monkeypatch):
