@@ -33,10 +33,11 @@ ascending order, so output is identical for any number of workers.
 
 ``CLAIM_SPECS`` holds all per-claim knowledge, one ``ClaimSpec`` per
 ``ClaimId``: the single-target verdict on a TargetContext, the range kernel
-on a _ChunkContext (whose factor sieve and pair scan the claims of a chunk
-share) and the short CLI names.  Chunk partials merge field by field, with
-no knowledge of the claim, so adding a claim takes one ``ClaimId`` member
-and one ``ClaimSpec``.
+and the short CLI names.  Every range kernel, comet's included, reads one
+_ChunkContext that builds each shared input of its chunk once, through the
+chunk jobs that verify and comet share.  Chunk partials merge field by
+field, with no knowledge of the claim, so adding a claim takes one
+``ClaimId`` member and one ``ClaimSpec``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .partition import (
     partition_total,
     self_pair,
 )
-from .sieve import PrimeTable, build_table, factorize
+from .sieve import PrimeTable, build_table, factorize, pi_upto
 
 try:  # libmpdec multiplies huge operands by number-theoretic transform
     import _decimal
@@ -358,18 +359,11 @@ def midpoint_report(
         vals.append(
             MidpointValue(value=v, is_prime=bool(table.odd_bits[v >> 1]), exps=exps)
         )
-    pair = None
-    if vals[0].is_prime and vals[1].is_prime:
-        if v1 + v2 != t.two_n:
-            raise CounterexampleFound(
-                f"midpoint flankers of {t.two_n} do not sum back",
-                {"two_n": t.two_n, "values": [v1, v2]},
-            )
-        pair = (v1, v2)
+    both_prime = vals[0].is_prime and vals[1].is_prime
     return MidpointReport(
         parity="even" if t.n % 2 == 0 else "odd",
         values=(vals[0], vals[1]),
-        both_prime_pair=pair,
+        both_prime_pair=(v1, v2) if both_prime else None,
     )
 
 
@@ -520,52 +514,39 @@ def claim_goldbach_witness(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
     return _witness(TargetContext(t, table))
 
 
-def _midpoints(ctx: TargetContext) -> tuple[ClaimOutcome, ClaimOutcome]:
-    t = ctx.t
-    if t.two_n == 6:
-        payload = {"two_n": 6}
-        return (
-            _single(ClaimId.MIDPOINT_COPRIME, 6, BOUNDARY, payload),
-            _single(ClaimId.MIDPOINT_DECOMPOSES, 6, BOUNDARY, payload),
-        )
+def _midpoint_coprime(ctx: TargetContext) -> ClaimOutcome:
+    """Both flankers are prime to 2N by algebra (see _chunk_midpoint_coprime)."""
+    two_n = ctx.t.two_n
+    if two_n == 6:
+        return _single(ClaimId.MIDPOINT_COPRIME, 6, BOUNDARY, {"two_n": 6})
     report = ctx.midpoints
-    values = [v.value for v in report.values]
-    gcds = [math.gcd(v, t.two_n) for v in values]
-    if all(g == 1 for g in gcds):
-        cop = _single(
-            ClaimId.MIDPOINT_COPRIME, t.two_n, PASS,
-            {"parity": report.parity, "values": values},
-        )
-    else:
-        cop = _single(
-            ClaimId.MIDPOINT_COPRIME, t.two_n, FAIL,
-            {"two_n": t.two_n, "values": values, "gcds": gcds},
-        )
+    return _single(ClaimId.MIDPOINT_COPRIME, two_n, PASS,
+                   {"parity": report.parity,
+                    "values": [v.value for v in report.values]})
+
+
+def _midpoint_decomposes(ctx: TargetContext) -> ClaimOutcome:
+    two_n = ctx.t.two_n
+    if two_n == 6:
+        return _single(ClaimId.MIDPOINT_DECOMPOSES, 6, BOUNDARY, {"two_n": 6})
+    report = ctx.midpoints
     bad = [v.value for v in report.values if v.exps is None]
     if bad:
-        dec = _single(
-            ClaimId.MIDPOINT_DECOMPOSES, t.two_n, FAIL,
-            {"two_n": t.two_n, "not_decomposable": bad},
-        )
-    else:
-        dec = _single(
-            ClaimId.MIDPOINT_DECOMPOSES, t.two_n, PASS,
-            {
-                "parity": report.parity,
-                "values": values,
-                "both_prime_pair": list(report.both_prime_pair)
-                if report.both_prime_pair
-                else None,
-            },
-        )
-    return cop, dec
+        return _single(ClaimId.MIDPOINT_DECOMPOSES, two_n, FAIL,
+                       {"two_n": two_n, "not_decomposable": bad})
+    pair = report.both_prime_pair
+    return _single(ClaimId.MIDPOINT_DECOMPOSES, two_n, PASS,
+                   {"parity": report.parity,
+                    "values": [v.value for v in report.values],
+                    "both_prime_pair": list(pair) if pair else None})
 
 
 def claim_midpoint_outcomes(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> tuple[ClaimOutcome, ClaimOutcome]:
     """(coprime, decomposes) verdicts from one midpoint inspection."""
-    return _midpoints(TargetContext(t, table, split))
+    ctx = TargetContext(t, table, split)
+    return _midpoint_coprime(ctx), _midpoint_decomposes(ctx)
 
 
 def _companion(ctx: TargetContext) -> ClaimOutcome:
@@ -741,15 +722,8 @@ def _first_false_prime(table: PrimeTable, hi: int) -> int | float:
 
 
 # ---------------------------------------------------------------------------
-# Range verification: chunk evaluators
+# Range verification: the chunk context
 # ---------------------------------------------------------------------------
-
-
-def _pi_odd_upto(x: int, table: PrimeTable) -> int:
-    """Count of odd primes <= x."""
-    if x < 3:
-        return 0
-    return table.odd_bits[1 : (x + 1) >> 1].count(1)
 
 
 def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]]:
@@ -780,33 +754,81 @@ def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]
     return facs
 
 
-def _chunk_same_type(c_lo, c_hi, facs) -> dict:
+@dataclass
+class _ChunkContext:
+    """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
+    and then kept, so that every kernel run on the chunk shares them.  The
+    factor sieve runs 2 evens past each end, where the midpoint flankers sit."""
+
+    c_lo: int
+    c_hi: int
+    pi: int  # pi(c_lo - 3), carried in
+    first_false: int | float | None  # see _first_false_prime (companions)
+    digits: str | None  # the chunk's slots of the bitmap square (comet)
+    table: PrimeTable
+
+    @property
+    def evens(self) -> range:
+        return range(self.c_lo, self.c_hi + 1, 2)
+
+    @cached_property
+    def halo(self) -> list[list[int]]:
+        return _odd_factor_lists(self.c_lo - 4, self.c_hi + 4, self.table)
+
+    @cached_property
+    def facs(self) -> list[list[int]]:
+        return self.halo[2:-2]
+
+    @cached_property
+    def pis(self) -> list[int]:
+        """pi(2N - 3) for every target, counted on from the carried pi."""
+        i0 = (self.c_lo >> 1) - 1  # table index of c_lo - 1, the next odd counted
+        bits = self.table.odd_bits[i0 : i0 + len(self.evens) - 1]
+        return list(accumulate(bits, initial=self.pi))
+
+    @cached_property
+    def s(self) -> list[int]:
+        """s(2N) = pi(2N - 3) - omega_odd(2N) for every target."""
+        return list(map(sub, self.pis, map(len, self.facs)))
+
+    @cached_property
+    def phis(self) -> list[int]:
+        """phi(2N) where the factor list passes the screen, else 0."""
+        return list(map(_screened_phi, self.evens, self.facs))
+
+    @cached_property
+    def scan(self) -> dict:
+        return _chunk_pair_scan(self.c_lo, self.c_hi, self.table)
+
+
+# ---------------------------------------------------------------------------
+# Range verification: chunk kernels
+# ---------------------------------------------------------------------------
+
+
+def _chunk_same_type(chunk: _ChunkContext) -> dict:
     """Mixed partitions of the chunk's evens.  A target whose list passes the
     screen has none, since gcd(a, 2N) = gcd(2N - a, 2N); any other target
     compares its B-type byte window with the mirror."""
     mixed_total = 0
     fail = None
-    for two_n, qs in zip(range(c_lo, c_hi + 1, 2), facs):
-        if not _screened_phi(two_n, qs):
+    for two_n, qs, phi in zip(chunk.evens, chunk.facs, chunk.phis):
+        if not phi:
             count, first = mixed_partitions(two_n, btype_bytes((two_n >> 1) - 2, qs))
             mixed_total += count
             if first and fail is None:
                 fail = {"two_n": two_n, "partition": list(first)}
-    return {"checked": len(facs), "mixed_total": mixed_total, "fail": fail,
+    return {"checked": len(chunk.facs), "mixed_total": mixed_total, "fail": fail,
             "boundary": []}
 
 
-def _chunk_s_bound(c_lo, c_hi, pi, facs, table) -> dict:
-    """s(2N) = pi(2N - 3) - omega_odd(2N) for the whole chunk: a running prime
-    count from the carried pi = pi(c_lo - 3), less each target's listed
-    factors; the first minimum, maximum and s < 2 in target order."""
-    i0 = (c_lo >> 1) - 1  # table index of c_lo - 1, the next odd counted
-    pis = accumulate(table.odd_bits[i0 : i0 + len(facs) - 1], initial=pi)
-    ss = list(map(sub, pis, map(len, facs)))
+def _chunk_s_bound(chunk: _ChunkContext) -> dict:
+    """The first minimum, maximum and s < 2 of s(2N) in target order."""
+    c_lo, ss = chunk.c_lo, chunk.s
     boundary = []
     if c_lo == 6:
-        boundary.append({"two_n": 6, "s": ss.pop(0)})
-        c_lo = 8
+        boundary.append({"two_n": 6, "s": ss[0]})
+        c_lo, ss = 8, ss[1:]
     out = {"checked": len(ss), "fail": None, "boundary": boundary,
            "min_s": None, "max_s": None}
     if ss:
@@ -819,30 +841,27 @@ def _chunk_s_bound(c_lo, c_hi, pi, facs, table) -> dict:
     return out
 
 
-def _chunk_companions(c_lo, c_hi, pi, facs, first_false, table) -> dict:
-    """Companion checks for the chunk's evens, with pi = pi(c_lo - 3) carried
-    in and ``first_false`` the smallest composite the table marks prime.
+def _chunk_companions(chunk: _ChunkContext) -> dict:
+    """Companion checks for the chunk's evens.
 
     On a target whose list passes the screen the checks cannot fail, and its
     A-primes are pi(2N - 3) less the listed factors marked prime as long as
     the table marks no composite up to 2N - 3.
     """
-    bits = table.odd_bits
-    i0 = (c_lo >> 1) - 1  # table index of c_lo - 1, the next odd counted
-    pis = accumulate(bits[i0 : i0 + len(facs) - 1], initial=pi)
+    bits = chunk.table.odd_bits
     a_total = 0
     fail = None
     boundary = []
-    for two_n, qs, pi in zip(range(c_lo, c_hi + 1, 2), facs, pis):
+    for two_n, qs, pi, phi in zip(chunk.evens, chunk.facs, chunk.pis, chunk.phis):
         if two_n == 6:
             boundary.append({"two_n": 6})
-        elif two_n - 3 < first_false and _screened_phi(two_n, qs):
+        elif two_n - 3 < chunk.first_false and phi:
             a_total += pi - sum([bits[q >> 1] for q in qs])
         else:
             count, detail = _companion_window(two_n, qs, bits)
             a_total += count
             fail = fail or detail
-    return {"checked": len(facs) - len(boundary), "fail": fail,
+    return {"checked": len(chunk.facs) - len(boundary), "fail": fail,
             "boundary": boundary, "a_primes_checked": a_total}
 
 
@@ -921,7 +940,15 @@ def _chunk_pair_scan(c_lo, c_hi, table) -> dict:
                         "b_self_evens": b_self_evens}}
 
 
-def _chunk_midpoint_coprime(c_lo, c_hi) -> dict:
+def _chunk_witness(chunk: _ChunkContext) -> dict:
+    return chunk.scan["witness"]
+
+
+def _chunk_pairing(chunk: _ChunkContext) -> dict:
+    return chunk.scan["pairing"]
+
+
+def _chunk_midpoint_coprime(chunk: _ChunkContext) -> dict:
     """Count the chunk's evens from 8 on, which hold the claim by algebra.
 
     For even N the flankers N -+ 1 are odd and coprime to N; for odd N the
@@ -932,25 +959,26 @@ def _chunk_midpoint_coprime(c_lo, c_hi) -> dict:
     ...     for n in range(4, 20_000) for v in midpoint_values(2 * n))
     True
     """
-    first = max(c_lo, 8)
-    return {"checked": (c_hi - first) // 2 + 1, "fail": None,
-            "boundary": [{"two_n": 6}] if c_lo == 6 else []}
+    first = max(chunk.c_lo, 8)
+    return {"checked": (chunk.c_hi - first) // 2 + 1, "fail": None,
+            "boundary": [{"two_n": 6}] if chunk.c_lo == 6 else []}
 
 
-def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
+def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     """Check that the midpoint flankers of each even in [c_lo, c_hi] factor
     over its A-primes.
 
-    ``halo`` lists the odd prime factors of the evens in [c_lo - 4, c_hi + 4],
+    The halo lists the odd prime factors of the evens in [c_lo - 4, c_hi + 4],
     2 evens past each end of the chunk.  A flanker v of 2N has 2v = 2N -+ 2 or
     2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  A listed
     prime of v that divides a target 2v -+ 2 or 2v -+ 4 divides v*v - 1 or
     v*v - 4, which no odd factor of v does; so the flankers whose listed
     primes do not all divide v take two gcds that find every target that can
     fail.  Only those and the targets with two prime flankers are checked, in
-    ascending order.
+    ascending order; a prime flanker is prime to 2N, so it is its own A-prime.
     """
-    bits = table.odd_bits
+    c_lo, c_hi, halo = chunk.c_lo, chunk.c_hi, chunk.halo
+    bits = chunk.table.odd_bits
     first = max(c_lo, 8)
     vb = ((first >> 1) - 2) | 1
     vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
@@ -974,28 +1002,22 @@ def _chunk_midpoint_decomposes(c_lo, c_hi, halo, table) -> dict:
             continue
         for v in (v1, v2):
             if bits[v >> 1]:
-                if two_n % v == 0:
-                    fail = {"two_n": two_n, "value": v,
-                            "reason": "prime midpoint divides target"}
-                    break
                 continue
             # lists ascend, so shared[0] is the smallest shared prime
             shared = [q for q in halo[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
             if shared:
                 fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
                 break
-        if fail is None and bits[v1 >> 1] and bits[v2 >> 1] and v1 + v2 != two_n:
-            fail = {"two_n": two_n, "values": [v1, v2],
-                    "reason": "prime midpoints do not sum back"}
     return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
             "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "both_prime_pairs": both_prime}
 
 
-def _chunk_prime_power(c_lo, c_hi, table) -> dict:
+def _chunk_prime_power(chunk: _ChunkContext) -> dict:
     """Count every 2N = p + p**k identity in the chunk.  Its prime p divides
     p + p**k = 2N, so it is B-type and never an A-prime: the claim holds by
     algebra, and the route only counts the identities it covers."""
+    c_lo, c_hi, table = chunk.c_lo, chunk.c_hi, chunk.table
     first = max(c_lo, 8)
     # k = 1: 2N = N + N for every odd N marked prime, at table index N >> 1 =
     # 2N >> 2 for the targets 2N = 2 mod 4.
@@ -1011,20 +1033,18 @@ def _chunk_prime_power(c_lo, c_hi, table) -> dict:
             "identities_inspected": inspected}
 
 
-def _chunk_comet(c_lo, c_hi, pi, digits, table) -> list[tuple[int, int, int, int, int]]:
-    """Rows (two_n, r, s, a_count, b_count) for every even in the chunk, with
-    pi = pi(c_lo - 3) carried in and ``digits`` the chunk's slots of the
-    bitmap square, or None to take r from each target's prime window.
+def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
+    """Rows (two_n, r, s, a_count, b_count) for every even in the chunk, r
+    from the chunk's slots of the bitmap square or else from each target's
+    prime window.
 
     On a passing target the phi(2N) odds prime to 2N form mirrored pairs
     (a, 2N - a), a != N, and none is mixed: a_count is those pairs less
     (1, 2N - 1), b_count h - a_count.
     """
-    bits = table.odd_bits
-    facs = _odd_factor_lists(c_lo, c_hi, table)
-    evens = range(c_lo, c_hi + 1, 2)
-    i0 = (c_lo >> 1) - 1
-    pis = accumulate(bits[i0 : i0 + len(facs) - 1], initial=pi)
+    c_lo, c_hi, digits, facs, phis = (chunk.c_lo, chunk.c_hi, chunk.digits,
+                                      chunk.facs, chunk.phis)
+    bits = chunk.table.odd_bits
     if digits is None:
         rs = _window_rs(c_lo, c_hi, bits)
     else:
@@ -1034,11 +1054,9 @@ def _chunk_comet(c_lo, c_hi, pi, digits, table) -> list[tuple[int, int, int, int
         odd_n[(n_lo | 1) - n_lo :: 2] = bits[(n_lo | 1) >> 1 : (n_hi + 1) >> 1]
         rs = [(int(digits[j : j + w]) + m) >> 1
               for j, m in zip(range(0, len(digits), w), odd_n)]
-    phis = list(map(_screened_phi, evens, facs))
     a_counts = list(map(sub, map(rshift, phis, repeat(1)), repeat(1)))
     hs = map(floordiv, range(c_lo - 2, c_hi - 1, 2), repeat(4))  # h(2N) = (2N - 2) // 4
-    rows = list(zip(evens, rs, map(sub, pis, map(len, facs)), a_counts,
-                    map(sub, hs, a_counts)))
+    rows = list(zip(chunk.evens, rs, chunk.s, a_counts, map(sub, hs, a_counts)))
     for i in compress(range(len(phis)), map(not_, phis)):
         two_n, _, s = rows[i][:3]
         n = two_n >> 1
@@ -1060,35 +1078,15 @@ def _worker_init(table: PrimeTable) -> None:
     _WORKER_TABLE = table
 
 
-def _pooled(task):
-    """Run one chunk job in a pool worker, on the table the pool handed it."""
-    job, args = task
-    return job(*args, _WORKER_TABLE)
+def _evaluate_chunk(kernels, c_lo, c_hi, pi, first_false, digits, table) -> list:
+    """Every kernel's result for the evens in [c_lo, c_hi], on one context."""
+    chunk = _ChunkContext(c_lo, c_hi, pi, first_false, digits, table)
+    return [kernel(chunk) for kernel in kernels]
 
 
-@dataclass
-class _ChunkContext:
-    """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
-    and then kept, so that the chunk's claims share one factor sieve (run 2
-    evens past each end, where the midpoint flankers sit) and one pair scan."""
-
-    c_lo: int
-    c_hi: int
-    pi: int
-    first_false: int | float | None
-    table: PrimeTable
-
-    @cached_property
-    def halo(self) -> list[list[int]]:
-        return _odd_factor_lists(self.c_lo - 4, self.c_hi + 4, self.table)
-
-    @cached_property
-    def facs(self) -> list[list[int]]:
-        return self.halo[2:-2]
-
-    @cached_property
-    def scan(self) -> dict:
-        return _chunk_pair_scan(self.c_lo, self.c_hi, self.table)
+def _pooled(job):
+    """Evaluate one chunk job in a pool worker, on the table the pool handed it."""
+    return _evaluate_chunk(*job, _WORKER_TABLE)
 
 
 @dataclass(frozen=True)
@@ -1101,49 +1099,28 @@ class ClaimSpec:
     aliases: tuple[str, ...] = ()
 
 
+def _s_bound(ctx: TargetContext) -> ClaimOutcome:
+    return verify_s_bounds(ctx.t, ctx.split)
+
+
+def _prime_power(ctx: TargetContext) -> ClaimOutcome:
+    return prime_power_exclusion(ctx.t, ctx.split, ctx.table)
+
+
 CLAIM_SPECS: dict[ClaimId, ClaimSpec] = {
-    ClaimId.SAME_TYPE_LEMMA: ClaimSpec(
-        _same_type,
-        lambda c: _chunk_same_type(c.c_lo, c.c_hi, c.facs),
-        ("sametype",),
-    ),
-    ClaimId.S_BOUND: ClaimSpec(
-        lambda ctx: verify_s_bounds(ctx.t, ctx.split),
-        lambda c: _chunk_s_bound(c.c_lo, c.c_hi, c.pi, c.facs, c.table),
-        ("sbounds",),
-    ),
+    ClaimId.SAME_TYPE_LEMMA: ClaimSpec(_same_type, _chunk_same_type, ("sametype",)),
+    ClaimId.S_BOUND: ClaimSpec(_s_bound, _chunk_s_bound, ("sbounds",)),
     ClaimId.PRIME_POWER_EXCLUSION: ClaimSpec(
-        lambda ctx: prime_power_exclusion(ctx.t, ctx.split, ctx.table),
-        lambda c: _chunk_prime_power(c.c_lo, c.c_hi, c.table),
-        ("primepower",),
-    ),
-    ClaimId.MIDPOINT_COPRIME: ClaimSpec(
-        lambda ctx: _midpoints(ctx)[0],
-        lambda c: _chunk_midpoint_coprime(c.c_lo, c.c_hi),
-    ),
+        _prime_power, _chunk_prime_power, ("primepower",)),
+    ClaimId.MIDPOINT_COPRIME: ClaimSpec(_midpoint_coprime, _chunk_midpoint_coprime),
     ClaimId.MIDPOINT_DECOMPOSES: ClaimSpec(
-        lambda ctx: _midpoints(ctx)[1],
-        lambda c: _chunk_midpoint_decomposes(c.c_lo, c.c_hi, c.halo, c.table),
-    ),
-    ClaimId.PAIRING_NON_EMPTY: ClaimSpec(
-        _pairing, lambda c: c.scan["pairing"], ("pairing",)
-    ),
+        _midpoint_decomposes, _chunk_midpoint_decomposes),
+    ClaimId.PAIRING_NON_EMPTY: ClaimSpec(_pairing, _chunk_pairing, ("pairing",)),
     ClaimId.GOLDBACH_WITNESS: ClaimSpec(
-        _witness, lambda c: c.scan["witness"], ("witness", "goldbach")
-    ),
+        _witness, _chunk_witness, ("witness", "goldbach")),
     ClaimId.COMPANION_DECOMPOSES: ClaimSpec(
-        _companion,
-        lambda c: _chunk_companions(c.c_lo, c.c_hi, c.pi, c.facs, c.first_false,
-                                    c.table),
-        ("companions", "companion"),
-    ),
+        _companion, _chunk_companions, ("companions", "companion")),
 }
-
-
-def _evaluate_chunk(c_lo, c_hi, pi, names, first_false, table) -> dict:
-    """Partial results of the named claims for the evens in [c_lo, c_hi]."""
-    chunk = _ChunkContext(c_lo, c_hi, pi, first_false, table)
-    return {name: CLAIM_SPECS[ClaimId(name)].kernel(chunk) for name in names}
 
 
 def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
@@ -1151,7 +1128,7 @@ def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
     """(c_lo, c_hi, pi(c_lo - 3)) per chunk: one prime count below lo, then
     each chunk's own span."""
     span = 2 * chunk_evens
-    pi = _pi_odd_upto(lo - 3, table)
+    pi = pi_upto(lo - 3, table) - 1  # odd primes only
     chunks = []
     for c in range(lo, hi + 1, span):
         chunks.append((c, min(c + span - 2, hi), pi))
@@ -1159,20 +1136,20 @@ def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
     return chunks
 
 
-def _map_chunks(job, args_list, workers: int, table: PrimeTable) -> list:
-    """job(*args, table) for every args in order, in a pool when it pays.
+def _map_chunks(jobs: list[tuple], workers: int, table: PrimeTable) -> list:
+    """_evaluate_chunk(*job, table) for each job in order, pooled when it pays.
 
     Only pool workers keep the table in a global; the in-process path hands
     it over directly, so nothing keeps it alive after the run."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [job(*args, table) for args in args_list]
-    processes = min(workers, len(args_list))
+    if workers <= 1 or len(jobs) <= 1:
+        return [_evaluate_chunk(*job, table) for job in jobs]
+    processes = min(workers, len(jobs))
     with multiprocessing.Pool(processes, _worker_init, (table,)) as pool:
-        return pool.map(_pooled, [(job, args) for args in args_list], chunksize=1)
+        return pool.map(_pooled, jobs, chunksize=1)
 
 
-def _range_table(lo: int, hi: int, workers: int, table: PrimeTable | None
-                 ) -> PrimeTable:
+def _range_table(lo: int, hi: int, workers: int, chunk_evens: int,
+                 table: PrimeTable | None) -> PrimeTable:
     """The table a range run reads, after checking its arguments."""
     if lo % 2 or hi % 2:
         raise UsageError(f"range bounds must be even, got [{lo}, {hi}]")
@@ -1180,6 +1157,8 @@ def _range_table(lo: int, hi: int, workers: int, table: PrimeTable | None
         raise UsageError(f"need 6 <= lo <= hi, got [{lo}, {hi}]")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
+    if chunk_evens < 1:
+        raise UsageError(f"chunk_evens must be >= 1, got {chunk_evens}")
     if table is None:
         return build_table(hi + 1)
     if table.limit < hi - 3:
@@ -1238,17 +1217,17 @@ def range_verify(
     target as the counterexample when a claim fails.  Output is independent
     of the worker count.
     """
-    table = _range_table(lo, hi, workers, table)
+    table = _range_table(lo, hi, workers, chunk_evens, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
-    names = tuple(c.value for c in selected)
+    kernels = tuple(CLAIM_SPECS[c].kernel for c in selected)
     first_false = None
     if ClaimId.COMPANION_DECOMPOSES in selected:
         first_false = _first_false_prime(table, hi)
-    jobs = [(*chunk, names, first_false)
+    jobs = [(kernels, *chunk, first_false, None)
             for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
-    partials = _map_chunks(_evaluate_chunk, jobs, workers, table)
-    return [_merge_partials(cid, [p[cid.value] for p in partials], lo, hi)
-            for cid in selected]
+    partials = _map_chunks(jobs, workers, table)
+    return [_merge_partials(cid, [p[i] for p in partials], lo, hi)
+            for i, cid in enumerate(selected)]
 
 
 def comet_rows(
@@ -1260,14 +1239,15 @@ def comet_rows(
 ) -> list[tuple[int, int, int, int, int]]:
     """(two_n, r, s, a_count, b_count) for every even in [lo, hi], ascending;
     r from one square of the bitmap when that costs less than the windows."""
-    table = _range_table(lo, hi, workers, table)
-    jobs = [(*chunk, None) for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
+    table = _range_table(lo, hi, workers, chunk_evens, table)
+    chunks = _chunk_ranges(lo, hi, chunk_evens, table)
+    slots = [None] * len(chunks)
     sum_n = ((hi - lo) // 2 + 1) * (lo + hi) // 4
     if _decimal is not None and sum_n > _SQUARE_COST * hi:
         digits, w = _pair_count_digits(table.odd_bits, lo, hi)
-        jobs = [(c_lo, c_hi, pi,
-                 digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w])
-                for c_lo, c_hi, pi, _ in jobs]
+        slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
+                 for c_lo, c_hi, _ in chunks]
         del digits
-    chunks = _map_chunks(_chunk_comet, jobs, workers, table)
-    return [row for chunk in chunks for row in chunk]
+    jobs = [((_chunk_comet,), *chunk, None, digits)
+            for chunk, digits in zip(chunks, slots)]
+    return [row for (rows,) in _map_chunks(jobs, workers, table) for row in rows]

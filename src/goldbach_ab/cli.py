@@ -59,7 +59,8 @@ class RunConfig:
 
 
 def parse_claims(text: str) -> tuple[ClaimId, ...]:
-    """Comma-separated claim names (hyphens/underscores ignored) or 'all'."""
+    """Comma-separated claim names (hyphens/underscores ignored); every
+    token must name a claim, and 'all' anywhere selects every claim."""
     picked: set[ClaimId] = set()
     for token in text.split(","):
         token = token.strip()
@@ -67,11 +68,11 @@ def parse_claims(text: str) -> tuple[ClaimId, ...]:
             continue
         norm = token.lower().replace("-", "").replace("_", "")
         if norm == "all":
-            return ALL_CLAIMS
-        cid = _CLAIM_TOKENS.get(norm)
-        if cid is None:
+            picked.update(ALL_CLAIMS)
+        elif norm in _CLAIM_TOKENS:
+            picked.add(_CLAIM_TOKENS[norm])
+        else:
             raise UsageError(f"unknown claim {token!r}")
-        picked.add(cid)
     if not picked:
         raise UsageError(f"no claims selected from {text!r}")
     return tuple(c for c in ALL_CLAIMS if c in picked)

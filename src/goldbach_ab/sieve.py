@@ -118,17 +118,23 @@ class PrimeTable:
         return type(self), (self.limit, self.odd_bits, self.primes)
 
 
+def _strike_odds(bits: bytearray, first: int, primes) -> None:
+    """Clear in ``bits``, whose byte j stands for the odd first + 2j, the odd
+    multiples of each odd prime p from max(p * p, first) on; ``primes``
+    ascend and are read only while p * p lies in the window."""
+    last = first + 2 * len(bits) - 2
+    for p in primes:
+        if p * p > last:
+            break
+        idx = (max(p * p, (-(-first // p) | 1) * p) - first) >> 1  # odd multiples
+        bits[idx::p] = bytes(len(range(idx, len(bits), p)))
+
+
 def _small_odd_primes(limit: int) -> list[int]:
-    """Odd primes <= limit by a plain (non-segmented) odd-only sieve."""
-    if limit < 3:
-        return []
-    half = (limit + 1) // 2
-    bits = bytearray(b"\x01") * half
-    bits[0] = 0
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if bits[p >> 1]:
-            start = (p * p) >> 1
-            bits[start::p] = b"\x00" * len(range(start, half, p))
+    """Odd primes <= limit by a plain (non-segmented) odd-only sieve; each
+    candidate is read off the bits after every smaller prime has struck."""
+    bits = bytearray(b"\x00" + b"\x01" * ((limit - 1) // 2))  # 1 is not prime
+    _strike_odds(bits, 1, compress(range(3, limit + 1, 2), memoryview(bits)[1:]))
     return list(compress(range(1, limit + 1, 2), bits))
 
 
@@ -152,19 +158,8 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
     out = io.BytesIO()
 
     for seg_lo in range(0, half, segment_size):
-        seg_hi = min(seg_lo + segment_size, half)
-        seg = bytearray(b"\x01") * (seg_hi - seg_lo)
-        lo_val = 2 * seg_lo + 1
-        hi_val = 2 * (seg_hi - 1) + 1
-        for p in base:
-            if p * p > hi_val:
-                break
-            start = max(p * p, p * ((lo_val + p - 1) // p))
-            if start % 2 == 0:
-                start += p
-            idx = (start >> 1) - seg_lo
-            if idx < len(seg):
-                seg[idx::p] = b"\x00" * len(range(idx, len(seg), p))
+        seg = bytearray(b"\x01") * (min(seg_lo + segment_size, half) - seg_lo)
+        _strike_odds(seg, 2 * seg_lo + 1, base)
         if seg_lo == 0:
             seg[0] = 0  # 1 is not prime
         out.write(seg)
@@ -259,15 +254,8 @@ def _sieve_window(lo: int, hi: int, table: PrimeTable) -> list[int]:
     first = max(lo, 3) | 1
     if first > hi:
         return out
-    size = (hi - first) // 2 + 1
-    bits = bytearray(b"\x01") * size
-    for p in table.odd_primes(3, math.isqrt(hi)):
-        start = max(p * p, p * ((first + p - 1) // p))
-        if start % 2 == 0:
-            start += p
-        idx = (start - first) >> 1
-        if idx < size:
-            bits[idx::p] = b"\x00" * len(range(idx, size, p))
+    bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
+    _strike_odds(bits, first, table.odd_primes(3, math.isqrt(hi)))
     out.extend(compress(range(first, hi + 1, 2), bits))
     return out
 

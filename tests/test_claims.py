@@ -33,6 +33,7 @@ from goldbach_ab import (
 )
 import goldbach_ab.claims as claims_mod
 from goldbach_ab.claims import (
+    _ChunkContext,
     _chunk_comet,
     _chunk_companions,
     _chunk_midpoint_coprime,
@@ -44,7 +45,6 @@ from goldbach_ab.claims import (
     _first_false_prime,
     _odd_factor_lists,
     _pair_count_digits,
-    _pi_odd_upto,
     TargetContext,
     claim_goldbach_witness,
     claim_midpoint_outcomes,
@@ -53,7 +53,7 @@ from goldbach_ab.claims import (
 )
 from goldbach_ab.classify import btype_bytes, prime_window
 from goldbach_ab.partition import PartitionKind, goldbach_partitions
-from goldbach_ab.sieve import PrimeTable
+from goldbach_ab.sieve import PrimeTable, pi_upto
 
 import oracles
 from oracles import (
@@ -856,6 +856,35 @@ def test_range_verify_usage_errors(table_1k):
         range_verify(8, 5_000, table=table_1k)  # table too small
 
 
+@pytest.mark.parametrize("chunk_evens", [0, -1])
+def test_range_runs_reject_a_chunk_size_below_one(table_1k, chunk_evens):
+    with pytest.raises(UsageError):
+        range_verify(8, 100, table=table_1k, chunk_evens=chunk_evens)
+    with pytest.raises(UsageError):
+        comet_rows(8, 100, table=table_1k, chunk_evens=chunk_evens)
+
+
+def test_range_runs_build_each_chunk_input_once(table_20k, monkeypatch):
+    """All claims of a chunk share one factor sieve and one phi screen."""
+    calls = defaultdict(int)
+
+    def counted(name):
+        real = getattr(claims_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(claims_mod, name, wrapper)
+
+    counted("_odd_factor_lists")
+    counted("_screened_phi")
+    range_verify(6, 3_000, table=table_20k, chunk_evens=100)
+    assert calls == {"_odd_factor_lists": 15, "_screened_phi": 1_498}
+    calls.clear()
+    comet_rows(6, 3_000, table=table_20k, chunk_evens=100)
+    assert calls == {"_odd_factor_lists": 15, "_screened_phi": 1_498}
+
+
 def test_range_s_stats_match_direct_recompute(table_1k):
     outs = range_verify(8, 1_000, claims=(ClaimId.S_BOUND,), table=table_1k)
     payload = outs[0].payload
@@ -929,10 +958,10 @@ def test_odd_factor_lists_against_trial_division(table_20k):
         assert sorted(fac) == want, two_n
 
 
-def test_pi_odd_upto_matches_split_size(table_1k):
-    for two_n in range(6, 900, 2):
+def test_chunk_ranges_carry_pi_of_split_size(table_1k):
+    for two_n, _, pi in _chunk_ranges(6, 900, 1, table_1k):
         a, b = split_td(two_n)
-        assert _pi_odd_upto(two_n - 3, table_1k) == len(a) + len(b)
+        assert pi == len(a) + len(b)
 
 
 def test_companion_range_claim_agrees_with_full_records(table_20k):
@@ -1040,13 +1069,14 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
     assert chunks[0][0] == lo and chunks[-1][1] == hi
     for c_lo, c_hi, pi in chunks:
         facs = _odd_factor_lists(c_lo, c_hi, table)
-        assert (_chunk_s_bound(c_lo, c_hi, pi, facs, table)
+        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
+        assert (_chunk_s_bound(chunk)
                 == oracles.s_bound_chunk(c_lo, c_hi, facs, table))
         assert (_chunk_pair_scan(c_lo, c_hi, table)
                 == oracles.pair_scan_chunk(c_lo, c_hi, table, True, True))
-        assert (_chunk_midpoint_coprime(c_lo, c_hi)
+        assert (_chunk_midpoint_coprime(chunk)
                 == oracles.midpoint_coprime_chunk(c_lo, c_hi, table))
-        assert (_chunk_prime_power(c_lo, c_hi, table)
+        assert (_chunk_prime_power(chunk)
                 == oracles.prime_power_chunk(c_lo, c_hi, table))
 
 
@@ -1110,15 +1140,17 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         facs = doctored(c_lo, c_hi, table)
-        assert (_chunk_same_type(c_lo, c_hi, facs)
-                == oracles.same_type_chunk(c_lo, c_hi, facs, table))
-        assert (_chunk_companions(c_lo, c_hi, pi, facs, first_false, table)
-                == oracles.companions_chunk(c_lo, c_hi, facs, table))
         want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table)
         chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
         with mock.patch.object(claims_mod, "_odd_factor_lists", doctored):
-            assert _chunk_comet(c_lo, c_hi, pi, None, table) == want
-            assert _chunk_comet(c_lo, c_hi, pi, chunk_digits, table) == want
+            chunk = _ChunkContext(c_lo, c_hi, pi, first_false, None, table)
+            assert (_chunk_same_type(chunk)
+                    == oracles.same_type_chunk(c_lo, c_hi, facs, table))
+            assert (_chunk_companions(chunk)
+                    == oracles.companions_chunk(c_lo, c_hi, facs, table))
+            assert _chunk_comet(chunk) == want
+            assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, None, chunk_digits,
+                                              table)) == want
 
 
 @pytest.mark.parametrize("lo, hi, squared", [
@@ -1138,7 +1170,7 @@ def test_comet_rows_take_r_from_the_square_or_the_windows(table_100k, monkeypatc
     rows = comet_rows(lo, hi, table=table_100k)
     assert calls == ([(lo, hi)] if squared else [])
     if hi - lo <= 20_000:
-        assert rows == oracles.comet_chunk(lo, hi, _pi_odd_upto(lo - 3, table_100k),
+        assert rows == oracles.comet_chunk(lo, hi, pi_upto(lo - 3, table_100k) - 1,
                                            _odd_factor_lists(lo, hi, table_100k),
                                            table_100k)
     # a build without the C decimal module takes every r from the windows

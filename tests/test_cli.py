@@ -247,6 +247,8 @@ def test_verify_usage_errors(capsys):
     assert run_main(["verify", "10", "9"], capsys)[0] == 2
     assert run_main(["verify", "7", "9"], capsys)[0] == 2
     assert run_main(["verify", "8", "100", "--claims", "nonsense"], capsys)[0] == 2
+    for claims in ("all,bogus", "bogus,all", "sbound,all,bogus"):
+        assert run_main(["verify", "8", "100", "--claims", claims], capsys)[0] == 2
     assert run_main(["verify", "8"], capsys)[0] == 2
 
 
@@ -306,9 +308,9 @@ def test_parse_claims_aliases():
         for token in (name, name.replace("_", ""), name.replace("_", "-"),
                       name.upper(), name.title().replace("_", "-"), f" {name} "):
             assert parse_claims(token) == (cid,), token
-    for token in ("all", "ALL", "All", "sbound,all"):
+    for token in ("all", "ALL", "All", "sbound,all", "all,witness"):
         assert parse_claims(token) == ALL_CLAIMS, token
-    for token in ("midpoint", "same", "goldbachs"):
+    for token in ("midpoint", "same", "goldbachs", "all,bogus", "bogus,all"):
         with pytest.raises(UsageError):
             parse_claims(token)
 
