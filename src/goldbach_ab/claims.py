@@ -59,7 +59,6 @@ from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
     PartitionCensus,
     census,
-    census_from_windows,
     kind_of_prime_pair,
     mirror_pair,
     mixed_partitions,
@@ -104,10 +103,6 @@ class ClaimOutcome:
     hi: int
     status: str
     payload: dict
-
-    @property
-    def single(self) -> bool:
-        return self.lo == self.hi
 
     @property
     def ok(self) -> bool:
@@ -213,11 +208,13 @@ def _smallest_factors(top: int, primes) -> list[int]:
 def companions(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> list[CompanionRecord]:
-    """Companion record for every A-prime; empty when there are none.
+    """Companion record for every A-prime of ``split``, which is
+    ``split_primes(t, table)``; empty when there are none.
 
-    Each record is verified on construction: the companion must be A-type
-    (so it decomposes over the A-basis) and must not be divisible by its own
-    prime.  A breach raises CounterexampleFound with the witness attached.
+    Each record is verified on construction: the companion must be A-type,
+    so that it decomposes over the A-basis, or CounterexampleFound is raised
+    with its smallest factor that is no A-prime.  An A-prime p never divides
+    2N, so it never divides its companion 2N - p either.
 
     The companions are split by walking one smallest-factor sieve over the
     table's small primes, the primes ``factorize`` trial-divides by: a
@@ -255,11 +252,6 @@ def companions(
                 {"two_n": two_n, "p": p, "companion": c,
                  "shared_prime": exc.args[0]},
             ) from None
-        if not c % p and any(q == p for q, _ in facs):
-            raise CounterexampleFound(
-                f"companion {c} of {p} is divisible by {p}",
-                {"two_n": two_n, "p": p, "companion": c},
-            )
         exps = ExponentVector(split.a_primes, nonzero)
         records.append(CompanionRecord(p, c, bool(bits[c >> 1]), exps))
     return records
@@ -279,38 +271,30 @@ class PairingReport:
 
 
 def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> PairingReport:
-    """Pair up A-primes whose companions are prime; list the rest as unpaired.
+    """Pair up the A-primes of ``split``, which is ``split_primes(t, table)``,
+    whose companions are marked prime; list the rest as unpaired.
 
-    Every A-prime lands in exactly one pair or in unpaired; a self pair is
-    impossible because an A-prime cannot divide 2N.
+    A prime-marked companion c of an A-prime p that shares a factor with 2N
+    (c = 3 of p = 27 at 2N = 30, with 27 marked prime) raises
+    CounterexampleFound.  Any other one is prime to 2N, so it is itself an
+    A-prime whose companion is p; and c != p, since p = N would divide 2N.
+    So every A-prime lands in exactly one pair or in unpaired.
     """
     pairs = []
     unpaired = []
-    covered = 0
     for p in split.a_primes:
         c = t.two_n - p
         if table.odd_bits[c >> 1]:
-            if c == p:
-                raise CounterexampleFound(
-                    f"A-prime {p} formed a self pair of {t.two_n}",
-                    {"two_n": t.two_n, "p": p},
-                )
             if math.gcd(c, t.two_n) != 1:
                 raise CounterexampleFound(
                     f"prime companion {c} of A-prime {p} shares a factor with "
                     f"{t.two_n}",
                     {"two_n": t.two_n, "p": p, "companion": c},
                 )
-            covered += 1
             if p < c:
                 pairs.append((p, c))
         else:
             unpaired.append(p)
-    if covered != 2 * len(pairs) or covered + len(unpaired) != split.s:
-        raise CounterexampleFound(
-            f"pairing of {t.two_n} does not cover the A-primes exactly once",
-            {"two_n": t.two_n, "pairs": pairs, "unpaired": unpaired},
-        )
     return PairingReport(pairs=tuple(pairs), unpaired=tuple(unpaired))
 
 
@@ -451,23 +435,16 @@ def verify_s_bounds(t: EvenTarget, split: PrimeSplit) -> ClaimOutcome:
 def prime_power_exclusion(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> ClaimOutcome:
-    """Pass iff no A-prime p has p dividing 2N - p (no 2N = p + p**k solution)."""
+    """Pass iff no A-prime p of ``split``, which is ``split_primes(t, table)``,
+    has p dividing 2N - p (no 2N = p + p**k solution).
+
+    This holds by algebra: p divides 2N - p iff it divides 2N, which puts p
+    among the B-primes, so the verdict only reports the A-primes it covers.
+    """
     if t.two_n == 6:
         return _single(ClaimId.PRIME_POWER_EXCLUSION, 6, BOUNDARY, {"two_n": 6})
-    for p in split.a_primes:
-        if (t.two_n - p) % p == 0:
-            return _single(
-                ClaimId.PRIME_POWER_EXCLUSION,
-                t.two_n,
-                FAIL,
-                {"two_n": t.two_n, "p": p, "companion": t.two_n - p},
-            )
-    return _single(
-        ClaimId.PRIME_POWER_EXCLUSION,
-        t.two_n,
-        PASS,
-        {"two_n": t.two_n, "a_primes_checked": split.s},
-    )
+    return _single(ClaimId.PRIME_POWER_EXCLUSION, t.two_n, PASS,
+                   {"two_n": t.two_n, "a_primes_checked": split.s})
 
 
 def _pairing(ctx: TargetContext) -> ClaimOutcome:
@@ -1040,7 +1017,8 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
 
     On a passing target the phi(2N) odds prime to 2N form mirrored pairs
     (a, 2N - a), a != N, and none is mixed: a_count is those pairs less
-    (1, 2N - 1), b_count h - a_count.
+    (1, 2N - 1), b_count h - a_count.  Any other target mirrors its B-type
+    window once and keeps its r, which reads only the table.
     """
     c_lo, c_hi, digits, facs, phis = (chunk.c_lo, chunk.c_hi, chunk.digits,
                                       chunk.facs, chunk.phis)
@@ -1058,11 +1036,10 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
     hs = map(floordiv, range(c_lo - 2, c_hi - 1, 2), repeat(4))  # h(2N) = (2N - 2) // 4
     rows = list(zip(chunk.evens, rs, chunk.s, a_counts, map(sub, hs, a_counts)))
     for i in compress(range(len(phis)), map(not_, phis)):
-        two_n, _, s = rows[i][:3]
-        n = two_n >> 1
-        _, a_count, b_count, _, r = census_from_windows(
-            two_n, btype_bytes(n - 2, facs[i]), bits[1 : n - 1])
-        rows[i] = two_n, r, s, a_count, b_count
+        two_n, r, s = rows[i][:3]
+        h = partition_total(two_n)
+        fwd, rev = mirror_pair(btype_bytes((two_n >> 1) - 2, facs[i]), h)
+        rows[i] = two_n, r, s, h - (fwd | rev).bit_count(), (fwd & rev).bit_count()
     return rows
 
 

@@ -26,9 +26,9 @@ from .claims import (
     evaluate_claims,
     range_verify,
 )
-from .classify import EvenTarget, factorize_even
+from .classify import EvenTarget, factorize_even, prime_window
 from .errors import CounterexampleFound, UsageError
-from .partition import census, partition_total
+from .partition import goldbach_pairs_from_window, partition_total
 from .sieve import DEFAULT_SEGMENT_SIZE, build_table
 
 ENV_WORKERS = "GOLDBACH_AB_WORKERS"
@@ -165,7 +165,7 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
                 "p": r.p,
                 "companion": r.companion,
                 "companion_is_prime": r.companion_is_prime,
-                "exponents": {str(p): e for p, e in r.exps.as_prime_dict().items()},
+                "exponents": r.exps.as_prime_dict(),
             }
             for r in recs
         ]
@@ -185,9 +185,7 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
                 {
                     "value": v.value,
                     "is_prime": v.is_prime,
-                    "exponents": {str(p): e for p, e in v.exps.as_prime_dict().items()}
-                    if v.exps is not None
-                    else None,
+                    "exponents": v.exps and v.exps.as_prime_dict(),
                 }
                 for v in mid.values
             ],
@@ -297,17 +295,23 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_census(cfg: RunConfig) -> int:
-    """A census CSV row is the comet row of 2N; JSON adds the census pairs."""
+    """A census CSV row is the comet row of 2N; JSON takes its counts from the
+    same row and adds the Goldbach pairs."""
     t = EvenTarget(cfg.lo)
     table = build_table(t.two_n + 1, cfg.segment_size)
     (row,) = comet_rows(t.two_n, t.two_n, table=table)
-    _, _, s, a_count, b_count = row
+    _, r, s, a_count, b_count = row
+    total = partition_total(t.two_n)
+    mixed = total - a_count - b_count
     if cfg.fmt == "csv":
         _emit(comet_csv([row]), cfg.out)
     else:
-        report = {"two_n": t.two_n, "s": s, **_census_dict(census(t, table))}
+        pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
+        report = {"two_n": t.two_n, "s": s, "total": total, "a_count": a_count,
+                  "b_count": b_count, "mixed_count": mixed, "goldbach_count": r,
+                  "goldbach_pairs": list(pairs)}
         _emit(_report_json(report, _CENSUS_ARRAYS), cfg.out)
-    return 1 if partition_total(t.two_n) - a_count - b_count else 0
+    return 1 if mixed else 0
 
 
 # ---------------------------------------------------------------------------

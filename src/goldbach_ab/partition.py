@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .classify import EvenTarget, NumberClass, btype_window, classify_odd, prime_window
+from .classify import EvenTarget, btype_window, prime_window
 from .errors import UsageError
 from .sieve import PrimeTable
 
@@ -62,7 +62,8 @@ def odd_partitions(t: EvenTarget) -> Iterator[tuple[int, int]]:
 def classify_partition(
     a: int, b: int, t: EvenTarget, table: PrimeTable
 ) -> PartitionKind:
-    """Tag one partition by the classes of its two components.
+    """Tag one partition by the classes of its two components, read off
+    gcd(a, 2N) and gcd(b, 2N) as ``classify_odd`` reads them.
 
     A MIXED result is a counterexample to the same-type rule and must be
     surfaced by the caller as a claim failure, never swallowed.
@@ -71,11 +72,7 @@ def classify_partition(
         raise UsageError(f"({a}, {b}) is not an odd partition of {t.two_n}")
     if not (3 <= a <= b <= t.two_n - 3):
         raise UsageError(f"({a}, {b}) lies outside the component window of {t.two_n}")
-    ka = classify_odd(a, t, table)
-    kb = classify_odd(b, t, table)
-    if ka is kb:
-        return PartitionKind.A if ka is NumberClass.A else PartitionKind.B
-    return PartitionKind.MIXED
+    return kind_of_prime_pair(a, b, t.two_n)
 
 
 def goldbach_partitions(t: EvenTarget, table: PrimeTable) -> list[OddPartition]:
@@ -91,34 +88,20 @@ def census(t: EvenTarget, table: PrimeTable) -> PartitionCensus:
     sits at the mirrored index, so comparing the window against its own
     reversal covers all partitions at once.
     """
-    bmask = btype_window(t, table)
-    pwin = prime_window(t, table)
-    counts = census_from_windows(t.two_n, bmask, pwin)
-    total, a_count, b_count, mixed_count, r = counts
-    pairs = goldbach_pairs_from_window(t.two_n, pwin)
-    return PartitionCensus(
-        two_n=t.two_n,
-        total=total,
-        a_count=a_count,
-        b_count=b_count,
-        mixed_count=mixed_count,
-        goldbach_count=r,
-        goldbach_pairs=pairs,
-    )
-
-
-def census_from_windows(
-    two_n: int, bmask: bytes, pwin: bytes
-) -> tuple[int, int, int, int, int]:
-    """(total, a_count, b_count, mixed_count, goldbach_count) from raw windows."""
-    h = partition_total(two_n)
-    fwd, rev = mirror_pair(bmask, h)
+    h = partition_total(t.two_n)
+    fwd, rev = mirror_pair(btype_window(t, table), h)
     mixed = (fwd ^ rev).bit_count()
     b_count = (fwd & rev).bit_count()
-    a_count = h - mixed - b_count
-    pf, pr = mirror_pair(pwin, h)
-    r = (pf & pr).bit_count()
-    return h, a_count, b_count, mixed, r
+    pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
+    return PartitionCensus(
+        two_n=t.two_n,
+        total=h,
+        a_count=h - mixed - b_count,
+        b_count=b_count,
+        mixed_count=mixed,
+        goldbach_count=len(pairs),
+        goldbach_pairs=pairs,
+    )
 
 
 def mirror_pair(window: bytes, h: int) -> tuple[int, int]:

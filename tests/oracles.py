@@ -516,7 +516,7 @@ def companions_chunk(c_lo, c_hi, facs, table) -> dict:
 
 def comet_chunk(c_lo, c_hi, pi, facs, table) -> list:
     """Rows (two_n, r, s, a_count, b_count), pi = pi(c_lo - 3) carried in;
-    the counts are those of ``census_from_windows`` on the bit windows."""
+    the counts are those of ``census`` on the bit windows."""
     bits = table.odd_bits
     win = BitWindows(table, c_hi)
     rows = []

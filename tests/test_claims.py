@@ -7,7 +7,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldbach_ab import (
@@ -242,6 +242,48 @@ def test_pairing_identity_reduces_to_companion_primality(table_1k):
             in_pairs = any(rec.p in pair for pair in report.pairs)
             assert in_pairs == (rec.companion in a_set)
             assert in_pairs == rec.companion_is_prime
+
+
+@settings(max_examples=150, deadline=None)
+@example(two_n=30, flips=[13])  # 27 marked prime: its companion 3 divides 30
+@given(two_n=evens, flips=st.lists(
+    st.one_of(st.integers(min_value=0, max_value=60),
+              st.integers(min_value=0, max_value=9_999)),
+    max_size=6,
+))
+def test_split_invariants_hold_on_flipped_tables(table_20k, two_n, flips):
+    """What the single-target routes no longer check holds on any table: an
+    A-prime of split_primes never divides its companion, prime-power
+    exclusion passes, and the pairing either fails on the smallest A-prime
+    whose prime-marked companion shares a factor with 2N or covers the
+    A-primes exactly once."""
+    bits = bytearray(table_20k.odd_bits)
+    for i in flips:
+        bits[i % (two_n >> 1)] ^= 1
+    table = PrimeTable(table_20k.limit, bytes(bits), table_20k.prime_list)
+    t = EvenTarget(two_n)
+    split = split_primes(t, table)
+    assert all((two_n - p) % p for p in split.a_primes)
+    out = prime_power_exclusion(t, split, table)
+    if two_n == 6:
+        assert (out.status, out.payload) == ("boundary", {"two_n": 6})
+    else:
+        assert (out.status, out.payload) == (
+            "pass", {"two_n": two_n, "a_primes_checked": split.s})
+    shared = [p for p in split.a_primes
+              if bits[(two_n - p) >> 1] and math.gcd(two_n - p, two_n) != 1]
+    try:
+        report = pairing_report(t, split, table)
+    except CounterexampleFound as exc:
+        assert shared
+        assert exc.witness == {"two_n": two_n, "p": shared[0],
+                               "companion": two_n - shared[0]}
+        return
+    assert not shared
+    assert all(p < q and p + q == two_n for p, q in report.pairs)
+    flat = [p for pair in report.pairs for p in pair]
+    assert sorted(flat + list(report.unpaired)) == list(split.a_primes)
+    assert not any(bits[(two_n - p) >> 1] for p in report.unpaired)
 
 
 def test_midpoint_examples(table_1k):

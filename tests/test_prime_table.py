@@ -3,11 +3,12 @@
 No library or CLI route may build the tuple of every prime below the limit;
 tables pickle without it, so spawned pool workers receive the bitmap alone
 and must reproduce the in-process results; and a census CSV row is the
-comet row of its target.
+comet row of its target, whose counts the census JSON prints too.
 """
 
 import contextlib
 import io
+import json
 import math
 import multiprocessing
 import pickle
@@ -161,3 +162,9 @@ def test_census_exits_1_on_a_doctored_factor(monkeypatch, two_n, q):
     assert code == 1
     assert row_two_n == two_n
     assert partition_total(two_n) - a_count - b_count == mixed > 0
+    # the JSON counts come from the same row, so they agree with the exit code
+    code, out = _run(["census", str(two_n), "--format", "json"])
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["a_count"], doc["b_count"]) == (a_count, b_count)
+    assert doc["mixed_count"] == doc["total"] - a_count - b_count == mixed
