@@ -205,16 +205,9 @@ def _smallest_factors(top: int, primes) -> list[int]:
     return sf
 
 
-def companions(
-    t: EvenTarget, split: PrimeSplit, table: PrimeTable
-) -> list[CompanionRecord]:
-    """Companion record for every A-prime of ``split``, which is
-    ``split_primes(t, table)``; empty when there are none.
-
-    Each record is verified on construction: the companion must be A-type,
-    so that it decomposes over the A-basis, or CounterexampleFound is raised
-    with its smallest factor that is no A-prime.  An A-prime p never divides
-    2N, so it never divides its companion 2N - p either.
+def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list[tuple]:
+    """Row (p, 2N - p, companion marked prime, sorted [(q, e), ...]) for every
+    A-prime p of ``split``, which is ``split_primes(t, table)``.
 
     The companions are split by walking one smallest-factor sieve over the
     table's small primes, the primes ``factorize`` trial-divides by: a
@@ -228,8 +221,8 @@ def companions(
         )
     bits = table.odd_bits
     sf = _smallest_factors(two_n - 3, table.small_primes)
-    index = {p: i for i, p in enumerate(split.a_primes)}
-    records = []
+    a_set = set(split.a_primes)
+    rows = []
     for p in split.a_primes:
         c = m = two_n - p
         facs = []
@@ -243,18 +236,35 @@ def companions(
                 m //= q
                 e += 1
             facs.append((q, e))
-        facs.sort()
-        try:
-            nonzero = tuple([(index[q], e) for q, e in facs])
-        except KeyError as exc:  # the smallest factor that is no A-prime
-            raise CounterexampleFound(
-                f"companion {c} of A-prime {p} is not A-type",
-                {"two_n": two_n, "p": p, "companion": c,
-                 "shared_prime": exc.args[0]},
-            ) from None
-        exps = ExponentVector(split.a_primes, nonzero)
-        records.append(CompanionRecord(p, c, bool(bits[c >> 1]), exps))
-    return records
+        facs.sort()  # a doctored table can yield them out of order
+        for q, _ in facs:
+            if q not in a_set:  # the smallest factor that is no A-prime
+                raise CounterexampleFound(
+                    f"companion {c} of A-prime {p} is not A-type",
+                    {"two_n": two_n, "p": p, "companion": c, "shared_prime": q})
+        rows.append((p, c, bool(bits[c >> 1]), facs))
+    return rows
+
+
+def _records(rows, split: PrimeSplit) -> list[CompanionRecord]:
+    index = {p: i for i, p in enumerate(split.a_primes)}
+    return [CompanionRecord(p, c, is_prime, ExponentVector(split.a_primes, tuple(
+        [(index[q], e) for q, e in facs]))) for p, c, is_prime, facs in rows]
+
+
+def companions(
+    t: EvenTarget, split: PrimeSplit, table: PrimeTable
+) -> list[CompanionRecord]:
+    """Companion record for every A-prime of ``split``, which is
+    ``split_primes(t, table)``; empty when there are none.
+
+    Each companion must be A-type, so that it decomposes over the A-basis,
+    or CounterexampleFound is raised with its smallest factor that is no
+    A-prime.  An A-prime p never divides 2N, so it never divides its
+    companion 2N - p either.  The records are built from the rows of one
+    factor walk (``_companion_rows``), which analyze reads without them.
+    """
+    return _records(_companion_rows(t, split, table), split)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +375,9 @@ class TargetContext:
     """The per-target objects of 2N on one table, each built on first use and
     then kept, so that a report and the claim verdicts share them.
 
-    ``companions`` and ``pairing`` hold the CounterexampleFound their builder
-    raised, if any; ``midpoints`` is None below 2N = 8.
+    ``companion_rows``, the ``companions`` records built from them on each
+    read, and ``pairing`` hold the CounterexampleFound their builder raised,
+    if any; ``midpoints`` is None below 2N = 8.
     """
 
     def __init__(self, t: EvenTarget, table: PrimeTable,
@@ -385,11 +396,17 @@ class TargetContext:
         return census(self.t, self.table)
 
     @cached_property
-    def companions(self) -> list[CompanionRecord] | CounterexampleFound:
+    def companion_rows(self) -> list[tuple] | CounterexampleFound:
         try:
-            return companions(self.t, self.split, self.table)
+            return _companion_rows(self.t, self.split, self.table)
         except CounterexampleFound as exc:
             return exc
+
+    @property
+    def companions(self) -> list[CompanionRecord] | CounterexampleFound:
+        rows = self.companion_rows
+        return (rows if isinstance(rows, CounterexampleFound)
+                else _records(rows, self.split))
 
     @cached_property
     def pairing(self) -> PairingReport | CounterexampleFound:
@@ -433,13 +450,14 @@ def verify_s_bounds(t: EvenTarget, split: PrimeSplit) -> ClaimOutcome:
 
 
 def prime_power_exclusion(
-    t: EvenTarget, split: PrimeSplit, table: PrimeTable
+    t: EvenTarget, split: PrimeSplit, table: PrimeTable | None = None
 ) -> ClaimOutcome:
     """Pass iff no A-prime p of ``split``, which is ``split_primes(t, table)``,
     has p dividing 2N - p (no 2N = p + p**k solution).
 
     This holds by algebra: p divides 2N - p iff it divides 2N, which puts p
-    among the B-primes, so the verdict only reports the A-primes it covers.
+    among the B-primes, so the verdict only reports the A-primes it covers;
+    ``table`` is not read.
     """
     if t.two_n == 6:
         return _single(ClaimId.PRIME_POWER_EXCLUSION, 6, BOUNDARY, {"two_n": 6})
@@ -530,16 +548,12 @@ def _companion(ctx: TargetContext) -> ClaimOutcome:
     two_n = ctx.t.two_n
     if two_n == 6:
         return _single(ClaimId.COMPANION_DECOMPOSES, 6, BOUNDARY, {"two_n": 6})
-    records = ctx.companions
-    if isinstance(records, CounterexampleFound):
-        return _single(ClaimId.COMPANION_DECOMPOSES, two_n, FAIL, records.witness)
-    prime_companions = sum(1 for r in records if r.companion_is_prime)
-    return _single(
-        ClaimId.COMPANION_DECOMPOSES,
-        two_n,
-        PASS,
-        {"a_primes": len(records), "prime_companions": prime_companions},
-    )
+    rows = ctx.companion_rows
+    if isinstance(rows, CounterexampleFound):
+        return _single(ClaimId.COMPANION_DECOMPOSES, two_n, FAIL, rows.witness)
+    return _single(ClaimId.COMPANION_DECOMPOSES, two_n, PASS,
+                   {"a_primes": len(rows),
+                    "prime_companions": sum(map(itemgetter(2), rows))})
 
 
 def claim_companion_decomposes(
@@ -547,7 +561,7 @@ def claim_companion_decomposes(
 ) -> ClaimOutcome:
     """Pass iff every A-prime companion decomposes over the A-basis.
 
-    Builds the full companion records, so cost grows with the number of
+    Walks the factors of every companion, so cost grows with the number of
     A-primes; range runs use the window evaluator instead.
     """
     return _companion(TargetContext(t, table, split))
@@ -1081,7 +1095,7 @@ def _s_bound(ctx: TargetContext) -> ClaimOutcome:
 
 
 def _prime_power(ctx: TargetContext) -> ClaimOutcome:
-    return prime_power_exclusion(ctx.t, ctx.split, ctx.table)
+    return prime_power_exclusion(ctx.t, ctx.split)
 
 
 CLAIM_SPECS: dict[ClaimId, ClaimSpec] = {

@@ -156,18 +156,14 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
         },
         "census": _census_dict(ctx.census),
     }
-    recs = ctx.companions
-    if isinstance(recs, CounterexampleFound):
-        report["companions"] = {"error": str(recs), "witness": recs.witness}
+    rows = ctx.companion_rows
+    if isinstance(rows, CounterexampleFound):
+        report["companions"] = {"error": str(rows), "witness": rows.witness}
     else:
         report["companions"] = [
-            {
-                "p": r.p,
-                "companion": r.companion,
-                "companion_is_prime": r.companion_is_prime,
-                "exponents": r.exps.as_prime_dict(),
-            }
-            for r in recs
+            {"p": p, "companion": c, "companion_is_prime": is_prime,
+             "exponents": dict(facs)}
+            for p, c, is_prime, facs in rows
         ]
     pairing = ctx.pairing
     if isinstance(pairing, CounterexampleFound):
@@ -189,9 +185,7 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
                 }
                 for v in mid.values
             ],
-            "both_prime_pair": list(mid.both_prime_pair)
-            if mid.both_prime_pair
-            else None,
+            "both_prime_pair": mid.both_prime_pair and list(mid.both_prime_pair),
         }
     else:
         report["midpoints"] = None
@@ -238,16 +232,15 @@ def _companions_json(recs, depth: int) -> str:
     if not recs:
         return "[]"
     i1, i2, i3 = ("  " * (depth + k) for k in (1, 2, 3))
-    item = (f'{i1}{{\n{i2}"p": %d,\n{i2}"companion": %d,\n'
-            f'{i2}"companion_is_prime": %s,\n{i2}"exponents": %s\n{i1}}}')
-    exps_item = f"{{\n{i3}%s\n{i2}}}"
-    sep = ",\n" + i3
-    entry = '"%s": %d'.__mod__
+    sep = f',\n{i3}"'
     fields = itemgetter("p", "companion", "companion_is_prime", "exponents")
     rows = []
     for p, c, is_prime, exps in map(fields, recs):
-        body = exps_item % sep.join(map(entry, exps.items())) if exps else "{}"
-        rows.append(item % (p, c, "true" if is_prime else "false", body))
+        body = sep.join([f'{q}": {e}' for q, e in exps.items()])
+        body = f'{{\n{i3}"{body}\n{i2}}}' if exps else "{}"
+        rows.append(f'{i1}{{\n{i2}"p": {p},\n{i2}"companion": {c},\n'
+                    f'{i2}"companion_is_prime": {"true" if is_prime else "false"},\n'
+                    f'{i2}"exponents": {body}\n{i1}}}')
     return "[\n" + ",\n".join(rows) + "\n" + "  " * depth + "]"
 
 

@@ -60,10 +60,11 @@ def odd_partitions(t: EvenTarget) -> Iterator[tuple[int, int]]:
 
 
 def classify_partition(
-    a: int, b: int, t: EvenTarget, table: PrimeTable
+    a: int, b: int, t: EvenTarget, table: PrimeTable | None = None
 ) -> PartitionKind:
     """Tag one partition by the classes of its two components, read off
-    gcd(a, 2N) and gcd(b, 2N) as ``classify_odd`` reads them.
+    gcd(a, 2N) and gcd(b, 2N) as ``classify_odd`` reads them; ``table`` is
+    not read.
 
     A MIXED result is a counterexample to the same-type rule and must be
     surfaced by the caller as a claim failure, never swallowed.

@@ -351,4 +351,4 @@ def pi_upto(x: int, table: PrimeTable) -> int:
         raise UsageError(f"{x} exceeds table limit {table.limit}")
     if x < 2:
         return 0
-    return 1 + table.odd_bits[1 : (x + 1) >> 1].count(1)
+    return 1 + table.odd_bits.count(1, 1, (x + 1) >> 1)

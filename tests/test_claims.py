@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import multiprocessing
 import weakref
@@ -52,7 +53,8 @@ from goldbach_ab.claims import (
     claim_companion_decomposes,
 )
 from goldbach_ab.classify import btype_bytes, prime_window
-from goldbach_ab.partition import PartitionKind, goldbach_partitions
+from goldbach_ab.cli import build_analyze_report
+from goldbach_ab.partition import PartitionKind, classify_partition, goldbach_partitions
 from goldbach_ab.sieve import PrimeTable, pi_upto
 
 import oracles
@@ -186,6 +188,45 @@ def test_companions_match_trial_division_on_flipped_tables(table_20k, two_n, dat
     split = split_primes(t, table)
     assert (_records_or_witness(companions, t, split, table)
             == _records_or_witness(companions_td, t, split, table))
+
+
+@settings(max_examples=150, deadline=None)
+# 3 cleared, 45 marked prime: the walk lists 75 as 5^2 before its cofactor 3
+@example(two_n=120, flips=[1, 22], explicit=False)
+@given(two_n=evens, flips=st.lists(
+    st.one_of(st.integers(min_value=0, max_value=60),
+              st.integers(min_value=0, max_value=9_999)),
+    max_size=6,
+), explicit=st.booleans())
+def test_analyze_rows_match_trial_division_on_flipped_tables(table_20k, two_n, flips,
+                                                             explicit):
+    """The analyze report and the companion verdict, both read from the rows
+    of one factor walk, against records split by trial division."""
+    bits = bytearray(table_20k.odd_bits)
+    for i in flips:
+        bits[i % (two_n >> 1)] ^= 1
+    table = PrimeTable(table_20k.limit, bytes(bits),
+                       table_20k.prime_list if explicit else None)
+    t = EvenTarget(two_n)
+    split = split_primes(t, table)
+    try:
+        records = companions_td(t, split, table)
+    except CounterexampleFound as exc:
+        want = {"error": str(exc), "witness": exc.witness}
+        verdict = ("fail", exc.witness)
+    else:
+        want = [{"p": r.p, "companion": r.companion,
+                 "companion_is_prime": r.companion_is_prime,
+                 "exponents": r.exps.as_prime_dict()} for r in records]
+        verdict = ("pass", {"a_primes": len(records), "prime_companions":
+                            sum(r.companion_is_prime for r in records)})
+    if two_n == 6:
+        verdict = ("boundary", {"two_n": 6})
+    got = build_analyze_report(t, table)["companions"]
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # exponents in the same order
+    out = claim_companion_decomposes(t, split, table)
+    assert (out.status, out.payload) == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +392,17 @@ def test_prime_power_exclusion_examples(table_1k):
     ).status == "boundary"
     # 12 - 5 = 7 is not a power of 5: implied by the A-prime loop passing
     assert (12 - 5) % 5 != 0
+
+
+def test_unread_table_arguments_may_be_left_out(table_1k):
+    for two_n in (6, 10, 12, 30, 998):
+        t = EvenTarget(two_n)
+        split = _split(two_n, table_1k)
+        assert prime_power_exclusion(t, split) == prime_power_exclusion(
+            t, split, table_1k)
+        for a in range(3, two_n // 2 + 1, 2):
+            assert classify_partition(a, two_n - a, t) is classify_partition(
+                a, two_n - a, t, table_1k)
 
 
 def test_same_type_lemma_examples(table_1k, table_100k):

@@ -13,6 +13,7 @@ from goldbach_ab import (
     split_primes,
 )
 from goldbach_ab.claims import ALL_CLAIMS, ClaimOutcome
+from goldbach_ab import claims as claims_mod
 from goldbach_ab import cli
 from goldbach_ab.cli import COMET_HEADER, build_analyze_report, main, parse_claims
 from goldbach_ab.sieve import PrimeTable
@@ -102,6 +103,26 @@ def test_analyze_json_is_the_indented_dump(capsys, two_n):
         assert report["midpoints"] is None
         assert report["companions"] == report["prime_split"]["a_primes"] == []
         assert report["pairing"] == {"pairs": [], "unpaired": []}
+
+
+def test_analyze_builds_no_companion_records(monkeypatch, capsys):
+    """The report and the verdicts read the rows of the factor walk; only
+    ``companions()`` turns them into records."""
+    built = []
+    real = claims_mod.CompanionRecord
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(claims_mod, "CompanionRecord", counted)
+    code, out, _ = run_main(["analyze", "30030"], capsys)
+    assert code == 0 and out
+    assert built == []
+    t = EvenTarget(30030)
+    table = build_table(30031)
+    split = split_primes(t, table)
+    assert len(claims_mod.companions(t, split, table)) == split.s == len(built)
 
 
 @pytest.mark.parametrize("two_n", [6, 8, 2310, 30030])
