@@ -1208,11 +1208,12 @@ def range_verify(
     target as the counterexample when a claim fails.  Output is independent
     of the worker count.
     """
+    given = table is not None
     table = _range_table(lo, hi, workers, chunk_evens, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     kernels = tuple(CLAIM_SPECS[c].kernel for c in selected)
-    first_false = None
-    if ClaimId.COMPANION_DECOMPOSES in selected:
+    first_false = math.inf  # a table sieved here is the fresh sieve itself
+    if given and ClaimId.COMPANION_DECOMPOSES in selected:
         first_false = _first_false_prime(table, hi)
     jobs = [(kernels, *chunk, first_false, None)
             for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]

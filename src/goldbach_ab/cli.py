@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .claims import (
@@ -29,10 +28,9 @@ from .claims import (
 from .classify import EvenTarget, factorize_even, prime_window
 from .errors import CounterexampleFound, UsageError
 from .partition import goldbach_pairs_from_window, partition_total
-from .sieve import DEFAULT_SEGMENT_SIZE, build_table
+from .sieve import build_table
 
 ENV_WORKERS = "GOLDBACH_AB_WORKERS"
-ENV_SEGMENT_SIZE = "GOLDBACH_AB_SEGMENT_SIZE"
 
 COMET_HEADER = "two_n,r,s,a_count,b_count"
 
@@ -42,20 +40,6 @@ _CLAIM_TOKENS = {
     for cid, spec in CLAIM_SPECS.items()
     for token in (cid.value.replace("_", ""), *spec.aliases)
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, target range, selection and output."""
-
-    command: str
-    lo: int
-    hi: int
-    claims: tuple[ClaimId, ...]
-    workers: int
-    segment_size: int
-    fmt: str
-    out: str | None
 
 
 def parse_claims(text: str) -> tuple[ClaimId, ...]:
@@ -78,16 +62,6 @@ def parse_claims(text: str) -> tuple[ClaimId, ...]:
     return tuple(c for c in ALL_CLAIMS if c in picked)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _resolve_range(positional: list[int], range_flag: str | None) -> tuple[int, int]:
     if positional and range_flag:
         raise UsageError("give either positional LO HI or --range, not both")
@@ -102,6 +76,19 @@ def _resolve_range(positional: list[int], range_flag: str | None) -> tuple[int, 
     if len(positional) == 2:
         return positional[0], positional[1]
     raise UsageError("a range is required: positional LO HI or --range LO..HI")
+
+
+def _range_args(args: argparse.Namespace) -> tuple[int, int, int]:
+    """(lo, hi, workers) of a verify or comet run; workers come from
+    --workers, else from GOLDBACH_AB_WORKERS, else 1."""
+    workers = args.workers
+    if workers is None:
+        raw = os.environ.get(ENV_WORKERS, "1")
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise UsageError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from exc
+    return (*_resolve_range(args.bounds, args.range_flag), workers)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -275,35 +262,34 @@ def _report_json(doc: dict, arrays: dict) -> str:
     return _MARKER.sub(lambda m: texts[int(m[1])], text) + "\n"
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    t = EvenTarget(cfg.lo)
-    table = build_table(t.two_n + 1, cfg.segment_size)
-    report = build_analyze_report(t, table)
-    if cfg.fmt == "csv":
-        _emit(_flat_csv(report), cfg.out)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    t = EvenTarget(args.two_n)
+    report = build_analyze_report(t, build_table(t.two_n + 1))
+    if args.format == "csv":
+        _emit(_flat_csv(report), args.out)
     else:
-        _emit(_report_json(report, _ANALYZE_ARRAYS), cfg.out)
+        _emit(_report_json(report, _ANALYZE_ARRAYS), args.out)
     failed = any(o["status"] == "fail" for o in report["claims"])
     return 1 if failed else 0
 
 
-def cmd_census(cfg: RunConfig) -> int:
+def cmd_census(args: argparse.Namespace) -> int:
     """A census CSV row is the comet row of 2N; JSON takes its counts from the
     same row and adds the Goldbach pairs."""
-    t = EvenTarget(cfg.lo)
-    table = build_table(t.two_n + 1, cfg.segment_size)
+    t = EvenTarget(args.two_n)
+    table = build_table(t.two_n + 1)
     (row,) = comet_rows(t.two_n, t.two_n, table=table)
     _, r, s, a_count, b_count = row
     total = partition_total(t.two_n)
     mixed = total - a_count - b_count
-    if cfg.fmt == "csv":
-        _emit(comet_csv([row]), cfg.out)
+    if args.format == "csv":
+        _emit(comet_csv([row]), args.out)
     else:
         pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
         report = {"two_n": t.two_n, "s": s, "total": total, "a_count": a_count,
                   "b_count": b_count, "mixed_count": mixed, "goldbach_count": r,
                   "goldbach_pairs": list(pairs)}
-        _emit(_report_json(report, _CENSUS_ARRAYS), cfg.out)
+        _emit(_report_json(report, _CENSUS_ARRAYS), args.out)
     return 1 if mixed else 0
 
 
@@ -328,29 +314,30 @@ def _outcome_line(o: ClaimOutcome) -> str:
     return "; ".join(bits)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    table = build_table(cfg.hi + 1, cfg.segment_size)
-    run_set = tuple(c for c in ALL_CLAIMS if c in {*cfg.claims, ClaimId.S_BOUND})
-    outcomes = range_verify(
-        cfg.lo, cfg.hi, claims=run_set, workers=cfg.workers, table=table
-    )
+def cmd_verify(args: argparse.Namespace) -> int:
+    lo, hi, workers = _range_args(args)
+    if args.claims and args.all:
+        raise UsageError("give either --claims or --all, not both")
+    claims = parse_claims(args.claims) if args.claims else ALL_CLAIMS
+    run_set = tuple(c for c in ALL_CLAIMS if c in {*claims, ClaimId.S_BOUND})
+    outcomes = range_verify(lo, hi, claims=run_set, workers=workers)
     by_id = {o.claim_id: o for o in outcomes}
-    selected = [by_id[c] for c in cfg.claims]
+    selected = [by_id[c] for c in claims]
     exit_code = 0 if all(o.ok for o in selected) else 1
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
-            "lo": cfg.lo,
-            "hi": cfg.hi,
-            "workers": cfg.workers,
+            "lo": lo,
+            "hi": hi,
+            "workers": workers,
             "outcomes": [o.as_dict() for o in selected],
             "s_stats": {
                 k: by_id[ClaimId.S_BOUND].payload.get(k) for k in ("min_s", "max_s")
             },
             "exit_code": exit_code,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return exit_code
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim", "status", "evens_checked", "payload"])
@@ -363,9 +350,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                     json.dumps(o.payload, separators=(",", ":")),
                 ]
             )
-        _emit(buf.getvalue(), cfg.out)
+        _emit(buf.getvalue(), args.out)
         return exit_code
-    lines = [f"verify [{cfg.lo}, {cfg.hi}] with {cfg.workers} worker(s)"]
+    lines = [f"verify [{lo}, {hi}] with {workers} worker(s)"]
     lines += [_outcome_line(o) for o in selected]
     sp = by_id[ClaimId.S_BOUND].payload
     passed = sum(1 for o in selected if o.ok)
@@ -376,7 +363,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"; max s={sp['max_s']['s']} at 2N={sp['max_s']['two_n']}"
         )
     lines.append(summary)
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return exit_code
 
 
@@ -386,17 +373,17 @@ def comet_csv(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_comet(cfg: RunConfig) -> int:
-    table = build_table(cfg.hi + 1, cfg.segment_size)
-    rows = comet_rows(cfg.lo, cfg.hi, workers=cfg.workers, table=table)
-    if cfg.fmt == "json":
+def cmd_comet(args: argparse.Namespace) -> int:
+    lo, hi, workers = _range_args(args)
+    rows = comet_rows(lo, hi, workers=workers)
+    if args.format == "json":
         doc = [
             {"two_n": t, "r": r, "s": s, "a_count": a, "b_count": b}
             for t, r, s, a, b in rows
         ]
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        _emit(comet_csv(rows), cfg.out)
+        _emit(comet_csv(rows), args.out)
     return 0
 
 
@@ -412,87 +399,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "numbers by coprimality type.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_workers: bool):
-        p.add_argument("--segment-size", type=int, default=None,
-                       help="sieve segment width (odd numbers per segment)")
-        p.add_argument("--out", default=None, help="write output to this path")
-        if with_workers:
+    commands = (
+        ("analyze", cmd_analyze, "full structural report for one 2N", ("json", "csv")),
+        ("census", cmd_census, "partition census for one 2N", ("json", "csv")),
+        ("verify", cmd_verify, "verify claims over an even range",
+         ("text", "json", "csv")),
+        ("comet", cmd_comet, "export two_n,r,s,a_count,b_count rows", ("csv", "json")),
+    )
+    for name, run, help_text, formats in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        if name in ("analyze", "census"):
+            p.add_argument("two_n", type=int)
+        else:
+            p.add_argument("bounds", type=int, nargs="*", metavar="LO HI")
+            p.add_argument("--range", dest="range_flag", default=None,
+                           metavar="LO..HI")
             p.add_argument("--workers", type=int, default=None,
-                           help="parallel workers for the range run")
-
-    p_an = sub.add_parser("analyze", help="full structural report for one 2N")
-    p_an.add_argument("two_n", type=int)
-    p_an.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p_an, with_workers=False)
-
-    p_ce = sub.add_parser("census", help="partition census for one 2N")
-    p_ce.add_argument("two_n", type=int)
-    p_ce.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p_ce, with_workers=False)
-
-    p_ve = sub.add_parser("verify", help="verify claims over an even range")
-    p_ve.add_argument("bounds", type=int, nargs="*", metavar="LO HI")
-    p_ve.add_argument("--range", dest="range_flag", default=None,
-                      metavar="LO..HI")
-    p_ve.add_argument("--claims", default=None,
-                      help="comma-separated claim names, or 'all'")
-    p_ve.add_argument("--all", action="store_true", help="run every claim")
-    p_ve.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    add_common(p_ve, with_workers=True)
-
-    p_co = sub.add_parser("comet", help="export two_n,r,s,a_count,b_count rows")
-    p_co.add_argument("bounds", type=int, nargs="*", metavar="LO HI")
-    p_co.add_argument("--range", dest="range_flag", default=None,
-                      metavar="LO..HI")
-    p_co.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p_co, with_workers=True)
-
+                           help=f"parallel workers for the range run "
+                           f"(default: ${ENV_WORKERS}, else 1)")
+        if name == "verify":
+            p.add_argument("--claims", default=None,
+                           help="comma-separated claim names, or 'all'")
+            p.add_argument("--all", action="store_true", help="run every claim")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", default=None, help="write output to this path")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = _env_int(ENV_WORKERS, 1)
-    segment = args.segment_size
-    if segment is None:
-        segment = _env_int(ENV_SEGMENT_SIZE, DEFAULT_SEGMENT_SIZE)
-    if args.command in ("analyze", "census"):
-        lo = hi = args.two_n
-        claims = ALL_CLAIMS
-    else:
-        lo, hi = _resolve_range(args.bounds, args.range_flag)
-        if args.command == "verify":
-            if args.claims and args.all:
-                raise UsageError("give either --claims or --all, not both")
-            claims = parse_claims(args.claims) if args.claims else ALL_CLAIMS
-        else:
-            claims = ALL_CLAIMS
-    return RunConfig(
-        command=args.command,
-        lo=lo,
-        hi=hi,
-        claims=claims,
-        workers=workers,
-        segment_size=segment,
-        fmt=args.format,
-        out=args.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "census":
-            return cmd_census(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_comet(cfg)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -882,6 +882,26 @@ def test_first_false_prime_is_the_smallest_marked_composite(table_20k):
     assert _first_false_prime(table, 30) == 27
 
 
+def test_comparison_sieve_runs_only_for_a_callers_table(monkeypatch, table_20k):
+    """A run that sieves its own table has nothing to compare it against; a
+    caller's table is compared against one fresh sieve."""
+    calls = []
+    real = claims_mod.build_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(claims_mod, "build_table", counted)
+    claims = (ClaimId.COMPANION_DECOMPOSES,)
+    own = range_verify(8, 20_000, claims=claims)
+    assert calls == [(20_001,)]
+    calls.clear()
+    given = range_verify(8, 20_000, claims=claims, table=table_20k)
+    assert calls == [(20_000,)]
+    assert [o.as_dict() for o in own] == [o.as_dict() for o in given]
+
+
 def test_doctored_partner_cases_reach_every_failure_branch():
     got = set()
     for clear, mark in _DOCTORED_PARTNERS.values():

@@ -156,7 +156,7 @@ def test_report_json_matches_dumps_on_edge_shapes():
 def _doctored_build(clear=(), mark=()):
     """build_table with the odds in ``clear`` marked composite and those in
     ``mark`` marked prime."""
-    def build(limit, segment_size):
+    def build(limit, segment_size=1 << 18):
         bits = bytearray(build_table(limit, segment_size).odd_bits)
         for m in clear:
             bits[m >> 1] = 0
@@ -273,6 +273,50 @@ def test_verify_usage_errors(capsys):
     assert run_main(["verify", "8"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "8", "2000001"],
+    ["verify", "8", "-4"],
+    ["comet", "2000000", "8"],
+    ["verify", "8", "100", "--workers", "0"],
+], ids="-".join)
+def test_usage_errors_come_before_any_sieve(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"build_table{args} ran on a usage error")
+
+    monkeypatch.setattr(cli, "build_table", refuse)
+    monkeypatch.setattr(claims_mod, "build_table", refuse)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "8", "100", "--claims", "sbound", "--all"], "not both"),
+    (["verify", "--range", "8-40"], "--range expects LO..HI"),
+    (["comet", "--range", "a..b"], "--range expects integers"),
+])
+def test_cli_usage_errors_through_main(capsys, argv, message):
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_workers_env_is_read_by_range_commands_only(monkeypatch, capsys):
+    monkeypatch.setenv("GOLDBACH_AB_WORKERS", "oops")
+    for argv in (["verify", "8", "20"], ["comet", "8", "20"]):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert "GOLDBACH_AB_WORKERS must be an integer, got 'oops'" in err
+    for argv in (["analyze", "20"], ["census", "20"], ["comet", "8", "20",
+                                                       "--workers", "1"]):
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0, argv
+        assert out
+
+
 def test_verify_counterexample_exit_code(capsys, monkeypatch):
     fake = [
         ClaimOutcome(
@@ -336,21 +380,22 @@ def test_parse_claims_aliases():
             parse_claims(token)
 
 
-def test_workers_env_override(monkeypatch):
+def test_workers_env_override(monkeypatch, capsys):
+    seen = []
+
+    def record(lo, hi, workers=1, **kwargs):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "comet_rows", record)
     monkeypatch.setenv("GOLDBACH_AB_WORKERS", "3")
-    args = cli._build_parser().parse_args(["comet", "8", "20"])
-    cfg = cli._config_from_args(args)
-    assert cfg.workers == 3
+    assert run_main(["comet", "8", "20"], capsys)[0] == 0
+    assert seen == [3]
     monkeypatch.setenv("GOLDBACH_AB_WORKERS", "oops")
-    with pytest.raises(UsageError):
-        cli._config_from_args(args)
-
-
-def test_segment_size_env_override(monkeypatch):
-    monkeypatch.setenv("GOLDBACH_AB_SEGMENT_SIZE", "4096")
-    args = cli._build_parser().parse_args(["census", "20"])
-    cfg = cli._config_from_args(args)
-    assert cfg.segment_size == 4096
+    code, _, err = run_main(["comet", "8", "20"], capsys)
+    assert code == 2
+    assert "GOLDBACH_AB_WORKERS" in err
+    assert seen == [3]
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -79,6 +79,7 @@ def test_no_library_route_builds_the_prime_tuple(table_20k):
 def test_cli_routes_do_not_build_the_prime_tuple(monkeypatch, argv):
     want = _run(argv)
     monkeypatch.setattr(cli, "build_table", _no_list_table)
+    monkeypatch.setattr(claims_mod, "build_table", _no_list_table)
     assert _run(argv) == want
 
 
