@@ -49,7 +49,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import and_, floordiv, itemgetter, not_, rshift, sub
 
 from .classify import (
@@ -206,8 +206,9 @@ def _smallest_factors(top: int, primes) -> list[int]:
 
 
 def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list[tuple]:
-    """Row (p, 2N - p, companion marked prime, sorted [(q, e), ...]) for every
-    A-prime p of ``split``, which is ``split_primes(t, table)``.
+    """Flat row (p, 2N - p, companion marked prime, q1, e1, q2, e2, ...), the
+    companion's factors ascending, for every A-prime p of ``split``, which is
+    ``split_primes(t, table)``.
 
     The companions are split by walking one smallest-factor sieve over the
     table's small primes, the primes ``factorize`` trial-divides by: a
@@ -242,14 +243,15 @@ def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list
                 raise CounterexampleFound(
                     f"companion {c} of A-prime {p} is not A-type",
                     {"two_n": two_n, "p": p, "companion": c, "shared_prime": q})
-        rows.append((p, c, bool(bits[c >> 1]), facs))
+        rows.append((p, c, bool(bits[c >> 1]), *chain.from_iterable(facs)))
     return rows
 
 
 def _records(rows, split: PrimeSplit) -> list[CompanionRecord]:
     index = {p: i for i, p in enumerate(split.a_primes)}
     return [CompanionRecord(p, c, is_prime, ExponentVector(split.a_primes, tuple(
-        [(index[q], e) for q, e in facs]))) for p, c, is_prime, facs in rows]
+        [(index[q], e) for q, e in zip(facs[::2], facs[1::2])])))
+        for p, c, is_prime, *facs in rows]
 
 
 def companions(

@@ -13,7 +13,9 @@ import json
 import os
 import re
 import sys
-from operator import itemgetter
+from contextlib import nullcontext
+from functools import cache
+from itertools import chain
 
 from .claims import (
     ALL_CLAIMS,
@@ -91,12 +93,12 @@ def _range_args(args: argparse.Namespace) -> tuple[int, int, int]:
     return (*_resolve_range(args.bounds, args.range_flag), workers)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _emit(pieces, out: str | None) -> None:
+    """Write each str of ``pieces``, in order, to ``out`` or to stdout."""
+    sink = nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+    with sink as fh:
+        for piece in pieces:
+            fh.write(piece)
 
 
 def _flat_csv(report: dict) -> str:
@@ -123,9 +125,10 @@ def _flat_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_analyze_report(t: EvenTarget, table) -> dict:
-    """The analyze report of 2N; every per-target object is built once, in
-    one TargetContext that the claim verdicts read too."""
+def _analyze_doc(t: EvenTarget, table) -> dict:
+    """The analyze report of 2N with its companions left as the flat rows of
+    the factor walk; every per-target object is built once, in one
+    TargetContext that the claim verdicts read too."""
     ctx = TargetContext(t, table)
     fac = factorize_even(t, table)
     split = ctx.split
@@ -147,11 +150,7 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
     if isinstance(rows, CounterexampleFound):
         report["companions"] = {"error": str(rows), "witness": rows.witness}
     else:
-        report["companions"] = [
-            {"p": p, "companion": c, "companion_is_prime": is_prime,
-             "exponents": dict(facs)}
-            for p, c, is_prime, facs in rows
-        ]
+        report["companions"] = rows
     pairing = ctx.pairing
     if isinstance(pairing, CounterexampleFound):
         report["pairing"] = {"error": str(pairing), "witness": pairing.witness}
@@ -180,6 +179,20 @@ def build_analyze_report(t: EvenTarget, table) -> dict:
     return report
 
 
+def build_analyze_report(t: EvenTarget, table) -> dict:
+    """The analyze report of 2N, one object per companion; analyze writes
+    the same document as JSON straight from the rows."""
+    report = _analyze_doc(t, table)
+    rows = report["companions"]
+    if isinstance(rows, list):
+        report["companions"] = [
+            {"p": p, "companion": c, "companion_is_prime": is_prime,
+             "exponents": dict(zip(facs[::2], facs[1::2]))}
+            for p, c, is_prime, *facs in rows
+        ]
+    return report
+
+
 def _census_dict(cen) -> dict:
     return {
         "total": cen.total,
@@ -191,83 +204,112 @@ def _census_dict(cen) -> dict:
     }
 
 
-# json.dumps with indent runs the pure-Python encoder, element by element.
-# The long arrays of a report are written here instead, one join or one
-# %-template per element, and spliced into the dumped skeleton where a
-# marker string stands; the bytes are those of json.dumps(doc, indent=2).
+# json.dumps with indent runs the pure-Python encoder, element by element,
+# and returns the whole document as one string.  The long arrays of a
+# document are written here instead, one join or one %-template per element
+# and one piece per batch of elements, between the pieces of the dumped
+# skeleton that marker strings split; the pieces join to the bytes of
+# json.dumps(doc, indent=2).
 
 _MARKER = re.compile(r'"\\u0000(\d+)"')  # json.dumps of "\0<i>"
+_BATCH = 512  # array elements per piece
 
 
-def _ints_json(xs, depth: int) -> str:
-    if not xs:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(map(str, xs)) + "\n" + "  " * depth + "]"
+def _array(items, depth: int, render):
+    """Pieces of the list ``items`` nested ``depth`` deep in an indented dump;
+    ``render(batch, pad)`` joins a batch's elements, each indented by ``pad``,
+    with ",\n"."""
+    if not items:
+        yield "[]"
+        return
+    pad = "  " * (depth + 1)
+    sep = "[\n"
+    for i in range(0, len(items), _BATCH):
+        yield sep + render(items[i:i + _BATCH], pad)
+        sep = ",\n"
+    yield "\n" + "  " * depth + "]"
 
 
-def _pairs_json(pairs, depth: int) -> str:
-    if not pairs:
-        return "[]"
-    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
-    item = f"{outer}[\n{inner}%d,\n{inner}%d\n{outer}]"
-    rows = ",\n".join([item % (p, q) for p, q in pairs])
-    return "[\n" + rows + "\n" + "  " * depth + "]"
+def _ints(xs, pad: str) -> str:
+    return pad + (",\n" + pad).join(map(str, xs))
 
 
-def _companions_json(recs, depth: int) -> str:
-    if not recs:
-        return "[]"
-    i1, i2, i3 = ("  " * (depth + k) for k in (1, 2, 3))
-    sep = f',\n{i3}"'
-    fields = itemgetter("p", "companion", "companion_is_prime", "exponents")
-    rows = []
-    for p, c, is_prime, exps in map(fields, recs):
-        body = sep.join([f'{q}": {e}' for q, e in exps.items()])
-        body = f'{{\n{i3}"{body}\n{i2}}}' if exps else "{}"
-        rows.append(f'{i1}{{\n{i2}"p": {p},\n{i2}"companion": {c},\n'
-                    f'{i2}"companion_is_prime": {"true" if is_prime else "false"},\n'
-                    f'{i2}"exponents": {body}\n{i1}}}')
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * depth + "]"
+def _pairs(pairs, pad: str) -> str:
+    inner = pad + "  "
+    item = f"{pad}[\n{inner}%d,\n{inner}%d\n{pad}]"
+    return ",\n".join([item % (p, q) for p, q in pairs])
+
+
+@cache  # few keys: one pad per depth, two flags per factor count
+def _companion_template(pad: str, width: int, is_prime: bool) -> str:
+    """%-template of a flat companion row (p, c, is_prime, q1, e1, ...) of
+    ``width`` items; the flag picks the template, so %.0s consumes it."""
+    i2, i3 = pad + "  ", pad + "    "
+    exps = ",\n".join([f'{i3}"%d": %d'] * ((width - 3) // 2))
+    exps = f"{{\n{exps}\n{i2}}}" if exps else "{}"
+    return (f'{pad}{{\n{i2}"p": %d,\n{i2}"companion": %d,\n'
+            f'{i2}"companion_is_prime": {"true" if is_prime else "false"}%.0s,\n'
+            f'{i2}"exponents": {exps}\n{pad}}}')
+
+
+def _companions(rows, pad: str) -> str:
+    return ",\n".join([_companion_template(pad, len(r), r[2]) % r for r in rows])
+
+
+def _comet_objects(rows, pad: str) -> str:
+    fields = ",\n".join([f'{pad}  "{k}": %d' for k in COMET_HEADER.split(",")])
+    item = f"{pad}{{\n{fields}\n{pad}}}"
+    return ",\n".join([item % row for row in rows])
 
 
 _ANALYZE_ARRAYS = {
-    ("prime_split", "a_primes"): _ints_json,
-    ("prime_split", "b_primes"): _ints_json,
-    ("census", "goldbach_pairs"): _pairs_json,
-    ("companions",): _companions_json,
-    ("pairing", "pairs"): _pairs_json,
-    ("pairing", "unpaired"): _ints_json,
+    ("prime_split", "a_primes"): _ints,
+    ("prime_split", "b_primes"): _ints,
+    ("census", "goldbach_pairs"): _pairs,
+    ("companions",): _companions,
+    ("pairing", "pairs"): _pairs,
+    ("pairing", "unpaired"): _ints,
+    ("claims", ALL_CLAIMS.index(ClaimId.PAIRING_NON_EMPTY), "payload", "pairs"): _pairs,
 }
 
-_CENSUS_ARRAYS = {("goldbach_pairs",): _pairs_json}
+_CENSUS_ARRAYS = {("goldbach_pairs",): _pairs}
 
 
-def _report_json(doc: dict, arrays: dict) -> str:
-    """json.dumps(doc, indent=2) + newline, with the list at each path of
-    ``arrays`` written by its renderer; ``doc`` is left as it is."""
+def _report_json(doc: dict, arrays: dict):
+    """Pieces of json.dumps(doc, indent=2) + newline, with the list at each
+    path of ``arrays`` (dict keys and list indices) written by ``_array`` and
+    its renderer; ``doc`` is left as it is."""
     skeleton = dict(doc)
-    texts = []
+    lists = []
     for path, render in arrays.items():
         *parents, key = path
         node = skeleton
-        for k in parents:  # copy the dicts on the path, not the caller's
-            child = dict(node[k])
-            node[k] = child
-            node = child
-        if isinstance(node.get(key), list):  # not an {"error", "witness"}
-            texts.append(render(node[key], len(path)))
-            node[key] = f"\0{len(texts) - 1}"
-    text = json.dumps(skeleton, indent=2)
-    return _MARKER.sub(lambda m: texts[int(m[1])], text) + "\n"
+        try:
+            for k in parents:  # copy the containers on the path, not the caller's
+                child = node[k].copy()
+                node[k] = child
+                node = child
+            items = node[key]
+        except LookupError:  # no such path, as in the witness of a failed claim
+            continue
+        if isinstance(items, list):  # not an {"error", "witness"}
+            node[key] = f"\0{len(lists)}"
+            lists.append((items, len(path), render))
+    parts = _MARKER.split(json.dumps(skeleton, indent=2) + "\n")
+    yield parts[0]
+    for i, tail in zip(parts[1::2], parts[2::2]):
+        yield from _array(*lists[int(i)])
+        yield tail
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     t = EvenTarget(args.two_n)
-    report = build_analyze_report(t, build_table(t.two_n + 1))
+    table = build_table(t.two_n + 1)
     if args.format == "csv":
-        _emit(_flat_csv(report), args.out)
+        report = build_analyze_report(t, table)
+        _emit([_flat_csv(report)], args.out)
     else:
+        report = _analyze_doc(t, table)
         _emit(_report_json(report, _ANALYZE_ARRAYS), args.out)
     failed = any(o["status"] == "fail" for o in report["claims"])
     return 1 if failed else 0
@@ -335,7 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             },
             "exit_code": exit_code,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit([json.dumps(doc, indent=2) + "\n"], args.out)
         return exit_code
     if args.format == "csv":
         buf = io.StringIO()
@@ -350,7 +392,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     json.dumps(o.payload, separators=(",", ":")),
                 ]
             )
-        _emit(buf.getvalue(), args.out)
+        _emit([buf.getvalue()], args.out)
         return exit_code
     lines = [f"verify [{lo}, {hi}] with {workers} worker(s)"]
     lines += [_outcome_line(o) for o in selected]
@@ -363,25 +405,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"; max s={sp['max_s']['s']} at 2N={sp['max_s']['two_n']}"
         )
     lines.append(summary)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return exit_code
 
 
-def comet_csv(rows) -> str:
-    out = [COMET_HEADER]
-    out.extend(f"{t},{r},{s},{a},{b}" for t, r, s, a, b in rows)
-    return "\n".join(out) + "\n"
+def comet_csv(rows):
+    """Pieces of the comet CSV of ``rows``: the header, then one piece per
+    batch of lines."""
+    yield COMET_HEADER + "\n"
+    for i in range(0, len(rows), _BATCH):
+        batch = rows[i:i + _BATCH]
+        yield "".join([f"{t},{r},{s},{a},{b}\n" for t, r, s, a, b in batch])
 
 
 def cmd_comet(args: argparse.Namespace) -> int:
     lo, hi, workers = _range_args(args)
     rows = comet_rows(lo, hi, workers=workers)
     if args.format == "json":
-        doc = [
-            {"two_n": t, "r": r, "s": s, "a_count": a, "b_count": b}
-            for t, r, s, a, b in rows
-        ]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(chain(_array(rows, 0, _comet_objects), ["\n"]), args.out)
     else:
         _emit(comet_csv(rows), args.out)
     return 0

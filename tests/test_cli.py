@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,7 +94,8 @@ def test_analyze_csv_flat_format(capsys):
     assert any(line.startswith("prime_split.s,") for line in lines)
 
 
-@pytest.mark.parametrize("two_n", [6, 8, 10, 20, 2310, 4620, 6930, 9240, 30030])
+@pytest.mark.parametrize("two_n", [6, 8, 10, 20, 2310, 4620, 6930, 9240, 30030,
+                                   88934, 99998])
 def test_analyze_json_is_the_indented_dump(capsys, two_n):
     code, out, _ = run_main(["analyze", str(two_n)], capsys)
     assert code == 0
@@ -150,7 +152,86 @@ def test_report_json_matches_dumps_on_edge_shapes():
         "pairing": {"error": 'a "quoted" \u0000 message', "witness": {"p": 3}},
     }
     want = json.dumps(doc, indent=2) + "\n"
-    assert cli._report_json(doc, cli._ANALYZE_ARRAYS) == want
+    rows = dict(doc, companions=[(3, 7, True), (5, 45, False, 3, 2, 5, 1)])
+    assert "".join(cli._report_json(rows, cli._ANALYZE_ARRAYS)) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lo, hi", [(6, 6), (10, 12), (8, 2000)])
+def test_comet_json_is_the_indented_dump(capsys, lo, hi, workers):
+    code, out, _ = run_main(["comet", str(lo), str(hi), "--format", "json",
+                             "--workers", str(workers)], capsys)
+    assert code == 0
+    rows = claims_mod.comet_rows(lo, hi)
+    doc = [dict(zip(COMET_HEADER.split(","), row)) for row in rows]
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+class _WriteSink:
+    """Stand-in for sys.stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def _streamed(monkeypatch, argv):
+    sink = _WriteSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return sink.writes
+
+
+def test_documents_are_written_in_bounded_pieces(monkeypatch):
+    """analyze, census and comet write their documents piece by piece: no
+    write holds the whole document, and the pieces join to the dump."""
+    limit = 256 * 1024
+    writes = _streamed(monkeypatch, ["analyze", "88934"])
+    text = "".join(writes)
+    report = build_analyze_report(EvenTarget(88934), build_table(88935))
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert len(text) > 1_600_000 and max(map(len, writes)) <= limit
+
+    writes = _streamed(monkeypatch, ["census", "1004662", "--format", "json"])
+    t = EvenTarget(1004662)
+    table = build_table(1004663)
+    cen = census(t, table)
+    doc = {"two_n": t.two_n, "s": split_primes(t, table).s, "total": cen.total,
+           "a_count": cen.a_count, "b_count": cen.b_count,
+           "mixed_count": cen.mixed_count, "goldbach_count": cen.goldbach_count,
+           "goldbach_pairs": [list(p) for p in cen.goldbach_pairs]}
+    assert "".join(writes) == json.dumps(doc, indent=2) + "\n"
+    assert len(writes) > 1 and max(map(len, writes)) <= limit
+
+    writes = _streamed(monkeypatch, ["comet", "8", "20000"])
+    assert len(writes) > 1 and max(map(len, writes)) <= limit
+
+
+def test_analyze_dumps_no_long_array(monkeypatch, capsys):
+    """Every long array of the analyze document, the pairing verdict's pairs
+    included, is rendered by a template, not by json.dumps."""
+    dumped = []
+
+    def dumps(doc, **kwargs):
+        dumped.append(doc)
+        return json.dumps(doc, **kwargs)
+
+    def longest(node):
+        if isinstance(node, dict):
+            return max(map(longest, node.values()), default=0)
+        if isinstance(node, (list, tuple)):
+            return max(len(node), *map(longest, node))
+        return 0
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+    code, out, _ = run_main(["analyze", "88934"], capsys)
+    assert code == 0 and len(dumped) == 1
+    assert longest(dumped[0]) == len(ALL_CLAIMS)
+    assert len(json.loads(out)["claims"][5]["payload"]["pairs"]) == 557
 
 
 def _doctored_build(clear=(), mark=()):
