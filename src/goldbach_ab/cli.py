@@ -433,7 +433,9 @@ def cmd_comet(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="goldbach-ab",
         description="Classify, census and verify Goldbach partitions of even "

@@ -46,6 +46,7 @@ from goldbach_ab.claims import (
     _first_false_prime,
     _odd_factor_lists,
     _pair_count_digits,
+    _window_rs,
     TargetContext,
     claim_goldbach_witness,
     claim_midpoint_outcomes,
@@ -943,18 +944,19 @@ class _InProcessPool:
         return [fn(item) for item in items]
 
 
-def test_pool_is_capped_at_the_chunk_count(table_20k, monkeypatch):
+def test_pool_gives_each_worker_two_chunks(table_20k, monkeypatch):
     base = [o.as_dict() for o in range_verify(8, 20_000, table=table_20k)]
     rows = comet_rows(8, 2_000, table=table_20k, chunk_evens=300)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(claims_mod, "multiprocessing",
                         SimpleNamespace(Pool=_InProcessPool))
-    # 2 chunks at the default chunk size, 4 at 300 evens
+    # min(workers, chunks // 2) processes: none for the 2 chunks at the
+    # default chunk size, 2 for the 4 chunks at 300 evens
     outs = range_verify(8, 20_000, workers=64, table=table_20k)
     assert [o.as_dict() for o in outs] == base
     assert comet_rows(8, 2_000, workers=64, table=table_20k, chunk_evens=300) == rows
     assert comet_rows(8, 2_000, workers=3, table=table_20k, chunk_evens=300) == rows
-    assert _InProcessPool.sizes == [2, 4, 3]
+    assert _InProcessPool.sizes == [2, 2]
 
 
 def test_range_verify_usage_errors(table_1k):
@@ -1312,3 +1314,17 @@ def test_pair_count_digits_give_r_on_flipped_tables(table_20k, hi, data):
         want = sum(1 for a in range(3, n + 1, 2)
                    if bits[a >> 1] and bits[(two_n - a) >> 1])
         assert (c + (n % 2 and bits[n >> 1])) // 2 == want, two_n
+        assert _window_rs(two_n, two_n, bytes(bits)) == [want], two_n
+
+
+def test_one_target_window_rs_is_r_on_every_target(table_20k):
+    bits = table_20k.odd_bits
+    odd_primes = [2 * i + 1 for i in range(1, 10_000) if bits[i]]
+    r = [0] * 20_001
+    for j, p in enumerate(odd_primes):
+        for q in odd_primes[j:]:
+            if p + q > 20_000:
+                break
+            r[p + q] += 1
+    assert [_window_rs(t, t, bits) for t in range(6, 20_001, 2)] == [
+        [r[t]] for t in range(6, 20_001, 2)]

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -499,6 +500,36 @@ def test_comet_workers_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+class _PoolRecorder:
+    """``multiprocessing`` as ``claims`` sees it: real pools, sizes recorded."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes, *args):
+        self.sizes.append(processes)
+        return multiprocessing.Pool(processes, *args)
+
+
+@pytest.mark.parametrize("hi, pools", [
+    (32_768, []),        # 2 chunks of 8192 evens: every run stays in process
+    (49_160, [2, 2]),    # 4 chunks: workers 2 and 3 both pool 2 processes
+])
+def test_range_commands_pool_only_with_two_chunks_a_worker(monkeypatch, capsys,
+                                                            hi, pools):
+    recorder = _PoolRecorder()
+    monkeypatch.setattr(claims_mod, "multiprocessing", recorder)
+    for argv in (["verify", "8", str(hi), "--all", "--format", "json"],
+                 ["comet", "8", str(hi)]):
+        outs = []
+        for w in (1, 2, 3):
+            code, out, _ = run_main([*argv, "--workers", str(w)], capsys)
+            assert code == 0
+            outs.append(out.replace(f'"workers": {w},', '"workers": 1,', 1))
+        assert outs[1] == outs[0] and outs[2] == outs[0], argv
+    assert recorder.sizes == pools + pools
 
 
 def test_console_script_subprocess():

@@ -136,9 +136,10 @@ def test_spawn_workers_match_in_process(table_20k, monkeypatch):
     rows = comet_rows(8, 20_000, table=table_20k)
     monkeypatch.setattr(claims_mod, "multiprocessing",
                         multiprocessing.get_context("spawn"))
-    got = range_verify(8, 20_000, workers=2, table=table_20k)
+    # 4 chunks, so that 2 workers get 2 chunks each and the pool starts
+    got = range_verify(8, 20_000, workers=2, table=table_20k, chunk_evens=2_500)
     assert [o.as_dict() for o in got] == want
-    assert comet_rows(8, 20_000, workers=2, table=table_20k) == rows
+    assert comet_rows(8, 20_000, workers=2, table=table_20k, chunk_evens=2_500) == rows
 
 
 @settings(max_examples=40, deadline=None)
