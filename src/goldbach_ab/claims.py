@@ -52,9 +52,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import and_, floordiv, itemgetter, not_, rshift, sub
 
-from .classify import (
-    EvenTarget, PrimeSplit, btype_bytes, btype_window, split_primes,
-)
+from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
     PartitionCensus,
@@ -377,9 +375,8 @@ class TargetContext:
     """The per-target objects of 2N on one table, each built on first use and
     then kept, so that a report and the claim verdicts share them.
 
-    ``companion_rows``, the ``companions`` records built from them on each
-    read, and ``pairing`` hold the CounterexampleFound their builder raised,
-    if any; ``midpoints`` is None below 2N = 8.
+    ``companion_rows`` and ``pairing`` hold the CounterexampleFound their
+    builder raised, if any; ``midpoints`` is None below 2N = 8.
     """
 
     def __init__(self, t: EvenTarget, table: PrimeTable,
@@ -404,12 +401,6 @@ class TargetContext:
         except CounterexampleFound as exc:
             return exc
 
-    @property
-    def companions(self) -> list[CompanionRecord] | CounterexampleFound:
-        rows = self.companion_rows
-        return (rows if isinstance(rows, CounterexampleFound)
-                else _records(rows, self.split))
-
     @cached_property
     def pairing(self) -> PairingReport | CounterexampleFound:
         try:
@@ -425,17 +416,12 @@ class TargetContext:
 
 
 def _same_type(ctx: TargetContext) -> ClaimOutcome:
-    t, c = ctx.t, ctx.census
-    if c.mixed_count == 0:
-        payload = {"total": c.total, "a_count": c.a_count, "b_count": c.b_count}
-        return _single(ClaimId.SAME_TYPE_LEMMA, t.two_n, PASS, payload)
-    _, witness = mixed_partitions(t.two_n, btype_window(t, ctx.table))
-    return _single(
-        ClaimId.SAME_TYPE_LEMMA,
-        t.two_n,
-        FAIL,
-        {"two_n": t.two_n, "mixed_count": c.mixed_count, "partition": witness},
-    )
+    """Passes by algebra on any table: ``census`` marks the odd multiples of
+    the odd factors that ``factorize`` returns, each of which divides 2N, so
+    a is marked iff 2N - a is, and no partition is mixed."""
+    c = ctx.census
+    return _single(ClaimId.SAME_TYPE_LEMMA, ctx.t.two_n, PASS,
+                   {"total": c.total, "a_count": c.a_count, "b_count": c.b_count})
 
 
 def verify_same_type_lemma(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
@@ -538,14 +524,6 @@ def _midpoint_decomposes(ctx: TargetContext) -> ClaimOutcome:
                     "both_prime_pair": list(pair) if pair else None})
 
 
-def claim_midpoint_outcomes(
-    t: EvenTarget, split: PrimeSplit, table: PrimeTable
-) -> tuple[ClaimOutcome, ClaimOutcome]:
-    """(coprime, decomposes) verdicts from one midpoint inspection."""
-    ctx = TargetContext(t, table, split)
-    return _midpoint_coprime(ctx), _midpoint_decomposes(ctx)
-
-
 def _companion(ctx: TargetContext) -> ClaimOutcome:
     two_n = ctx.t.two_n
     if two_n == 6:
@@ -556,17 +534,6 @@ def _companion(ctx: TargetContext) -> ClaimOutcome:
     return _single(ClaimId.COMPANION_DECOMPOSES, two_n, PASS,
                    {"a_primes": len(rows),
                     "prime_companions": sum(map(itemgetter(2), rows))})
-
-
-def claim_companion_decomposes(
-    t: EvenTarget, split: PrimeSplit, table: PrimeTable
-) -> ClaimOutcome:
-    """Pass iff every A-prime companion decomposes over the A-basis.
-
-    Walks the factors of every companion, so cost grows with the number of
-    A-primes; range runs use the window evaluator instead.
-    """
-    return _companion(TargetContext(t, table, split))
 
 
 def evaluate_claims(

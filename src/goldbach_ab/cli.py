@@ -1,7 +1,7 @@
 """Command line front end: per-target reports, range verification, comet export.
 
 Exit codes: 0 when every selected claim holds (boundary cases permitted),
-1 when a counterexample was found, 2 on usage errors.
+1 when a counterexample was found, 2 on usage, I/O and memory errors.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ def _emit(pieces, out: str | None) -> None:
 
 
 def _flat_csv(report: dict) -> str:
-    """field,value rows; nested keys joined with dots, lists JSON-encoded."""
+    """field,value rows; nested keys joined with dots, lists JSON-encoded.
+    Flat companion rows, as ``_analyze_doc`` leaves them, are written as the
+    objects that ``build_analyze_report`` makes of them, one template each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["field", "value"])
@@ -111,6 +113,9 @@ def _flat_csv(report: dict) -> str:
         if isinstance(node, dict):
             for key, val in node.items():
                 walk(f"{prefix}.{key}" if prefix else str(key), val)
+        elif prefix == "companions" and node and isinstance(node[0], tuple):
+            writer.writerow([prefix, "[%s]" % ",".join(
+                [_compact_companion_template(len(r), r[2]) % r for r in node])])
         elif isinstance(node, (list, tuple)):
             writer.writerow([prefix, json.dumps(node, separators=(",", ":"))])
         else:
@@ -180,8 +185,9 @@ def _analyze_doc(t: EvenTarget, table) -> dict:
 
 
 def build_analyze_report(t: EvenTarget, table) -> dict:
-    """The analyze report of 2N, one object per companion; analyze writes
-    the same document as JSON straight from the rows."""
+    """The analyze report of 2N with one object per companion: the dict form
+    that tests compare against; analyze writes both formats straight from
+    the rows."""
     report = _analyze_doc(t, table)
     rows = report["companions"]
     if isinstance(rows, list):
@@ -252,6 +258,14 @@ def _companion_template(pad: str, width: int, is_prime: bool) -> str:
             f'{i2}"exponents": {exps}\n{pad}}}')
 
 
+@cache
+def _compact_companion_template(width: int, is_prime: bool) -> str:
+    """The same row as json.dumps writes it with separators (",", ":")."""
+    exps = ",".join(['"%d":%d'] * ((width - 3) // 2))
+    return (f'{{"p":%d,"companion":%d,"companion_is_prime":'
+            f'{"true" if is_prime else "false"}%.0s,"exponents":{{{exps}}}}}')
+
+
 def _companions(rows, pad: str) -> str:
     return ",\n".join([_companion_template(pad, len(r), r[2]) % r for r in rows])
 
@@ -304,12 +318,10 @@ def _report_json(doc: dict, arrays: dict):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     t = EvenTarget(args.two_n)
-    table = build_table(t.two_n + 1)
+    report = _analyze_doc(t, build_table(t.two_n + 1))
     if args.format == "csv":
-        report = build_analyze_report(t, table)
         _emit([_flat_csv(report)], args.out)
     else:
-        report = _analyze_doc(t, table)
         _emit(_report_json(report, _ANALYZE_ARRAYS), args.out)
     failed = any(o["status"] == "fail" for o in report["claims"])
     return 1 if failed else 0
@@ -474,8 +486,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, MemoryError) as exc:
+        if isinstance(exc, BrokenPipeError):  # so that no flush at exit fails again
+            sys.stdout = open(os.devnull, "w")
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

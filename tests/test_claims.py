@@ -49,9 +49,7 @@ from goldbach_ab.claims import (
     _window_rs,
     TargetContext,
     claim_goldbach_witness,
-    claim_midpoint_outcomes,
     claim_pairing_non_empty,
-    claim_companion_decomposes,
 )
 from goldbach_ab.classify import btype_bytes, prime_window
 from goldbach_ab.cli import build_analyze_report
@@ -226,7 +224,8 @@ def test_analyze_rows_match_trial_division_on_flipped_tables(table_20k, two_n, f
     got = build_analyze_report(t, table)["companions"]
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # exponents in the same order
-    out = claim_companion_decomposes(t, split, table)
+    (out,) = evaluate_claims(t, table, (ClaimId.COMPANION_DECOMPOSES,),
+                             context=TargetContext(t, table, split))
     assert (out.status, out.payload) == verdict
 
 
@@ -295,10 +294,10 @@ def test_pairing_identity_reduces_to_companion_primality(table_1k):
 ))
 def test_split_invariants_hold_on_flipped_tables(table_20k, two_n, flips):
     """What the single-target routes no longer check holds on any table: an
-    A-prime of split_primes never divides its companion, prime-power
-    exclusion passes, and the pairing either fails on the smallest A-prime
-    whose prime-marked companion shares a factor with 2N or covers the
-    A-primes exactly once."""
+    A-prime of split_primes never divides its companion, no partition is
+    mixed, same-type and prime-power exclusion pass, and the pairing either
+    fails on the smallest A-prime whose prime-marked companion shares a
+    factor with 2N or covers the A-primes exactly once."""
     bits = bytearray(table_20k.odd_bits)
     for i in flips:
         bits[i % (two_n >> 1)] ^= 1
@@ -306,6 +305,11 @@ def test_split_invariants_hold_on_flipped_tables(table_20k, two_n, flips):
     t = EvenTarget(two_n)
     split = split_primes(t, table)
     assert all((two_n - p) % p for p in split.a_primes)
+    cen = census(t, table)  # the B-type window is its own mirror on any table
+    assert cen.mixed_count == 0
+    (same,) = evaluate_claims(t, table, (ClaimId.SAME_TYPE_LEMMA,))
+    assert same.status == "pass"
+    assert same.payload["a_count"] + same.payload["b_count"] == same.payload["total"]
     out = prime_power_exclusion(t, split, table)
     if two_n == 6:
         assert (out.status, out.payload) == ("boundary", {"two_n": 6})
@@ -430,7 +434,6 @@ def test_evaluate_claims_reads_a_given_context(table_20k):
         ctx = TargetContext(t, table_20k)
         outs = evaluate_claims(t, table_20k, context=ctx)
         assert outs == evaluate_claims(t, table_20k)
-        assert ctx.companions == companions(t, ctx.split, table_20k)
         picked = (ClaimId.GOLDBACH_WITNESS, ClaimId.S_BOUND)
         assert evaluate_claims(t, table_20k, picked) == [outs[1], outs[6]]
 
@@ -450,7 +453,23 @@ def test_single_claims_fail_with_the_report_witness(table_1k):
     assert comp.payload == {"two_n": 30, "p": 27, "companion": 3, "shared_prime": 3}
     split = _split(30, table)
     assert claim_pairing_non_empty(t, split, table) == pairing
-    assert claim_companion_decomposes(t, split, table) == comp
+
+
+def test_witness_and_pairing_fail_without_a_goldbach_pair(table_1k):
+    # 17 and 23 cleared: 28 = 5 + 23 = 11 + 17 loses both prime partitions,
+    # and no A-prime pair or self pair is left to cover it
+    table = _doctored_table(table_1k, (17, 23))
+    t = EvenTarget(28)
+    by_id = {o.claim_id: o for o in evaluate_claims(t, table)}
+    pairing = by_id[ClaimId.PAIRING_NON_EMPTY]
+    assert (pairing.status, pairing.payload) == ("fail", {
+        "two_n": 28, "pairs": [], "unpaired_count": 5, "b_self_pair": None})
+    witness = by_id[ClaimId.GOLDBACH_WITNESS]
+    assert (witness.status, witness.payload) == ("fail", {"two_n": 28, "count": 0})
+    outs = range_verify(28, 28, table=table,
+                        claims=(ClaimId.PAIRING_NON_EMPTY, ClaimId.GOLDBACH_WITNESS))
+    assert [(o.status, o.payload["counterexample"]) for o in outs] == [
+        ("fail", {"two_n": 28, "count": 0})] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -284,6 +285,27 @@ def test_analyze_reports_a_doctored_table(monkeypatch, capsys, two_n, clear, mar
     assert witness["p"] + witness["companion"] == two_n
 
 
+def test_analyze_exits_1_when_28_has_no_goldbach_pair(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_table", _doctored_build(clear=(17, 23)))
+    code, out, _ = run_main(["analyze", "28"], capsys)
+    assert code == 1
+    failed = {c["claim"] for c in json.loads(out)["claims"] if c["status"] == "fail"}
+    assert {"goldbach_witness", "pairing_non_empty"} <= failed
+
+
+def test_analyze_csv_is_written_from_the_rows(monkeypatch, capsys):
+    t = EvenTarget(88934)
+    want = cli._flat_csv(build_analyze_report(t, build_table(t.two_n + 1)))
+
+    def unused(*args):
+        raise AssertionError("analyze built the dict report")
+
+    monkeypatch.setattr(cli, "build_analyze_report", unused)
+    code, out, _ = run_main(["analyze", "88934", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == want
+
+
 def test_census_csv_and_json(capsys):
     code, out, _ = run_main(["census", "6", "--format", "csv"], capsys)
     assert code == 0
@@ -488,6 +510,49 @@ def test_out_writes_file(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith(COMET_HEADER + "\n")
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["comet", "8", "20"], ["analyze", "20"],
+                                  ["analyze", "20", "--format", "csv"]])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+        code, stdout, err = run_main([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _ClosedPipe:
+    """Stand-in for sys.stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["comet", "8", "20"])
+    assert sys.stdout.name == os.devnull  # what is left to flush goes nowhere
+    sys.stdout.close()
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("module, argv", [
+    (cli, ["census", "20"]),
+    (claims_mod, ["comet", "8", "20"]),
+    (claims_mod, ["verify", "8", "20"]),
+])
+def test_out_of_memory_exits_2(monkeypatch, capsys, module, argv):
+    def build_table(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, "build_table", build_table)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError\n"
 
 
 def test_comet_workers_byte_identical(tmp_path, capsys):
