@@ -9,11 +9,12 @@ distinct-factor sieve that also factors the midpoint flankers, so no range
 route trial-divides.
 
 The same-type, companion and comet routes screen each target's factor
-list.  When it is exactly the odd primes of 2N, gcd(a, 2N) = gcd(2N - a, 2N)
-makes the B-type window its own mirror: no partition is mixed, a_count =
-phi(2N) / 2 - 1, and the A-primes are pi(2N - 3) less the listed factors
-marked prime while the table marks no composite (one fresh sieve per run
-checks).  Other targets take the byte windows of ``classify``.  r(2N) comes
+list.  When every listed factor divides 2N, the B-type window is its own
+mirror and no partition is mixed; same-type needs no more.  When the list is
+exactly the odd primes of 2N, gcd(a, 2N) = gcd(2N - a, 2N) also gives
+a_count = phi(2N) / 2 - 1, and the A-primes are pi(2N - 3) less the listed
+factors marked prime while the table marks no composite (one fresh sieve per
+run checks).  Other targets take the byte windows of ``classify``.  r(2N) comes
 from one square of the bitmap polynomial in C ``decimal`` (Kronecker
 substitution, number-theoretic transform) where a work estimate says the
 targets' prime windows cost more, else from the windows.
@@ -44,13 +45,14 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import and_, floordiv, itemgetter, not_, rshift, sub
+from operator import and_, floordiv, itemgetter, mod, not_, rshift, sub, truth
 
 from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
@@ -773,37 +775,74 @@ class _ChunkContext:
 
 
 def _chunk_same_type(chunk: _ChunkContext) -> dict:
-    """Mixed partitions of the chunk's evens.  A target whose list passes the
-    screen has none, since gcd(a, 2N) = gcd(2N - a, 2N); any other target
-    compares its B-type byte window with the mirror."""
+    """Mixed partitions of the chunk's evens.  A target whose listed factors
+    all divide 2N has none: a is a multiple of a listed q iff 2N - a is, so
+    its B-type window is its own mirror.  Any other target compares that
+    window with the mirror."""
+    evens, facs = chunk.evens, chunk.facs
     mixed_total = 0
     fail = None
-    for two_n, qs, phi in zip(chunk.evens, chunk.facs, chunk.phis):
-        if not phi:
-            count, first = mixed_partitions(two_n, btype_bytes((two_n >> 1) - 2, qs))
-            mixed_total += count
-            if first and fail is None:
-                fail = {"two_n": two_n, "partition": list(first)}
-    return {"checked": len(chunk.facs), "mixed_total": mixed_total, "fail": fail,
+    for two_n, qs in compress(zip(evens, facs), map(mod, evens, map(math.prod, facs))):
+        count, first = mixed_partitions(two_n, btype_bytes((two_n >> 1) - 2, qs))
+        mixed_total += count
+        if first and fail is None:
+            fail = {"two_n": two_n, "partition": list(first)}
+    return {"checked": len(evens), "mixed_total": mixed_total, "fail": fail,
             "boundary": []}
 
 
 def _chunk_s_bound(chunk: _ChunkContext) -> dict:
-    """The first minimum, maximum and s < 2 of s(2N) in target order."""
-    c_lo, ss = chunk.c_lo, chunk.s
+    """The first minimum, maximum and s < 2 of s(2N) in target order.
+
+    From one target to the next pi(2N - 3) rises by 0 or 1, and omega lies
+    in [0, W], W the longest list.  So every s at or below the first
+    target's, and every s < 2 once the first is not, sits where
+    pi <= s_first + W: a prefix that ends before the (W - omega_first + 1)-th
+    marked bit.  Every s at or above the last target's sits where
+    pi >= s_last: a suffix that starts after the (omega_last + 1)-th marked
+    bit from the end.  s is evaluated on those two ends only.
+    """
+    c_lo, facs, pi = chunk.c_lo, chunk.facs, chunk.pi
+    bits = chunk.table.odd_bits
+    i0 = (c_lo >> 1) - 1  # bit i0 + i steps pi from target i to target i + 1
     boundary = []
     if c_lo == 6:
-        boundary.append({"two_n": 6, "s": ss[0]})
-        c_lo, ss = 8, ss[1:]
-    out = {"checked": len(ss), "fail": None, "boundary": boundary,
+        boundary.append({"two_n": 6, "s": pi - len(facs[0])})
+        c_lo, i0, pi, facs = 8, i0 + 1, pi + bits[i0], facs[1:]
+    n = len(facs)
+    out = {"checked": n, "fail": None, "boundary": boundary,
            "min_s": None, "max_s": None}
-    if ss:
-        lo, hi = min(ss), max(ss)
-        out["min_s"] = [lo, c_lo + 2 * ss.index(lo)]
-        out["max_s"] = [hi, c_lo + 2 * ss.index(hi)]
-        if lo < 2:
-            i = next(i for i, s in enumerate(ss) if s < 2)
-            out["fail"] = {"two_n": c_lo + 2 * i, "s": ss[i]}
+    if not n:
+        return out
+
+    def s_of(a: int, b: int) -> list[int]:
+        """s of the targets [a, b)."""
+        pi_a = pi + bits[i0 : i0 + a].count(1)
+        return list(map(sub, accumulate(bits[i0 + a : i0 + b - 1], initial=pi_a),
+                        map(len, facs[a:b])))
+
+    end = i0 + n - 1  # the bits [i0, end) step the chunk
+    j = i0 - 1
+    for _ in range(max(map(len, facs)) - len(facs[0]) + 1):
+        j = bits.find(1, j + 1, end)
+        if j < 0:
+            j = end
+            break
+    head = s_of(0, j - i0 + 1)
+    j = end
+    for _ in range(len(facs[-1]) + 1):
+        j = bits.rfind(1, i0, j)
+        if j < 0:
+            j = i0 - 1
+            break
+    first = j - i0 + 1
+    tail = s_of(first, n)
+    lo, hi = min(head), max(tail)
+    out["min_s"] = [lo, c_lo + 2 * head.index(lo)]
+    out["max_s"] = [hi, c_lo + 2 * (first + tail.index(hi))]
+    if lo < 2:
+        i = next(i for i, s in enumerate(head) if s < 2)
+        out["fail"] = {"two_n": c_lo + 2 * i, "s": head[i]}
     return out
 
 
@@ -812,22 +851,29 @@ def _chunk_companions(chunk: _ChunkContext) -> dict:
 
     On a target whose list passes the screen the checks cannot fail, and its
     A-primes are pi(2N - 3) less the listed factors marked prime as long as
-    the table marks no composite up to 2N - 3.
+    the table marks no composite up to 2N - 3.  Those targets are counted
+    in one pass; the others take the byte windows in ascending order.
     """
+    c_lo, facs, first_false = chunk.c_lo, chunk.facs, chunk.first_false
     bits = chunk.table.odd_bits
-    a_total = 0
-    fail = None
+    fast = list(map(truth, chunk.phis))
+    if first_false < chunk.c_hi - 2:  # from 2N - 3 >= first_false on
+        cut = max(0, (first_false + 3 - c_lo) >> 1)
+        fast[cut:] = [False] * (len(fast) - cut)
     boundary = []
-    for two_n, qs, pi, phi in zip(chunk.evens, chunk.facs, chunk.pis, chunk.phis):
-        if two_n == 6:
-            boundary.append({"two_n": 6})
-        elif two_n - 3 < chunk.first_false and phi:
-            a_total += pi - sum([bits[q >> 1] for q in qs])
-        else:
+    if c_lo == 6:
+        fast[0] = False
+        boundary.append({"two_n": 6})
+    a_total = (sum(compress(chunk.pis, fast))
+               - sum(map(bits.__getitem__, map(rshift, chain.from_iterable(
+                   compress(facs, fast)), repeat(1)))))
+    fail = None
+    for two_n, qs in compress(zip(chunk.evens, facs), map(not_, fast)):
+        if two_n != 6:
             count, detail = _companion_window(two_n, qs, bits)
             a_total += count
             fail = fail or detail
-    return {"checked": len(chunk.facs) - len(boundary), "fail": fail,
+    return {"checked": len(facs) - len(boundary), "fail": fail,
             "boundary": boundary, "a_primes_checked": a_total}
 
 
@@ -1108,14 +1154,22 @@ def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
 _POOL_MIN_CHUNKS = 2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_chunks(jobs: list[tuple], workers: int, table: PrimeTable) -> list:
     """_evaluate_chunk(*job, table) for each job in order, pooled when it pays.
 
     Runs too short to give 2 workers ``_POOL_MIN_CHUNKS`` chunks each stay
-    in process.  Only pool workers keep the table in a global; the
-    in-process path hands it over directly, so nothing keeps it alive after
-    the run."""
-    processes = min(workers, len(jobs) // _POOL_MIN_CHUNKS)
+    in process, and a pool never outnumbers the usable CPUs.  Only pool
+    workers keep the table in a global; the in-process path hands it over
+    directly, so nothing keeps it alive after the run."""
+    processes = min(workers, len(jobs) // _POOL_MIN_CHUNKS, _usable_cpus())
     if processes < 2:
         return [_evaluate_chunk(*job, table) for job in jobs]
     with multiprocessing.Pool(processes, _worker_init, (table,)) as pool:

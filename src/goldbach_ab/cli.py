@@ -14,8 +14,9 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from functools import cache
+from functools import cache, partial
 from itertools import chain
+from operator import itemgetter, mod
 
 from .claims import (
     ALL_CLAIMS,
@@ -114,8 +115,8 @@ def _flat_csv(report: dict) -> str:
             for key, val in node.items():
                 walk(f"{prefix}.{key}" if prefix else str(key), val)
         elif prefix == "companions" and node and isinstance(node[0], tuple):
-            writer.writerow([prefix, "[%s]" % ",".join(
-                [_compact_companion_template(len(r), r[2]) % r for r in node])])
+            writer.writerow([prefix, "[%s]" % _format_companions(
+                node, _compact_companion_template, ",")])
         elif isinstance(node, (list, tuple)):
             writer.writerow([prefix, json.dumps(node, separators=(",", ":"))])
         else:
@@ -246,7 +247,6 @@ def _pairs(pairs, pad: str) -> str:
     return ",\n".join([item % (p, q) for p, q in pairs])
 
 
-@cache  # few keys: one pad per depth, two flags per factor count
 def _companion_template(pad: str, width: int, is_prime: bool) -> str:
     """%-template of a flat companion row (p, c, is_prime, q1, e1, ...) of
     ``width`` items; the flag picks the template, so %.0s consumes it."""
@@ -258,7 +258,6 @@ def _companion_template(pad: str, width: int, is_prime: bool) -> str:
             f'{i2}"exponents": {exps}\n{pad}}}')
 
 
-@cache
 def _compact_companion_template(width: int, is_prime: bool) -> str:
     """The same row as json.dumps writes it with separators (",", ":")."""
     exps = ",".join(['"%d":%d'] * ((width - 3) // 2))
@@ -266,8 +265,16 @@ def _compact_companion_template(width: int, is_prime: bool) -> str:
             f'{"true" if is_prime else "false"}%.0s,"exponents":{{{exps}}}}}')
 
 
+def _format_companions(rows, template, sep: str) -> str:
+    """Flat companion rows joined by ``sep``, each formatted with
+    template(width, is_prime), which is built once per (width, is_prime)."""
+    shapes = list(zip(map(len, rows), map(itemgetter(2), rows)))
+    tpl = {shape: template(*shape) for shape in set(shapes)}
+    return sep.join(map(mod, map(tpl.__getitem__, shapes), rows))
+
+
 def _companions(rows, pad: str) -> str:
-    return ",\n".join([_companion_template(pad, len(r), r[2]) % r for r in rows])
+    return _format_companions(rows, partial(_companion_template, pad), ",\n")
 
 
 def _comet_objects(rows, pad: str) -> str:

@@ -966,6 +966,8 @@ class _InProcessPool:
 def test_pool_gives_each_worker_two_chunks(table_20k, monkeypatch):
     base = [o.as_dict() for o in range_verify(8, 20_000, table=table_20k)]
     rows = comet_rows(8, 2_000, table=table_20k, chunk_evens=300)
+    cpus = claims_mod._usable_cpus()
+    monkeypatch.setattr(claims_mod, "_usable_cpus", lambda: max(2, cpus))
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(claims_mod, "multiprocessing",
                         SimpleNamespace(Pool=_InProcessPool))
@@ -976,6 +978,19 @@ def test_pool_gives_each_worker_two_chunks(table_20k, monkeypatch):
     assert comet_rows(8, 2_000, workers=64, table=table_20k, chunk_evens=300) == rows
     assert comet_rows(8, 2_000, workers=3, table=table_20k, chunk_evens=300) == rows
     assert _InProcessPool.sizes == [2, 2]
+
+
+def test_pool_never_outnumbers_the_usable_cpus(table_20k, monkeypatch):
+    base = [o.as_dict() for o in range_verify(8, 20_000, table=table_20k,
+                                              chunk_evens=300)]
+    monkeypatch.setattr(claims_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(claims_mod, "multiprocessing",
+                        SimpleNamespace(Pool=_InProcessPool))
+    # 34 chunks would give 17 workers two chunks each; 3 CPUs cap the pool
+    outs = range_verify(8, 20_000, workers=64, table=table_20k, chunk_evens=300)
+    assert [o.as_dict() for o in outs] == base
+    assert _InProcessPool.sizes == [3]
 
 
 def test_range_verify_usage_errors(table_1k):
@@ -1030,6 +1045,92 @@ def test_range_s_stats_match_direct_recompute(table_1k):
     assert payload["max_s"]["s"] == want_max
     assert s_by_two_n[payload["min_s"]["two_n"]] == want_min
     assert s_by_two_n[payload["max_s"]["two_n"]] == want_max
+
+
+_PAD = list(range(1_001, 1_061, 2))  # 30 entries that lengthen a list
+
+
+def _padded(facs):
+    return sorted({*facs, *_PAD})
+
+
+# (lo, hi, list edits, odds the table leaves unmarked, (payload key, two_n)
+# where the doctoring shows); on [1900, 2200] s moves by less than 30
+_S_BOUND_CASES = {
+    # a list padded mid-range holds the minimum
+    "padded": (1_900, 2_200, {2_002: _padded}, (), ("min_s", 2_002)),
+    # an emptied list holds the maximum when the lists after it are padded
+    "emptied": (1_900, 2_200, {2_002: lambda f: [],
+                               **dict.fromkeys(range(2_004, 2_201, 2), _padded)},
+                (), ("max_s", 2_002)),
+    # 6 is a boundary case with its own s, and 8 fails on a padded list
+    "six": (6, 200, {6: lambda f: [3, 5], 8: _padded}, (), ("counterexample", 8)),
+    # with 3, 5 and 7 unmarked the smallest targets have s < 2
+    "unmarked": (6, 2_000, {}, (3, 5, 7), ("counterexample", 8)),
+}
+
+
+@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 64, 8192])
+@pytest.mark.parametrize("case", list(_S_BOUND_CASES))
+def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
+                                                     chunk_evens, case):
+    lo, hi, edits, unmarked, (key, two_n) = _S_BOUND_CASES[case]
+    table = table_20k
+    if unmarked:
+        bits = bytearray(table.odd_bits)
+        for m in unmarked:
+            bits[m >> 1] = 0
+        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+    real = claims_mod._odd_factor_lists
+
+    def doctored(c_lo, c_hi, table):
+        facs = real(c_lo, c_hi, table)
+        for t, edit in edits.items():
+            if c_lo <= t <= c_hi:
+                facs[(t - c_lo) >> 1] = edit(facs[(t - c_lo) >> 1])
+        return facs
+
+    monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
+    for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
+        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
+        assert (_chunk_s_bound(chunk)
+                == oracles.s_bound_chunk(c_lo, c_hi, doctored(c_lo, c_hi, table),
+                                         table)), (c_lo, c_hi)
+    whole = oracles.s_bound_chunk(lo, hi, doctored(lo, hi, table), table)
+    (out,) = range_verify(lo, hi, claims=(ClaimId.S_BOUND,), table=table,
+                          chunk_evens=chunk_evens)
+    assert out.payload["min_s"] == dict(zip(("s", "two_n"), whole["min_s"]))
+    assert out.payload["max_s"] == dict(zip(("s", "two_n"), whole["max_s"]))
+    assert out.payload.get("counterexample") == whole["fail"]
+    assert out.payload[key]["two_n"] == two_n
+
+
+def test_same_type_screens_on_divisibility_alone(table_20k, monkeypatch):
+    """A same-type run computes no phi(2N).  A list whose entries all divide
+    2N, true or short of a factor, takes no byte window; a listed prime that
+    does not divide 2N takes the window and fails as before."""
+    calls = defaultdict(int)
+    for name in ("_screened_phi", "mixed_partitions"):
+        def counted(*args, real=getattr(claims_mod, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(claims_mod, name, counted)
+
+    def run():
+        return range_verify(6, 2_100, claims=(ClaimId.SAME_TYPE_LEMMA,),
+                            table=table_20k, chunk_evens=64)[0]
+
+    base = run()
+    assert base.status == "pass" and calls == {}
+    _doctor_factor_lists(monkeypatch, 30, 3, drop=True)  # 30 lists only 5
+    assert run().as_dict() == base.as_dict() and calls == {}
+    _doctor_factor_lists(monkeypatch, 50, 3)  # 50 lists 3 and 5
+    added = run()
+    want, mixed = doctored_same_type_td(50, [3, 5])
+    assert added.status == "fail"
+    assert added.payload["counterexample"] == {"two_n": 50, "partition": want}
+    assert added.payload["mixed_total"] == mixed > 0
+    assert calls == {"mixed_partitions": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,8 @@ class _PoolRecorder:
 def test_range_commands_pool_only_with_two_chunks_a_worker(monkeypatch, capsys,
                                                             hi, pools):
     recorder = _PoolRecorder()
+    cpus = claims_mod._usable_cpus()
+    monkeypatch.setattr(claims_mod, "_usable_cpus", lambda: max(2, cpus))
     monkeypatch.setattr(claims_mod, "multiprocessing", recorder)
     for argv in (["verify", "8", str(hi), "--all", "--format", "json"],
                  ["comet", "8", str(hi)]):
