@@ -52,9 +52,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import and_, floordiv, itemgetter, mod, not_, rshift, sub, truth
+from operator import floordiv, itemgetter, mod, not_, rshift, sub, truth
 
-from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes
+from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes, window_end
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
     PartitionCensus,
@@ -216,10 +216,7 @@ def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list
     listed factor q has q * q > m or none is listed.
     """
     two_n = t.two_n
-    if table.limit < two_n - 3:
-        raise UsageError(
-            f"table limit {table.limit} does not cover the window of 2N={two_n}"
-        )
+    window_end(two_n, table)
     bits = table.odd_bits
     sf = _smallest_factors(two_n - 3, table.small_primes)
     a_set = set(split.a_primes)
@@ -631,12 +628,11 @@ def _window_rs(c_lo: int, c_hi: int, bits: bytes) -> list[int]:
     with its mirror, one bit per odd.  Bit j of ``fwd`` is the odd 3 + 2j, of
     ``rev`` table index k_hi - j, so ``rev >> (k_hi - k)`` mirrors the window
     of 2N = 2k + 4; both cover only what the targets' h bits reach.  A lone
-    target reads its h table bytes from each end of its window, one byte per
-    odd, as ``mirror_pair`` does: that skips packing the table to bits."""
+    target reads its h table bytes from each end of its window through
+    ``mirror_pair``, one byte per odd: that skips packing the table to bits."""
     if c_lo == c_hi:
-        k, h = (c_lo >> 1) - 2, partition_total(c_lo)
-        fwd = int.from_bytes(bits[1 : h + 1], "little")
-        return [(fwd & int.from_bytes(bits[k : k - h : -1], "little")).bit_count()]
+        fwd, rev = mirror_pair(bits, partition_total(c_lo), 1, (c_lo >> 1) - 1)
+        return [(fwd & rev).bit_count()]
     k_lo, k_hi = (c_lo >> 1) - 2, (c_hi >> 1) - 2
     fwd = _pack(bits[1 : partition_total(c_hi) + 1])
     rev = _pack(bits[k_hi : k_lo - partition_total(c_lo) : -1])
@@ -982,44 +978,38 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
 
     The halo lists the odd prime factors of the evens in [c_lo - 4, c_hi + 4],
     2 evens past each end of the chunk.  A flanker v of 2N has 2v = 2N -+ 2 or
-    2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  A listed
-    prime of v that divides a target 2v -+ 2 or 2v -+ 4 divides v*v - 1 or
-    v*v - 4, which no odd factor of v does; so the flankers whose listed
-    primes do not all divide v take two gcds that find every target that can
-    fail.  Only those and the targets with two prime flankers are checked, in
-    ascending order; a prime flanker is prime to 2N, so it is its own A-prime.
+    2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  A listed prime
+    of v that divides v is prime to 2N, as it would else divide 2 or 4; so
+    only a flanker whose listed primes do not all divide v, a wrong list, can
+    fail, and only its four targets 2v -+ 2 and 2v -+ 4 are checked, in
+    ascending order.  A flanker marked prime is prime to 2N, so it is its own
+    A-prime.  The targets with two flankers marked prime are counted off the
+    bitmap: N -+ 1 for even N, N -+ 2 for odd N, one byte apart per step of 4.
     """
     c_lo, c_hi, halo = chunk.c_lo, chunk.c_hi, chunk.halo
     bits = chunk.table.odd_bits
     first = max(c_lo, 8)
     vb = ((first >> 1) - 2) | 1
     vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
-    todo = set()
-    for v, rad in zip(vs, map(math.prod, halo[vb - (c_lo >> 1) + 2 :: 2])):
-        if v % rad:
-            if math.gcd(rad, v * v - 1) != 1:
-                todo.update((2 * v - 2, 2 * v + 2))
-            if math.gcd(rad, v * v - 4) != 1:
-                todo.update((2 * v - 4, 2 * v + 4))
-    pr = bits[vb >> 1 : (vb >> 1) + len(vs)]
-    for step in (1, 2):  # prime flankers v, v + 2 * step of 2v + 2 * step
-        todo.update(compress(range(2 * (vb + step), c_hi + 1, 4),
-                             map(and_, pr, pr[step:])))
+    rads = map(math.prod, halo[vb - (c_lo >> 1) + 2 :: 2])
+    todo = {2 * v + d for v in compress(vs, map(mod, vs, rads)) for d in (-4, -2, 2, 4)}
     fail = None
-    both_prime = 0
     for two_n in sorted(t for t in todo if first <= t <= c_hi):
-        v1, v2 = midpoint_values(two_n)
-        both_prime += bits[v1 >> 1] and bits[v2 >> 1]
-        if fail is not None:
-            continue
-        for v in (v1, v2):
-            if bits[v >> 1]:
-                continue
+        for v in midpoint_values(two_n):
             # lists ascend, so shared[0] is the smallest shared prime
             shared = [q for q in halo[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
-            if shared:
+            if shared and not bits[v >> 1]:
                 fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
                 break
+        if fail is not None:
+            break
+    both_prime = 0
+    f = first >> 1
+    for step, n in ((1, f + (f & 1)), (2, f | 1)):  # the smallest even, odd N
+        # the flankers N - step and N + step of k targets sit at bytes i, i + step
+        i, k = (n - step) >> 1, len(range(n, (c_hi >> 1) + 1, 2))
+        lower, upper = (int.from_bytes(bits[j : j + k], "little") for j in (i, i + step))
+        both_prime += (lower & upper).bit_count()
     return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
             "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "both_prime_pairs": both_prime}

@@ -28,9 +28,9 @@ from .claims import (
     evaluate_claims,
     range_verify,
 )
-from .classify import EvenTarget, factorize_even, prime_window
+from .classify import EvenTarget, factorize_even
 from .errors import CounterexampleFound, UsageError
-from .partition import goldbach_pairs_from_window, partition_total
+from .partition import goldbach_pairs, partition_total
 from .sieve import build_table
 
 ENV_WORKERS = "GOLDBACH_AB_WORKERS"
@@ -346,7 +346,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(comet_csv([row]), args.out)
     else:
-        pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
+        pairs = goldbach_pairs(t.two_n, table)
         report = {"two_n": t.two_n, "s": s, "total": total, "a_count": a_count,
                   "b_count": b_count, "mixed_count": mixed, "goldbach_count": r,
                   "goldbach_pairs": list(pairs)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .classify import EvenTarget, btype_window, prime_window
+from .classify import EvenTarget, btype_window, window_end
 from .errors import UsageError
 from .sieve import PrimeTable
 
@@ -78,7 +78,7 @@ def classify_partition(
 
 def goldbach_partitions(t: EvenTarget, table: PrimeTable) -> list[OddPartition]:
     """The prime-prime partitions of 2N, each tagged with its kind."""
-    pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
+    pairs = goldbach_pairs(t.two_n, table)
     return [OddPartition(p, q, kind_of_prime_pair(p, q, t.two_n)) for p, q in pairs]
 
 
@@ -93,7 +93,7 @@ def census(t: EvenTarget, table: PrimeTable) -> PartitionCensus:
     fwd, rev = mirror_pair(btype_window(t, table), h)
     mixed = (fwd ^ rev).bit_count()
     b_count = (fwd & rev).bit_count()
-    pairs = goldbach_pairs_from_window(t.two_n, prime_window(t, table))
+    pairs = goldbach_pairs(t.two_n, table)
     return PartitionCensus(
         two_n=t.two_n,
         total=h,
@@ -105,23 +105,25 @@ def census(t: EvenTarget, table: PrimeTable) -> PartitionCensus:
     )
 
 
-def mirror_pair(window: bytes, h: int) -> tuple[int, int]:
-    """The first h bytes of a 0/1 window and of its reversal as ints, byte j
-    to bit 8j: bit 8j of the pair stands for the partition (3 + 2j, 2N - 3 - 2j).
+def mirror_pair(window: bytes, h: int, start: int = 0,
+                stop: int | None = None) -> tuple[int, int]:
+    """The first h bytes of the 0/1 window ``window[start:stop]`` and of its
+    reversal as ints, byte j to bit 8j, the reversal read big-endian in place:
+    bit 8j of the pair stands for the partition (3 + 2j, 2N - 3 - 2j).
 
-    >>> mirror_pair(bytes([1, 0, 0, 1, 1]), 2)
-    (1, 257)
+    >>> w = bytes([0, 1, 0, 0, 1, 1, 0])
+    >>> mirror_pair(w[1:6], 2), mirror_pair(w, 2, 1, 6)
+    ((1, 257), (1, 257))
     """
-    return (int.from_bytes(window[:h], "little"),
-            int.from_bytes(window[len(window) - h :][::-1], "little"))
+    stop = len(window) if stop is None else stop
+    return (int.from_bytes(window[start : start + h], "little"),
+            int.from_bytes(window[stop - h : stop], "big"))
 
 
-def goldbach_pairs_from_window(
-    two_n: int, pwin: bytes
-) -> tuple[tuple[int, int], ...]:
-    """Extract the (p, q) prime pairs, p <= q, from the primality window."""
+def goldbach_pairs(two_n: int, table: PrimeTable) -> tuple[tuple[int, int], ...]:
+    """The (p, q) prime pairs of 2N, p <= q, read off the table's window."""
     h = partition_total(two_n)
-    pf, pr = mirror_pair(pwin, h)
+    pf, pr = mirror_pair(table.odd_bits, h, 1, window_end(two_n, table))
     both = (pf & pr).to_bytes(h, "little")
     pairs = []
     i = both.find(1)

@@ -126,16 +126,6 @@ def census_td(two_n: int, prime=None) -> dict:
     }
 
 
-def b_type_goldbach_pairs_td(two_n: int, prime=None) -> list[tuple[int, int]]:
-    if prime is None:
-        prime = is_prime_td
-    return [
-        (p, q)
-        for p, q in census_td(two_n, prime)["pairs"]
-        if number_class_gcd(p, two_n) == "B" and number_class_gcd(q, two_n) == "B"
-    ]
-
-
 def midpoints_td(two_n: int) -> tuple[int, int]:
     n = two_n // 2
     return (n - 1, n + 1) if n % 2 == 0 else (n - 2, n + 2)
@@ -317,6 +307,26 @@ def midpoint_coprime_chunk(c_lo, c_hi, table) -> dict:
             break
     return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
             "boundary": [{"two_n": 6}] if c_lo == 6 else []}
+
+
+def midpoint_decomposes_chunk(c_lo, c_hi, halo, table) -> dict:
+    """Both flankers of every target from 8 on, ``halo`` listing the odd prime
+    factors of the evens in [c_lo - 4, c_hi + 4]: a flanker the table marks
+    prime is its own A-prime, any other fails on a listed prime dividing 2N."""
+    bits = table.odd_bits
+    first = max(c_lo, 8)
+    both_prime = 0
+    fail = None
+    for two_n in range(first, c_hi + 1, 2):
+        flankers = midpoints_td(two_n)
+        both_prime += all(bits[v >> 1] for v in flankers)
+        for v in flankers:
+            shared = [q for q in halo[(2 * v - c_lo + 4) // 2] if two_n % q == 0]
+            if fail is None and shared and not bits[v >> 1]:
+                fail = {"two_n": two_n, "value": v, "shared_prime": min(shared)}
+    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
+            "boundary": [{"two_n": 6}] if c_lo == 6 else [],
+            "both_prime_pairs": both_prime}
 
 
 def prime_power_chunk(c_lo, c_hi, table) -> dict:

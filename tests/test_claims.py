@@ -38,6 +38,7 @@ from goldbach_ab.claims import (
     _chunk_comet,
     _chunk_companions,
     _chunk_midpoint_coprime,
+    _chunk_midpoint_decomposes,
     _chunk_pair_scan,
     _chunk_prime_power,
     _chunk_ranges,
@@ -144,6 +145,14 @@ def test_companion_examples(table_1k):
 
 def test_companions_empty_when_no_a_primes(table_1k):
     assert companions(EvenTarget(6), _split(6, table_1k), table_1k) == []
+
+
+def test_companions_require_a_covering_table():
+    short = build_table(1_001)
+    companions(EvenTarget(1_004), _split(1_004, short), short)  # reaches 2N - 3
+    split = _split(1_006, build_table(1_003))
+    with pytest.raises(UsageError, match="does not cover the window of 2N=1006"):
+        companions(EvenTarget(1_006), split, short)
 
 
 def test_companion_invariants_exhaustive(table_1k):
@@ -1312,6 +1321,9 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
                 == oracles.pair_scan_chunk(c_lo, c_hi, table, True, True))
         assert (_chunk_midpoint_coprime(chunk)
                 == oracles.midpoint_coprime_chunk(c_lo, c_hi, table))
+        halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
+        assert (_chunk_midpoint_decomposes(chunk)
+                == oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table))
         assert (_chunk_prime_power(chunk)
                 == oracles.prime_power_chunk(c_lo, c_hi, table))
 
@@ -1384,6 +1396,9 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
                     == oracles.same_type_chunk(c_lo, c_hi, facs, table))
             assert (_chunk_companions(chunk)
                     == oracles.companions_chunk(c_lo, c_hi, facs, table))
+            halo = doctored(c_lo - 4, c_hi + 4, table)
+            assert (_chunk_midpoint_decomposes(chunk)
+                    == oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table))
             assert _chunk_comet(chunk) == want
             assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, None, chunk_digits,
                                               table)) == want

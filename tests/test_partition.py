@@ -12,12 +12,15 @@ from goldbach_ab import (
     odd_partitions,
 )
 from goldbach_ab.partition import (
+    goldbach_pairs,
     kind_of_prime_pair,
+    mirror_pair,
     partition_total,
     self_pair,
 )
+from goldbach_ab.sieve import PrimeTable, build_table
 
-from oracles import brute_force_goldbach_count, census_td, is_prime_td
+from oracles import brute_force_goldbach_count, census_td, is_prime_td, partitions_td
 
 evens = st.integers(min_value=3, max_value=10_000).map(lambda n: 2 * n)
 
@@ -134,3 +137,35 @@ def test_kind_of_prime_pair():
     # mixed cannot happen for even targets; exercise the tagging on a
     # synthetic odd target instead
     assert kind_of_prime_pair(3, 4, 15) is PartitionKind.MIXED
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mirror_pair_reads_a_window_in_place(data):
+    buf = bytes(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=80)))
+    start = data.draw(st.integers(0, len(buf) - 1))
+    stop = data.draw(st.integers(start + 1, len(buf)))
+    win = buf[start:stop]
+    h = data.draw(st.sampled_from((1, len(win))) | st.integers(1, len(win)))
+    want = (int.from_bytes(win[:h], "little"), int.from_bytes(win[::-1][:h], "little"))
+    assert mirror_pair(buf, h, start, stop) == mirror_pair(win, h) == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=999), max_size=8))
+def test_goldbach_pairs_read_flipped_tables(table_20k, flips):
+    bits = bytearray(table_20k.odd_bits)
+    for i in flips:
+        bits[i] ^= 1
+    table = PrimeTable(table_20k.limit, bytes(bits), table_20k.prime_list)
+    for two_n in range(6, 2_001, 2):
+        want = [(a, b) for a, b in partitions_td(two_n) if bits[a >> 1] and bits[b >> 1]]
+        assert list(goldbach_pairs(two_n, table)) == want, two_n
+
+
+@pytest.mark.parametrize("route", [census, goldbach_partitions])
+def test_pair_routes_require_a_covering_table(route):
+    table = build_table(1_001)
+    route(EvenTarget(1_004), table)  # reaches 2N - 3 = 1001
+    with pytest.raises(UsageError, match="does not cover the window of 2N=1006"):
+        route(EvenTarget(1_006), table)

@@ -20,6 +20,11 @@ def test_build_table_rejects_tiny_limit():
         build_table(1)
 
 
+def test_build_table_rejects_empty_segments():
+    with pytest.raises(UsageError, match="segment size must be >= 1"):
+        build_table(10, segment_size=0)
+
+
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 17, 100, 541, 1000, 65_537])
 def test_prime_list_matches_trial_division(limit):
     assert list(build_table(limit).prime_list) == primes_td(limit)
@@ -124,6 +129,12 @@ def test_factorize_rejects_nonpositive(table_1k):
         factorize(0, table_1k)
 
 
+def test_factorize_rejects_beyond_64_bits(table_1k):
+    factorize(2**64 - 1, table_1k)
+    with pytest.raises(UsageError, match="64-bit"):
+        factorize(2**64, table_1k)
+
+
 def test_factorize_reconstructs_everything_up_to_1e5(table_1k):
     # every factor must be prime by trial division and the product must rebuild n
     for n in range(1, 100_001):
@@ -152,6 +163,11 @@ def test_factorize_matches_trial_division(table_1k, n):
 def test_pi_upto_matches_oracle(table_1k):
     for x in [0, 1, 2, 3, 4, 5, 10, 97, 100, 541, 1000]:
         assert pi_upto(x, table_1k) == len(primes_td(x)), x
+
+
+def test_pi_upto_rejects_past_the_table(table_1k):
+    with pytest.raises(UsageError, match="exceeds table limit 1000"):
+        pi_upto(1_001, table_1k)
 
 
 def test_odd_bits_agree_with_prime_list(table_1k):
