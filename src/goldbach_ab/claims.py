@@ -783,8 +783,7 @@ def _chunk_same_type(chunk: _ChunkContext) -> dict:
         mixed_total += count
         if first and fail is None:
             fail = {"two_n": two_n, "partition": list(first)}
-    return {"checked": len(evens), "mixed_total": mixed_total, "fail": fail,
-            "boundary": []}
+    return {"mixed_total": mixed_total, "fail": fail, "boundary": []}
 
 
 def _chunk_s_bound(chunk: _ChunkContext) -> dict:
@@ -806,8 +805,7 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
         boundary.append({"two_n": 6, "s": pi - len(facs[0])})
         c_lo, i0, pi, facs = 8, i0 + 1, pi + bits[i0], facs[1:]
     n = len(facs)
-    out = {"checked": n, "fail": None, "boundary": boundary,
-           "min_s": None, "max_s": None}
+    out = {"fail": None, "boundary": boundary, "min_s": None, "max_s": None}
     if not n:
         return out
 
@@ -869,8 +867,7 @@ def _chunk_companions(chunk: _ChunkContext) -> dict:
             count, detail = _companion_window(two_n, qs, bits)
             a_total += count
             fail = fail or detail
-    return {"checked": len(facs) - len(boundary), "fail": fail,
-            "boundary": boundary, "a_primes_checked": a_total}
+    return {"fail": fail, "boundary": boundary, "a_primes_checked": a_total}
 
 
 def _chunk_pair_scan(c_lo, c_hi, table) -> dict:
@@ -937,13 +934,11 @@ def _chunk_pair_scan(c_lo, c_hi, table) -> dict:
     max_min_p = None
     if last:
         max_min_p = [last[0], c_lo + 2 * _low_bit(last[1])]
-    return {"checked": nev,
-            "witness": {"checked": nev, "fail": witness_fail, "boundary": [],
+    return {"witness": {"fail": witness_fail, "boundary": [],
                         "a_pair_evens": a_pair_evens,
                         "b_self_evens": b_self_evens,
                         "max_min_p": max_min_p},
-            "pairing": {"checked": nev - len(pairing_boundary),
-                        "fail": pairing_fail, "boundary": pairing_boundary,
+            "pairing": {"fail": pairing_fail, "boundary": pairing_boundary,
                         "a_pair_evens": a_pair_evens,
                         "b_self_evens": b_self_evens}}
 
@@ -957,7 +952,7 @@ def _chunk_pairing(chunk: _ChunkContext) -> dict:
 
 
 def _chunk_midpoint_coprime(chunk: _ChunkContext) -> dict:
-    """Count the chunk's evens from 8 on, which hold the claim by algebra.
+    """Evens from 8 on hold the claim by algebra, and 6 is a boundary case.
 
     For even N the flankers N -+ 1 are odd and coprime to N; for odd N the
     flankers N -+ 2 are odd and gcd(N -+ 2, N) = gcd(2, N) = 1.  Either way
@@ -967,9 +962,7 @@ def _chunk_midpoint_coprime(chunk: _ChunkContext) -> dict:
     ...     for n in range(4, 20_000) for v in midpoint_values(2 * n))
     True
     """
-    first = max(chunk.c_lo, 8)
-    return {"checked": (chunk.c_hi - first) // 2 + 1, "fail": None,
-            "boundary": [{"two_n": 6}] if chunk.c_lo == 6 else []}
+    return {"fail": None, "boundary": [{"two_n": 6}] if chunk.c_lo == 6 else []}
 
 
 def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
@@ -1010,8 +1003,7 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
         i, k = (n - step) >> 1, len(range(n, (c_hi >> 1) + 1, 2))
         lower, upper = (int.from_bytes(bits[j : j + k], "little") for j in (i, i + step))
         both_prime += (lower & upper).bit_count()
-    return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
-            "boundary": [{"two_n": 6}] if c_lo == 6 else [],
+    return {"fail": fail, "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "both_prime_pairs": both_prime}
 
 
@@ -1030,8 +1022,7 @@ def _chunk_prime_power(chunk: _ChunkContext) -> dict:
         while p + v <= c_hi:
             inspected += c_lo <= p + v
             v *= p
-    return {"checked": (c_hi - first) // 2 + 1, "fail": None,
-            "boundary": [{"two_n": 6}] if c_lo == 6 else [],
+    return {"fail": None, "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "identities_inspected": inspected}
 
 
@@ -1179,8 +1170,7 @@ def _range_table(lo: int, hi: int, workers: int, chunk_evens: int,
         raise UsageError(f"chunk_evens must be >= 1, got {chunk_evens}")
     if table is None:
         return build_table(hi + 1)
-    if table.limit < hi - 3:
-        raise UsageError(f"table limit {table.limit} does not cover range end {hi}")
+    window_end(hi, table)
     return table
 
 
@@ -1196,10 +1186,11 @@ _EXTREMES = {
 def _merge_partials(claim_id: ClaimId, partials: list[dict], lo: int, hi: int
                     ) -> ClaimOutcome:
     """One claim's outcome from its chunk partials in ascending order:
-    counters add up, the first failure wins and boundary cases concatenate."""
+    counters add up, the first failure wins and boundary cases concatenate.
+    Every even of the range not a boundary case is checked."""
     fail = next((p["fail"] for p in partials if p["fail"] is not None), None)
     boundary = [case for p in partials for case in p["boundary"]]
-    payload: dict = {"evens_checked": sum(p["checked"] for p in partials)}
+    payload: dict = {"evens_checked": (hi - lo) // 2 + 1 - len(boundary)}
     for key, value in partials[0].items():
         if key in _EXTREMES:
             name, field, pick = _EXTREMES[key]
@@ -1207,7 +1198,7 @@ def _merge_partials(claim_id: ClaimId, partials: list[dict], lo: int, hi: int
             if found:
                 best, two_n = pick(found, key=itemgetter(0))
                 payload[name] = {field: best, "two_n": two_n}
-        elif key != "checked" and isinstance(value, int):
+        elif isinstance(value, int):
             payload[key] = sum(p[key] for p in partials)
     if fail is not None:
         payload["counterexample"] = fail

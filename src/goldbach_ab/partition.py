@@ -85,21 +85,19 @@ def goldbach_partitions(t: EvenTarget, table: PrimeTable) -> list[OddPartition]:
 def census(t: EvenTarget, table: PrimeTable) -> PartitionCensus:
     """Count every odd partition of 2N by kind and extract the prime pairs.
 
-    Works on the classification window as flat bytes: component b = 2N - a
-    sits at the mirrored index, so comparing the window against its own
-    reversal covers all partitions at once.
+    Every odd factor that ``factorize`` returns divides 2N, so a is B-type
+    iff 2N - a is: no partition is mixed, and the first h bytes of the
+    B-type window, one per partition (a, 2N - a), count the B-type ones.
     """
     h = partition_total(t.two_n)
-    fwd, rev = mirror_pair(btype_window(t, table), h)
-    mixed = (fwd ^ rev).bit_count()
-    b_count = (fwd & rev).bit_count()
+    b_count = btype_window(t, table).count(1, 0, h)
     pairs = goldbach_pairs(t.two_n, table)
     return PartitionCensus(
         two_n=t.two_n,
         total=h,
-        a_count=h - mixed - b_count,
+        a_count=h - b_count,
         b_count=b_count,
-        mixed_count=mixed,
+        mixed_count=0,
         goldbach_count=len(pairs),
         goldbach_pairs=pairs,
     )

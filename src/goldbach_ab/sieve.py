@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,20 +131,13 @@ def _strike_odds(bits: bytearray, first: int, primes) -> None:
         bits[idx::p] = bytes(len(range(idx, len(bits), p)))
 
 
-def _small_odd_primes(limit: int) -> list[int]:
-    """Odd primes <= limit by a plain (non-segmented) odd-only sieve; each
-    candidate is read off the bits after every smaller prime has struck."""
-    bits = bytearray(b"\x00" + b"\x01" * ((limit - 1) // 2))  # 1 is not prime
-    _strike_odds(bits, 1, compress(range(3, limit + 1, 2), memoryview(bits)[1:]))
-    return list(compress(range(1, limit + 1, 2), bits))
-
-
 def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
     """Sieve all primes up to ``limit`` (inclusive), one segment at a time.
 
     Each segment is sieved in its own buffer and appended to the bitmap, so
     beyond the bitmap itself memory stays bounded by the segment width plus
-    the base primes below sqrt(limit).
+    the base primes below sqrt(limit), read off a table of limit sqrt(limit).
+    A bitmap larger than the machine's physical memory is refused up front.
 
     >>> build_table(10).prime_list
     (2, 3, 5, 7)
@@ -154,7 +148,15 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
         raise UsageError(f"segment size must be >= 1, got {segment_size}")
 
     half = (limit + 1) // 2
-    base = _small_odd_primes(math.isqrt(limit))
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no figure on this platform
+        memory = 0
+    if 0 < memory < half:
+        raise UsageError(f"a table of limit {limit} needs {half} bytes, more than "
+                         f"the {memory} bytes of physical memory")
+    root = math.isqrt(limit)
+    base = list(build_table(root).odd_primes(3, root)) if root > 2 else []
     out = io.BytesIO()
 
     for seg_lo in range(0, half, segment_size):
@@ -219,43 +221,26 @@ def is_prime(n: int, table: PrimeTable) -> bool:
 
 
 def primes_in(lo: int, hi: int, table: PrimeTable) -> list[int]:
-    """Ascending primes p with lo <= p <= hi, sieved in segments.
+    """Ascending primes p with lo <= p <= hi, read off the table's bitmap.
 
-    Windows beyond the table limit are supported while sqrt(hi) stays within
-    the table's base primes (i.e. hi <= limit**2) and hi fits in 64 bits.
+    Windows beyond the table limit are sieved afresh while sqrt(hi) stays
+    within the table's base primes (i.e. hi <= limit**2) and hi fits in 64
+    bits.
     """
     if lo > hi:
         raise UsageError(f"empty window: lo={lo} > hi={hi}")
-    if hi < 2:
-        return []
-    if hi <= table.limit:
-        out = [2] if lo <= 2 else []
-        first = max(lo, 3) | 1  # round up to odd
-        if first <= hi:
-            out.extend(
-                compress(range(first, hi + 1, 2), _odd_slice(table, first, hi))
-            )
-        return out
-    if hi >= _U64_BOUND or math.isqrt(hi) > table.limit:
+    if hi > table.limit and (hi >= _U64_BOUND or math.isqrt(hi) > table.limit):
         raise UsageError(
             f"window end {hi} exceeds the width supported by a table of limit "
             f"{table.limit}"
         )
-    return _sieve_window(lo, hi, table)
-
-
-def _odd_slice(table: PrimeTable, first: int, hi: int) -> bytes:
-    """Bitmap bytes for the odd numbers first, first+2, ..., <= hi."""
-    return table.odd_bits[first >> 1 : (hi >> 1) + 1]
-
-
-def _sieve_window(lo: int, hi: int, table: PrimeTable) -> list[int]:
-    out = [2] if lo <= 2 else []
-    first = max(lo, 3) | 1
-    if first > hi:
-        return out
-    bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
-    _strike_odds(bits, first, table.odd_primes(3, math.isqrt(hi)))
+    out = [2] if lo <= 2 <= hi else []
+    first = max(lo, 3) | 1  # round up to odd
+    if hi <= table.limit:
+        bits = table.odd_bits[first >> 1 : (hi >> 1) + 1]
+    else:
+        bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
+        _strike_odds(bits, first, table.odd_primes(3, math.isqrt(hi)))
     out.extend(compress(range(first, hi + 1, 2), bits))
     return out
 

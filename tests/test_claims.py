@@ -1011,8 +1011,11 @@ def test_range_verify_usage_errors(table_1k):
         range_verify(4, 8, table=table_1k)
     with pytest.raises(UsageError):
         range_verify(8, 10, workers=0, table=table_1k)
-    with pytest.raises(UsageError):
-        range_verify(8, 5_000, table=table_1k)  # table too small
+    # table too small
+    with pytest.raises(UsageError, match="does not cover the window of 2N=5000"):
+        range_verify(8, 5_000, table=table_1k)
+    with pytest.raises(UsageError, match="does not cover the window of 2N=5000"):
+        comet_rows(8, 5_000, table=table_1k)
 
 
 @pytest.mark.parametrize("chunk_evens", [0, -1])
@@ -1063,6 +1066,17 @@ def _padded(facs):
     return sorted({*facs, *_PAD})
 
 
+def _counted(partial, c_lo, c_hi):
+    """An oracle partial without its ``checked`` counts, the pair scan's two
+    sub-dicts' included, each asserted to be the chunk's evens less its
+    boundary cases: the count the range merge makes in the kernels' stead."""
+    evens = (c_hi - c_lo) // 2 + 1
+    parts = [partial, *(partial[k] for k in ("witness", "pairing") if k in partial)]
+    for part in parts:
+        assert part.pop("checked") == evens - len(part.get("boundary", ())), part
+    return partial
+
+
 # (lo, hi, list edits, odds the table leaves unmarked, (payload key, two_n)
 # where the doctoring shows); on [1900, 2200] s moves by less than 30
 _S_BOUND_CASES = {
@@ -1103,8 +1117,9 @@ def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
         assert (_chunk_s_bound(chunk)
-                == oracles.s_bound_chunk(c_lo, c_hi, doctored(c_lo, c_hi, table),
-                                         table)), (c_lo, c_hi)
+                == _counted(oracles.s_bound_chunk(
+                    c_lo, c_hi, doctored(c_lo, c_hi, table), table),
+                    c_lo, c_hi)), (c_lo, c_hi)
     whole = oracles.s_bound_chunk(lo, hi, doctored(lo, hi, table), table)
     (out,) = range_verify(lo, hi, claims=(ClaimId.S_BOUND,), table=table,
                           chunk_evens=chunk_evens)
@@ -1316,16 +1331,21 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
         facs = _odd_factor_lists(c_lo, c_hi, table)
         chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
         assert (_chunk_s_bound(chunk)
-                == oracles.s_bound_chunk(c_lo, c_hi, facs, table))
+                == _counted(oracles.s_bound_chunk(c_lo, c_hi, facs, table),
+                            c_lo, c_hi))
         assert (_chunk_pair_scan(c_lo, c_hi, table)
-                == oracles.pair_scan_chunk(c_lo, c_hi, table, True, True))
+                == _counted(oracles.pair_scan_chunk(c_lo, c_hi, table, True, True),
+                            c_lo, c_hi))
         assert (_chunk_midpoint_coprime(chunk)
-                == oracles.midpoint_coprime_chunk(c_lo, c_hi, table))
+                == _counted(oracles.midpoint_coprime_chunk(c_lo, c_hi, table),
+                            c_lo, c_hi))
         halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
         assert (_chunk_midpoint_decomposes(chunk)
-                == oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table))
+                == _counted(oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table),
+                            c_lo, c_hi))
         assert (_chunk_prime_power(chunk)
-                == oracles.prime_power_chunk(c_lo, c_hi, table))
+                == _counted(oracles.prime_power_chunk(c_lo, c_hi, table),
+                            c_lo, c_hi))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1393,12 +1413,15 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
         with mock.patch.object(claims_mod, "_odd_factor_lists", doctored):
             chunk = _ChunkContext(c_lo, c_hi, pi, first_false, None, table)
             assert (_chunk_same_type(chunk)
-                    == oracles.same_type_chunk(c_lo, c_hi, facs, table))
+                    == _counted(oracles.same_type_chunk(c_lo, c_hi, facs, table),
+                                c_lo, c_hi))
             assert (_chunk_companions(chunk)
-                    == oracles.companions_chunk(c_lo, c_hi, facs, table))
+                    == _counted(oracles.companions_chunk(c_lo, c_hi, facs, table),
+                                c_lo, c_hi))
             halo = doctored(c_lo - 4, c_hi + 4, table)
             assert (_chunk_midpoint_decomposes(chunk)
-                    == oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table))
+                    == _counted(oracles.midpoint_decomposes_chunk(
+                        c_lo, c_hi, halo, table), c_lo, c_hi))
             assert _chunk_comet(chunk) == want
             assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, None, chunk_digits,
                                               table)) == want

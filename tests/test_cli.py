@@ -19,6 +19,7 @@ from goldbach_ab.claims import ALL_CLAIMS, ClaimOutcome
 from goldbach_ab import claims as claims_mod
 from goldbach_ab import cli
 from goldbach_ab.cli import COMET_HEADER, build_analyze_report, main, parse_claims
+from goldbach_ab import sieve as sieve_mod
 from goldbach_ab.sieve import PrimeTable
 
 
@@ -553,6 +554,23 @@ def test_out_of_memory_exits_2(monkeypatch, capsys, module, argv):
     assert code == 2
     assert out == ""
     assert err == "error: MemoryError\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no physical memory figure")
+@pytest.mark.parametrize("argv", [
+    ["census", str(10**18)], ["analyze", str(10**18)],
+    ["verify", "8", str(10**18)], ["comet", "8", str(10**18)],
+])
+def test_a_table_past_physical_memory_exits_2(monkeypatch, capsys, argv):
+    def struck(*args):
+        raise AssertionError("sieved before the memory check")
+
+    monkeypatch.setattr(sieve_mod, "_strike_odds", struck)
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bytes of physical memory" in err
 
 
 def test_comet_workers_byte_identical(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldbach_ab import UsageError, build_table, factorize, is_prime, primes_in
+import goldbach_ab.sieve as sieve_mod
 from goldbach_ab.sieve import _is_prime_u64, pi_upto
 
 from oracles import factorize_td, is_prime_td, primes_td, simple_sieve
@@ -23,6 +25,16 @@ def test_build_table_rejects_tiny_limit():
 def test_build_table_rejects_empty_segments():
     with pytest.raises(UsageError, match="segment size must be >= 1"):
         build_table(10, segment_size=0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no physical memory figure")
+def test_build_table_rejects_a_bitmap_past_physical_memory(monkeypatch):
+    def struck(*args):
+        raise AssertionError("sieved before the memory check")
+
+    monkeypatch.setattr(sieve_mod, "_strike_odds", struck)
+    with pytest.raises(UsageError, match="bytes of physical memory"):
+        build_table(1 << 70)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 17, 100, 541, 1000, 65_537])
@@ -98,9 +110,11 @@ def test_primes_in_rejects_reversed_window(table_1k):
 
 
 def test_primes_in_beyond_limit_uses_segmented_window(table_1k):
-    got = primes_in(100_000, 100_200, table_1k)
-    want = [p for p in simple_sieve(100_200) if p >= 100_000]
-    assert got == want
+    # windows past the limit, straddling it, and holding 2
+    for lo, hi in [(100_000, 100_200), (900, 1_100), (997, 2_003), (1, 1_100)]:
+        got = primes_in(lo, hi, table_1k)
+        want = [p for p in simple_sieve(hi) if p >= lo]
+        assert got == want, (lo, hi)
 
 
 def test_primes_in_rejects_window_past_supported_width(table_1k):
