@@ -44,16 +44,15 @@ field, with no knowledge of the claim, so adding a claim takes one
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import floordiv, itemgetter, mod, not_, rshift, sub, truth
 
+from ._record import Record, set_field
 from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes, window_end
 from .errors import CounterexampleFound, NotAPureAProduct, UsageError
 from .partition import (
@@ -67,10 +66,29 @@ from .partition import (
 )
 from .sieve import PrimeTable, build_table, factorize, pi_upto
 
-try:  # libmpdec multiplies huge operands by number-theoretic transform
-    import _decimal
-except ImportError:  # pure-Python decimal squares slower than the windows run
-    _decimal = None
+
+def __getattr__(name: str):
+    """``multiprocessing`` and ``_decimal``, imported when a run first pools or
+    squares, so that a fresh process loads neither; a value set on the module
+    beforehand wins.  ``_decimal`` is None where it is missing."""
+    if name == "multiprocessing":
+        import multiprocessing as module
+    elif name == "_decimal":
+        try:  # libmpdec multiplies huge operands by number-theoretic transform
+            import _decimal as module
+        except ImportError:  # pure-Python decimal squares slower than the windows run
+            module = None
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = module
+    return module
+
+
+def _lazy(name: str):
+    """The module attribute ``name``, imported by ``__getattr__`` if unset."""
+    g = globals()
+    return g[name] if name in g else __getattr__(name)
+
 
 # Evens per work chunk; fixed so range output cannot depend on worker count.
 DEFAULT_CHUNK_EVENS = 8192
@@ -94,15 +112,16 @@ class ClaimId(Enum):
 ALL_CLAIMS = tuple(ClaimId)
 
 
-@dataclass(frozen=True)
-class ClaimOutcome:
+class ClaimOutcome(Record):
     """Verdict for one claim over one target (lo == hi) or an even range."""
 
-    claim_id: ClaimId
-    lo: int
-    hi: int
-    status: str
-    payload: dict
+    def __init__(self, claim_id: ClaimId, lo: int, hi: int, status: str,
+                 payload: dict) -> None:
+        set_field(self, "claim_id", claim_id)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "status", status)
+        set_field(self, "payload", payload)
 
     @property
     def ok(self) -> bool:
@@ -124,8 +143,7 @@ class ClaimOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(Record):
     """Factorization of an odd number expressed over the A-prime basis.
 
     Stored sparsely as (basis index, exponent) pairs; the dense ``exps``
@@ -133,8 +151,10 @@ class ExponentVector:
     demand because the basis can hold thousands of primes.
     """
 
-    basis: tuple[int, ...]
-    nonzero: tuple[tuple[int, int], ...]
+    def __init__(self, basis: tuple[int, ...],
+                 nonzero: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "basis", basis)
+        set_field(self, "nonzero", nonzero)
 
     @property
     def exps(self) -> list[int]:
@@ -183,14 +203,15 @@ def decompose_over_a_basis(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompanionRecord:
+class CompanionRecord(Record):
     """One A-prime p with its companion 2N - p and that companion's shape."""
 
-    p: int
-    companion: int
-    companion_is_prime: bool
-    exps: ExponentVector
+    def __init__(self, p: int, companion: int, companion_is_prime: bool,
+                 exps: ExponentVector) -> None:
+        set_field(self, "p", p)
+        set_field(self, "companion", companion)
+        set_field(self, "companion_is_prime", companion_is_prime)
+        set_field(self, "exps", exps)
 
 
 def _smallest_factors(top: int, primes) -> list[int]:
@@ -271,12 +292,13 @@ def companions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(Record):
     """A-prime Goldbach pairs of 2N plus the A-primes left without a partner."""
 
-    pairs: tuple[tuple[int, int], ...]
-    unpaired: tuple[int, ...]
+    def __init__(self, pairs: tuple[tuple[int, int], ...],
+                 unpaired: tuple[int, ...]) -> None:
+        set_field(self, "pairs", pairs)
+        set_field(self, "unpaired", unpaired)
 
 
 def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> PairingReport:
@@ -307,26 +329,29 @@ def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> Pairi
     return PairingReport(pairs=tuple(pairs), unpaired=tuple(unpaired))
 
 
-@dataclass(frozen=True)
-class MidpointValue:
-    value: int
-    is_prime: bool
-    # None when the value failed to decompose over the A-basis, which the
-    # claim layer reports as a counterexample.
-    exps: ExponentVector | None
+class MidpointValue(Record):
+    """``exps`` is None when the value failed to decompose over the A-basis,
+    which the claim layer reports as a counterexample."""
+
+    def __init__(self, value: int, is_prime: bool, exps: ExponentVector | None) -> None:
+        set_field(self, "value", value)
+        set_field(self, "is_prime", is_prime)
+        set_field(self, "exps", exps)
 
 
-@dataclass(frozen=True)
-class MidpointReport:
+class MidpointReport(Record):
     """The two odd numbers flanking N: N-1/N+1 for even N, N-2/N+2 for odd N.
 
-    ``both_prime_pair`` holds the (lo, hi) Goldbach pair formed by the two
-    values whenever both are prime; they always sum to 2N.
+    ``parity`` is the parity of N, "even" or "odd".  ``both_prime_pair``
+    holds the (lo, hi) Goldbach pair formed by the two values whenever both
+    are prime; they always sum to 2N.
     """
 
-    parity: str  # parity of N: "even" | "odd"
-    values: tuple[MidpointValue, MidpointValue]
-    both_prime_pair: tuple[int, int] | None
+    def __init__(self, parity: str, values: tuple[MidpointValue, MidpointValue],
+                 both_prime_pair: tuple[int, int] | None) -> None:
+        set_field(self, "parity", parity)
+        set_field(self, "values", values)
+        set_field(self, "both_prime_pair", both_prime_pair)
 
 
 def midpoint_values(two_n: int) -> tuple[int, int]:
@@ -614,9 +639,10 @@ def _pair_count_digits(bits: bytes, lo: int, hi: int) -> tuple[str, int]:
     w = len(str(src.count(1)))
     digits = bytearray(b"0") * (w * n)
     digits[w - 1 :: w] = src.translate(_ASCII_BITS)
-    x = _decimal.Decimal(digits.decode())
+    dec = _lazy("_decimal")
+    x = dec.Decimal(digits.decode())
     del digits
-    ctx = _decimal.Context(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX)
+    ctx = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX)
     sq = str(ctx.multiply(x, x))
     skip = (2 * n - 1) * w - len(sq)  # the leading zeros str() drops
     start, stop = ((lo >> 1) - 1) * w - skip, (hi >> 1) * w - skip
@@ -718,18 +744,23 @@ def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]
     return facs
 
 
-@dataclass
-class _ChunkContext:
+class _ChunkContext(Record):
     """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
     and then kept, so that every kernel run on the chunk shares them.  The
-    factor sieve runs 2 evens past each end, where the midpoint flankers sit."""
+    factor sieve runs 2 evens past each end, where the midpoint flankers sit.
+    ``pi`` is pi(c_lo - 3), carried in; ``first_false`` is the companions
+    kernel's bound (see ``_first_false_prime``); ``digits`` are the chunk's
+    slots of the bitmap square (comet)."""
 
-    c_lo: int
-    c_hi: int
-    pi: int  # pi(c_lo - 3), carried in
-    first_false: int | float | None  # see _first_false_prime (companions)
-    digits: str | None  # the chunk's slots of the bitmap square (comet)
-    table: PrimeTable
+    def __init__(self, c_lo: int, c_hi: int, pi: int,
+                 first_false: int | float | None, digits: str | None,
+                 table: PrimeTable) -> None:
+        set_field(self, "c_lo", c_lo)
+        set_field(self, "c_hi", c_hi)
+        set_field(self, "pi", pi)
+        set_field(self, "first_false", first_false)
+        set_field(self, "digits", digits)
+        set_field(self, "table", table)
 
     @property
     def evens(self) -> range:
@@ -1082,14 +1113,16 @@ def _pooled(job):
     return _evaluate_chunk(*job, _WORKER_TABLE)
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
+class ClaimSpec(Record):
     """One claim: its single-target verdict, its partial over one chunk and
     its short CLI names (the full name is its ``ClaimId`` value)."""
 
-    verdict: Callable[[TargetContext], ClaimOutcome]
-    kernel: Callable[[_ChunkContext], dict]
-    aliases: tuple[str, ...] = ()
+    def __init__(self, verdict: Callable[[TargetContext], ClaimOutcome],
+                 kernel: Callable[[_ChunkContext], dict],
+                 aliases: tuple[str, ...] = ()) -> None:
+        set_field(self, "verdict", verdict)
+        set_field(self, "kernel", kernel)
+        set_field(self, "aliases", aliases)
 
 
 def _s_bound(ctx: TargetContext) -> ClaimOutcome:
@@ -1153,7 +1186,7 @@ def _map_chunks(jobs: list[tuple], workers: int, table: PrimeTable) -> list:
     processes = min(workers, len(jobs) // _POOL_MIN_CHUNKS, _usable_cpus())
     if processes < 2:
         return [_evaluate_chunk(*job, table) for job in jobs]
-    with multiprocessing.Pool(processes, _worker_init, (table,)) as pool:
+    with _lazy("multiprocessing").Pool(processes, _worker_init, (table,)) as pool:
         return pool.map(_pooled, jobs, chunksize=1)
 
 
@@ -1253,7 +1286,7 @@ def comet_rows(
     chunks = _chunk_ranges(lo, hi, chunk_evens, table)
     slots = [None] * len(chunks)
     sum_n = ((hi - lo) // 2 + 1) * (lo + hi) // 4
-    if _decimal is not None and sum_n > _SQUARE_COST * hi:
+    if sum_n > _SQUARE_COST * hi and _lazy("_decimal") is not None:
         digits, w = _pair_count_digits(table.odd_bits, lo, hi)
         slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
                  for c_lo, c_hi, _ in chunks]

@@ -13,9 +13,9 @@ length N - 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record, set_field
 from .errors import UsageError
 from .sieve import FactorMultiset, PrimeTable, factorize, primes_in
 
@@ -25,17 +25,15 @@ class NumberClass(Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class EvenTarget:
+class EvenTarget(Record):
     """The even number under analysis; must be >= 6."""
 
-    two_n: int
-
-    def __post_init__(self):
-        if self.two_n % 2 != 0:
-            raise UsageError(f"target must be even, got {self.two_n}")
-        if self.two_n < 6:
-            raise UsageError(f"target must be >= 6, got {self.two_n}")
+    def __init__(self, two_n: int) -> None:
+        if two_n % 2 != 0:
+            raise UsageError(f"target must be even, got {two_n}")
+        if two_n < 6:
+            raise UsageError(f"target must be >= 6, got {two_n}")
+        set_field(self, "two_n", two_n)
 
     @property
     def n(self) -> int:
@@ -47,29 +45,30 @@ class EvenTarget:
         return self.n - 2
 
 
-@dataclass(frozen=True)
-class EvenFactorization:
+class EvenFactorization(Record):
     """2N = 2**m * product(odd prime powers)."""
 
-    m: int
-    b_factors: FactorMultiset
+    def __init__(self, m: int, b_factors: FactorMultiset) -> None:
+        set_field(self, "m", m)
+        set_field(self, "b_factors", b_factors)
 
     def value(self) -> int:
         return (1 << self.m) * self.b_factors.value()
 
 
-@dataclass(frozen=True)
-class PrimeSplit:
+class PrimeSplit(Record):
     """The A/B partition of the odd primes in the open interval (1, 2N-1).
 
     ``s`` counts the A-type primes; the interval excludes both endpoints, so
     a prime equal to 2N-1 does not appear on either side.
     """
 
-    two_n: int
-    a_primes: tuple[int, ...]
-    b_primes: tuple[int, ...]
-    s: int
+    def __init__(self, two_n: int, a_primes: tuple[int, ...],
+                 b_primes: tuple[int, ...], s: int) -> None:
+        set_field(self, "two_n", two_n)
+        set_field(self, "a_primes", a_primes)
+        set_field(self, "b_primes", b_primes)
+        set_field(self, "s", s)
 
 
 def factorize_even(t: EvenTarget, table: PrimeTable) -> EvenFactorization:

@@ -9,10 +9,10 @@ package exists to check, so it is recorded as data, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
+from ._record import Record, set_field
 from .classify import EvenTarget, btype_window, window_end
 from .errors import UsageError
 from .sieve import PrimeTable
@@ -24,24 +24,34 @@ class PartitionKind(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class OddPartition:
-    a: int
-    b: int
-    kind: PartitionKind
+class OddPartition(Record):
+    __slots__ = ("a", "b", "kind")
+
+    def __init__(self, a: int, b: int, kind: PartitionKind) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_kind(self, kind)
 
 
-@dataclass(frozen=True)
-class PartitionCensus:
+# The slots' own setters pass the refusing __setattr__ at less cost than
+# set_field, for the millions of partitions a run of censuses builds.
+_set_a, _set_b, _set_kind = (
+    vars(OddPartition)[name].__set__ for name in OddPartition.__slots__)
+
+
+class PartitionCensus(Record):
     """Aggregate counts over every odd partition of one even target."""
 
-    two_n: int
-    total: int
-    a_count: int
-    b_count: int
-    mixed_count: int
-    goldbach_count: int
-    goldbach_pairs: tuple[tuple[int, int], ...]
+    def __init__(self, two_n: int, total: int, a_count: int, b_count: int,
+                 mixed_count: int, goldbach_count: int,
+                 goldbach_pairs: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "two_n", two_n)
+        set_field(self, "total", total)
+        set_field(self, "a_count", a_count)
+        set_field(self, "b_count", b_count)
+        set_field(self, "mixed_count", mixed_count)
+        set_field(self, "goldbach_count", goldbach_count)
+        set_field(self, "goldbach_pairs", goldbach_pairs)
 
 
 def partition_total(two_n: int) -> int:

@@ -17,10 +17,10 @@ import io
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice
 
+from ._record import Record, set_field
 from .errors import UsageError
 
 # Segment width (count of odd numbers per segment) used while sieving.
@@ -36,14 +36,14 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _U64_BOUND = 1 << 64
 
 
-@dataclass(frozen=True)
-class FactorMultiset:
+class FactorMultiset(Record):
     """A complete factorization as (prime, exponent) pairs, primes ascending.
 
     The empty multiset represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "factors", factors)
 
     @classmethod
     def from_dict(cls, exps: dict[int, int]) -> "FactorMultiset":
@@ -68,8 +68,7 @@ class FactorMultiset:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(Record):
     """Immutable sieve output: primality of every integer up to ``limit``.
 
     ``odd_bits[i]`` is 1 exactly when ``2*i + 1`` is prime, so the bitmap
@@ -87,9 +86,11 @@ class PrimeTable:
     primes are tried.
     """
 
-    limit: int
-    odd_bits: bytes
-    primes: tuple[int, ...] | None = None
+    def __init__(self, limit: int, odd_bits: bytes,
+                 primes: tuple[int, ...] | None = None) -> None:
+        set_field(self, "limit", limit)
+        set_field(self, "odd_bits", odd_bits)
+        set_field(self, "primes", primes)
 
     @cached_property
     def prime_list(self) -> tuple[int, ...]:
@@ -114,9 +115,6 @@ class PrimeTable:
         first = max(lo, 3) | 1
         bits = memoryview(self.odd_bits)[first >> 1 : (hi >> 1) + 1]
         return compress(range(first, hi + 1, 2), bits)
-
-    def __reduce__(self):
-        return type(self), (self.limit, self.odd_bits, self.primes)
 
 
 def _strike_odds(bits: bytearray, first: int, primes) -> None:
