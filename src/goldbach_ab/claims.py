@@ -12,12 +12,12 @@ The same-type, companion and comet routes screen each target's factor
 list.  When every listed factor divides 2N, the B-type window is its own
 mirror and no partition is mixed; same-type needs no more.  When the list is
 exactly the odd primes of 2N, gcd(a, 2N) = gcd(2N - a, 2N) also gives
-a_count = phi(2N) / 2 - 1, and the A-primes are pi(2N - 3) less the listed
-factors marked prime while the table marks no composite (one fresh sieve per
-run checks).  Other targets take the byte windows of ``classify``.  r(2N) comes
-from one square of the bitmap polynomial in C ``decimal`` (Kronecker
-substitution, number-theoretic transform) where a work estimate says the
-targets' prime windows cost more, else from the windows.
+a_count = phi(2N) / 2 - 1, and its A-primes are s(2N) on a trusted table:
+one the run sieved, or one equal to a fresh sieve.  Other targets take the
+byte windows of ``classify``.  r(2N) comes from one square of the bitmap
+polynomial in C ``decimal`` (Kronecker substitution, number-theoretic
+transform) where a work estimate says the targets' prime windows cost more,
+else from the windows.
 
 The linear claims evaluate a whole chunk per step.  The Goldbach scan holds
 the chunk's unresolved targets in one int and resolves, for each odd prime
@@ -36,9 +36,9 @@ ascending order, so output is identical for any number of workers.
 ``ClaimId``: the single-target verdict on a TargetContext, the range kernel
 and the short CLI names.  Every range kernel, comet's included, reads one
 _ChunkContext that builds each shared input of its chunk once, through the
-chunk jobs that verify and comet share.  Chunk partials merge field by
-field, with no knowledge of the claim, so adding a claim takes one
-``ClaimId`` member and one ``ClaimSpec``.
+chunk jobs that verify and comet share, and reads the table only through
+the context.  Chunk partials merge field by field, with no knowledge of the
+claim, so adding a claim takes one ``ClaimId`` member and one ``ClaimSpec``.
 """
 
 from __future__ import annotations
@@ -649,35 +649,37 @@ def _pair_count_digits(bits: bytes, lo: int, hi: int) -> tuple[str, int]:
     return sq[max(start, 0) : max(stop, 0)].rjust(stop - start, "0"), w
 
 
-def _window_rs(c_lo: int, c_hi: int, bits: bytes) -> list[int]:
-    """r(2N) for the evens in [c_lo, c_hi]: each target's prime window ANDed
-    with its mirror, one bit per odd.  Bit j of ``fwd`` is the odd 3 + 2j, of
-    ``rev`` table index k_hi - j, so ``rev >> (k_hi - k)`` mirrors the window
-    of 2N = 2k + 4; both cover only what the targets' h bits reach.  A lone
-    target reads its h table bytes from each end of its window through
-    ``mirror_pair``, one byte per odd: that skips packing the table to bits."""
+def _window_rs(chunk: _ChunkContext) -> list[int]:
+    """r(2N) for the chunk's evens: each target's prime window ANDed with its
+    mirror, one bit per odd, read from the odds 3 to c_hi - 3.  Bit j of
+    ``fwd`` is the odd 3 + 2j, of ``rev`` the odd c_hi - 3 - 2j, so
+    ``rev >> (c_hi - 2N) / 2`` mirrors the window of 2N; both cover only what
+    the targets' h bits reach.  A lone target reads the h bytes at each end
+    of its window, one byte per odd: that skips packing the table to bits."""
+    c_lo, c_hi = chunk.c_lo, chunk.c_hi
     if c_lo == c_hi:
-        fwd, rev = mirror_pair(bits, partition_total(c_lo), 1, (c_lo >> 1) - 1)
+        h = partition_total(c_lo)  # the window's first and last h odds
+        fwd = int.from_bytes(chunk.odds(3, 2 * h + 1), "little")
+        rev = int.from_bytes(chunk.odds(c_lo - 1 - 2 * h, c_lo - 3), "big")
         return [(fwd & rev).bit_count()]
-    k_lo, k_hi = (c_lo >> 1) - 2, (c_hi >> 1) - 2
-    fwd = _pack(bits[1 : partition_total(c_hi) + 1])
-    rev = _pack(bits[k_hi : k_lo - partition_total(c_lo) : -1])
-    return [(fwd & (rev >> (k_hi + 2 - (two_n >> 1)))
+    fwd = _pack(chunk.odds(3, 2 * partition_total(c_hi) + 1))
+    rev = _pack(chunk.odds(c_lo - 1 - 2 * partition_total(c_lo), c_hi - 3)[::-1])
+    return [(fwd & (rev >> ((c_hi - two_n) >> 1))
              & ((1 << partition_total(two_n)) - 1)).bit_count()
             for two_n in range(c_lo, c_hi + 1, 2)]
 
 
-def _companion_window(two_n: int, qs, bits: bytes) -> tuple[int, dict | None]:
-    """(A-primes, first failed check) of 2N on its byte windows, ``qs`` taken
-    as its odd prime factors: (1) no companion is B-type, (2) every listed
-    factor divides 2N, (3) no A-prime divides its companion.
+def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict | None]:
+    """(A-primes, first failed check) of 2N on its byte windows (the odds 3 to
+    2N - 3), ``qs`` taken as its odd prime factors: (1) no companion is B-type,
+    (2) every listed factor divides 2N, (3) no A-prime divides its companion.
 
     An A-prime p divides 2N - p iff it divides 2N, and then it divides m, the
     odd part of 2N with the listed primes stripped; so (3) reports the
     smallest A-prime among the divisors of m."""
     k = (two_n >> 1) - 2
     b, rb = mirror_pair(btype_bytes(k, qs), k)
-    a = int.from_bytes(bits[1 : k + 1], "little") & ~b
+    a = int.from_bytes(chunk.odds(3, two_n - 3), "little") & ~b
     count = a.bit_count()
     if not a:
         return 0, None
@@ -702,13 +704,11 @@ def _companion_window(two_n: int, qs, bits: bytes) -> tuple[int, dict | None]:
     return count, None
 
 
-def _first_false_prime(table: PrimeTable, hi: int) -> int | float:
-    """Smallest odd composite up to hi - 3 that the table marks prime, or inf:
-    the table against a fresh sieve, compared at C speed."""
+def _sieve_agrees(table: PrimeTable, hi: int) -> bool:
+    """Whether a caller's table is what a fresh sieve gives: the same bits on
+    the odds up to hi - 3, and no candidate tuple of its own to differ."""
     n = (hi >> 1) - 1  # the odds 1, 3, ..., hi - 3
-    x = (int.from_bytes(table.odd_bits[1:n], "little")
-         & ~int.from_bytes(build_table(hi).odd_bits[1:n], "little"))
-    return 3 + 2 * (_low_bit(x) >> 3) if x else math.inf
+    return table.primes is None and table.odd_bits[1:n] == build_table(hi).odd_bits[1:n]
 
 
 # ---------------------------------------------------------------------------
@@ -716,20 +716,20 @@ def _first_false_prime(table: PrimeTable, hi: int) -> int | float:
 # ---------------------------------------------------------------------------
 
 
-def _odd_factor_lists(c_lo: int, c_hi: int, table: PrimeTable) -> list[list[int]]:
+def _odd_factor_lists(c_lo: int, c_hi: int, source) -> list[list[int]]:
     """Distinct odd prime factors of every even number in [c_lo, c_hi].
 
     Sieve-style, one slice per odd prime power q <= c_hi / 2: the evens
-    divisible by 2q sit at stride q from index (-c_lo / 2) mod q.  Each of
-    the table's small primes up to sqrt(c_hi) is appended along its stride
-    and divides the odd parts down along the strides of its powers; whatever
-    survives above 1 is a single prime factor larger than them: the table
-    reaches c_hi - 7 at least, so two larger factors would exceed c_hi.
+    divisible by 2q sit at stride q from index (-c_lo / 2) mod q.  Each small
+    prime of ``source`` (a table or chunk) up to sqrt(c_hi) is appended along
+    its stride and divides the odd parts down along the strides of its powers;
+    whatever survives above 1 is a single prime factor larger than them: the
+    table reaches c_hi - 7 at least, so two larger factors would exceed c_hi.
     """
     cof = [v // (v & -v) for v in range(c_lo, c_hi + 1, 2)]
     facs: list[list[int]] = [[] for _ in cof]
     h = c_lo >> 1
-    small = table.small_primes
+    small = source.small_primes
     for p in small[1 : bisect_right(small, math.isqrt(c_hi))]:
         for lst in facs[-h % p :: p]:
             lst.append(p)
@@ -748,19 +748,33 @@ class _ChunkContext(Record):
     """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
     and then kept, so that every kernel run on the chunk shares them.  The
     factor sieve runs 2 evens past each end, where the midpoint flankers sit.
-    ``pi`` is pi(c_lo - 3), carried in; ``first_false`` is the companions
-    kernel's bound (see ``_first_false_prime``); ``digits`` are the chunk's
-    slots of the bitmap square (comet)."""
+    ``pi`` is pi(c_lo - 3), carried in; ``trusted`` that the table equals a
+    fresh sieve; ``digits`` the chunk's slots of the bitmap square (comet).
+    Kernels see ``table`` only through the next three members."""
 
-    def __init__(self, c_lo: int, c_hi: int, pi: int,
-                 first_false: int | float | None, digits: str | None,
-                 table: PrimeTable) -> None:
+    def __init__(self, c_lo: int, c_hi: int, pi: int, trusted: bool,
+                 digits: str | None, table: PrimeTable) -> None:
         set_field(self, "c_lo", c_lo)
         set_field(self, "c_hi", c_hi)
         set_field(self, "pi", pi)
-        set_field(self, "first_false", first_false)
+        set_field(self, "trusted", trusted)
         set_field(self, "digits", digits)
         set_field(self, "table", table)
+
+    def odds(self, lo: int, hi: int) -> bytes:
+        """The bitmap bytes of the odd values from lo to hi, 0 <= lo: byte j
+        stands for the odd (lo | 1) + 2j."""
+        return self.table.odd_bits[lo >> 1 : (hi + 1) >> 1]
+
+    @property
+    def small_primes(self) -> tuple[int, ...]:
+        return self.table.small_primes
+
+    def candidates(self, lo: int, hi: int):
+        """Odd primes lo to hi, from a table's own prime tuple, else the marked odds."""
+        if self.table.primes is not None:
+            return self.table.odd_primes(lo, hi)
+        return compress(range(lo | 1, hi + 1, 2), self.odds(lo, hi))
 
     @property
     def evens(self) -> range:
@@ -768,18 +782,20 @@ class _ChunkContext(Record):
 
     @cached_property
     def halo(self) -> list[list[int]]:
-        return _odd_factor_lists(self.c_lo - 4, self.c_hi + 4, self.table)
+        return _odd_factor_lists(self.c_lo - 4, self.c_hi + 4, self)
 
     @cached_property
     def facs(self) -> list[list[int]]:
         return self.halo[2:-2]
 
     @cached_property
+    def steps(self) -> bytes:  # bit i steps pi(2N - 3) from target i to i + 1
+        return self.odds(self.c_lo - 1, self.c_hi - 3)
+
+    @cached_property
     def pis(self) -> list[int]:
         """pi(2N - 3) for every target, counted on from the carried pi."""
-        i0 = (self.c_lo >> 1) - 1  # table index of c_lo - 1, the next odd counted
-        bits = self.table.odd_bits[i0 : i0 + len(self.evens) - 1]
-        return list(accumulate(bits, initial=self.pi))
+        return list(accumulate(self.steps, initial=self.pi))
 
     @cached_property
     def s(self) -> list[int]:
@@ -793,7 +809,7 @@ class _ChunkContext(Record):
 
     @cached_property
     def scan(self) -> dict:
-        return _chunk_pair_scan(self.c_lo, self.c_hi, self.table)
+        return _chunk_pair_scan(self)
 
 
 # ---------------------------------------------------------------------------
@@ -828,13 +844,11 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     pi >= s_last: a suffix that starts after the (omega_last + 1)-th marked
     bit from the end.  s is evaluated on those two ends only.
     """
-    c_lo, facs, pi = chunk.c_lo, chunk.facs, chunk.pi
-    bits = chunk.table.odd_bits
-    i0 = (c_lo >> 1) - 1  # bit i0 + i steps pi from target i to target i + 1
-    boundary = []
+    c_lo, facs, pi, bits = chunk.c_lo, chunk.facs, chunk.pi, chunk.steps
+    boundary = []  # bit i of ``bits`` steps pi from target i to target i + 1
     if c_lo == 6:
         boundary.append({"two_n": 6, "s": pi - len(facs[0])})
-        c_lo, i0, pi, facs = 8, i0 + 1, pi + bits[i0], facs[1:]
+        c_lo, pi, bits, facs = 8, pi + bits[:1].count(1), bits[1:], facs[1:]
     n = len(facs)
     out = {"fail": None, "boundary": boundary, "min_s": None, "max_s": None}
     if not n:
@@ -842,25 +856,23 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
 
     def s_of(a: int, b: int) -> list[int]:
         """s of the targets [a, b)."""
-        pi_a = pi + bits[i0 : i0 + a].count(1)
-        return list(map(sub, accumulate(bits[i0 + a : i0 + b - 1], initial=pi_a),
+        pi_a = pi + bits.count(1, 0, a)
+        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a),
                         map(len, facs[a:b])))
 
-    end = i0 + n - 1  # the bits [i0, end) step the chunk
-    j = i0 - 1
+    j = -1
     for _ in range(max(map(len, facs)) - len(facs[0]) + 1):
-        j = bits.find(1, j + 1, end)
+        j = bits.find(1, j + 1, n - 1)
         if j < 0:
-            j = end
+            j = n - 1
             break
-    head = s_of(0, j - i0 + 1)
-    j = end
+    head = s_of(0, j + 1)
+    j = n - 1
     for _ in range(len(facs[-1]) + 1):
-        j = bits.rfind(1, i0, j)
+        j = bits.rfind(1, 0, j)
         if j < 0:
-            j = i0 - 1
             break
-    first = j - i0 + 1
+    first = j + 1
     tail = s_of(first, n)
     lo, hi = min(head), max(tail)
     out["min_s"] = [lo, c_lo + 2 * head.index(lo)]
@@ -874,79 +886,71 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
 def _chunk_companions(chunk: _ChunkContext) -> dict:
     """Companion checks for the chunk's evens.
 
-    On a target whose list passes the screen the checks cannot fail, and its
-    A-primes are pi(2N - 3) less the listed factors marked prime as long as
-    the table marks no composite up to 2N - 3.  Those targets are counted
-    in one pass; the others take the byte windows in ascending order.
+    On a trusted table a target whose list passes the screen cannot fail:
+    the list holds its odd primes, each marked, so its A-primes are s(2N).
+    Those targets are counted in one pass; the others, and every target on
+    an untrusted table, take the byte windows in ascending order.
     """
-    c_lo, facs, first_false = chunk.c_lo, chunk.facs, chunk.first_false
-    bits = chunk.table.odd_bits
-    fast = list(map(truth, chunk.phis))
-    if first_false < chunk.c_hi - 2:  # from 2N - 3 >= first_false on
-        cut = max(0, (first_false + 3 - c_lo) >> 1)
-        fast[cut:] = [False] * (len(fast) - cut)
+    c_lo, facs = chunk.c_lo, chunk.facs
+    fast = list(map(truth, chunk.phis)) if chunk.trusted else [False] * len(facs)
     boundary = []
     if c_lo == 6:
         fast[0] = False
         boundary.append({"two_n": 6})
-    a_total = (sum(compress(chunk.pis, fast))
-               - sum(map(bits.__getitem__, map(rshift, chain.from_iterable(
-                   compress(facs, fast)), repeat(1)))))
+    a_total = sum(compress(chunk.s, fast))
     fail = None
     for two_n, qs in compress(zip(chunk.evens, facs), map(not_, fast)):
         if two_n != 6:
-            count, detail = _companion_window(two_n, qs, bits)
+            count, detail = _companion_window(two_n, qs, chunk)
             a_total += count
             fail = fail or detail
     return {"fail": fail, "boundary": boundary, "a_primes_checked": a_total}
 
 
-def _chunk_pair_scan(c_lo, c_hi, table) -> dict:
+def _chunk_pair_scan(chunk: _ChunkContext) -> dict:
     """Smallest-prime Goldbach scan shared by the witness and pairing claims,
     over all targets of the chunk at once.
 
     Bit i of ``left`` stands for the target c_lo + 2i whose smallest prime p
-    with 2N - p marked prime is still unknown.  For each odd prime p up to
-    c_hi / 2, read off the table in ascending order, the targets with
-    2N - p marked prime are one shifted window of the table packed from
-    index c_lo / 2 - P / 2 on, where P doubles whenever the scan passes it;
+    with 2N - p marked prime is still unknown.  The scan walks the candidate
+    primes up to c_hi / 2 in ascending blocks (P / 2, P], P = 64, 128, ...;
+    for each p the targets with 2N - p marked prime are one shifted window
+    of the block's odds c_lo - P + 1 to c_hi - 3, packed once per block, and
     a window hit resolves its targets.
     The hits on the stride of the multiples of p have p | 2N; a true table
     allows that only for 2N = p + p, so any other such hit fails the witness
     claim.
     """
-    bits = table.odd_bits
+    c_lo, c_hi = chunk.c_lo, chunk.c_hi
     h = c_lo >> 1
     nev = (c_hi - c_lo) // 2 + 1
     left = (1 << nev) - 1
     b_self_evens = 0
     divisible = None  # (bit, p) of the first divisible partner marked prime
     last = None  # (p, hit) of the last prime with hits
-    span = 64
-    base = max(0, h - span // 2)
-    packed = _pack(bits[base : c_hi >> 1])
-    for p in table.odd_primes(3, c_hi >> 1):
-        if not left:
-            break
-        if p > span:
-            span <<= 1
-            base = max(0, h - span // 2)
-            packed = _pack(bits[base : c_hi >> 1])
-        shift = h - ((p + 1) >> 1) - base  # bit 0 of the window: c_lo - p
-        hit = (packed >> shift if shift >= 0 else packed << -shift) & left
-        if p > h:  # only targets with N >= p take p
-            hit = hit >> (p - h) << (p - h)
-        if not hit:
-            continue
-        left ^= hit
-        last = p, hit
-        div = hit & _stride(-h % p, p, nev)
-        if div:
-            b_self_evens += div.bit_count()
-            if 0 <= p - h < nev:  # 2N = p + p
-                div &= ~(1 << (p - h))
-            if div and (divisible is None or _low_bit(div) < divisible[0]):
-                divisible = _low_bit(div), p
+    p_lo, span = 3, 64
+    while left and p_lo <= c_hi >> 1:
+        first = max(1, c_lo - span + 1)  # the window's first odd
+        packed = _pack(chunk.odds(first, c_hi - 3))
+        for p in chunk.candidates(p_lo, min(span, c_hi >> 1)):
+            shift = (c_lo - p - first) >> 1  # bit 0 of the window: c_lo - p
+            hit = (packed >> shift if shift >= 0 else packed << -shift) & left
+            if p > h:  # only targets with N >= p take p
+                hit = hit >> (p - h) << (p - h)
+            if not hit:
+                continue
+            left ^= hit
+            last = p, hit
+            div = hit & _stride(-h % p, p, nev)
+            if div:
+                b_self_evens += div.bit_count()
+                if 0 <= p - h < nev:  # 2N = p + p
+                    div &= ~(1 << (p - h))
+                if div and (divisible is None or _low_bit(div) < divisible[0]):
+                    divisible = _low_bit(div), p
+            if not left:
+                break
+        p_lo, span = span + 1, span << 1
     a_pair_evens = nev - left.bit_count() - b_self_evens
     witness_fail = pairing_fail = None
     if left:
@@ -1011,10 +1015,10 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     bitmap: N -+ 1 for even N, N -+ 2 for odd N, one byte apart per step of 4.
     """
     c_lo, c_hi, halo = chunk.c_lo, chunk.c_hi, chunk.halo
-    bits = chunk.table.odd_bits
     first = max(c_lo, 8)
     vb = ((first >> 1) - 2) | 1
     vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
+    bits = chunk.odds(vb, vs[-1])  # byte j: the flanker vb + 2j
     rads = map(math.prod, halo[vb - (c_lo >> 1) + 2 :: 2])
     todo = {2 * v + d for v in compress(vs, map(mod, vs, rads)) for d in (-4, -2, 2, 4)}
     fail = None
@@ -1022,7 +1026,7 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
         for v in midpoint_values(two_n):
             # lists ascend, so shared[0] is the smallest shared prime
             shared = [q for q in halo[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
-            if shared and not bits[v >> 1]:
+            if shared and not bits[(v - vb) >> 1]:
                 fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
                 break
         if fail is not None:
@@ -1031,7 +1035,7 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     f = first >> 1
     for step, n in ((1, f + (f & 1)), (2, f | 1)):  # the smallest even, odd N
         # the flankers N - step and N + step of k targets sit at bytes i, i + step
-        i, k = (n - step) >> 1, len(range(n, (c_hi >> 1) + 1, 2))
+        i, k = (n - step - vb) >> 1, len(range(n, (c_hi >> 1) + 1, 2))
         lower, upper = (int.from_bytes(bits[j : j + k], "little") for j in (i, i + step))
         both_prime += (lower & upper).bit_count()
     return {"fail": fail, "boundary": [{"two_n": 6}] if c_lo == 6 else [],
@@ -1042,13 +1046,11 @@ def _chunk_prime_power(chunk: _ChunkContext) -> dict:
     """Count every 2N = p + p**k identity in the chunk.  Its prime p divides
     p + p**k = 2N, so it is B-type and never an A-prime: the claim holds by
     algebra, and the route only counts the identities it covers."""
-    c_lo, c_hi, table = chunk.c_lo, chunk.c_hi, chunk.table
+    c_lo, c_hi = chunk.c_lo, chunk.c_hi
     first = max(c_lo, 8)
-    # k = 1: 2N = N + N for every odd N marked prime, at table index N >> 1 =
-    # 2N >> 2 for the targets 2N = 2 mod 4.
-    inspected = table.odd_bits[first >> 2 : ((c_hi - 2) >> 2) + 1].count(1)
-    small = table.small_primes
-    for p in small[1 : bisect_right(small, math.isqrt(c_hi))]:
+    # k = 1: 2N = N + N for every odd N marked prime, N from first / 2 to c_hi / 2
+    inspected = chunk.odds(first >> 1, c_hi >> 1).count(1)
+    for p in chunk.small_primes[1 : bisect_right(chunk.small_primes, math.isqrt(c_hi))]:
         v = p * p
         while p + v <= c_hi:
             inspected += c_lo <= p + v
@@ -1069,14 +1071,12 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
     """
     c_lo, c_hi, digits, facs, phis = (chunk.c_lo, chunk.c_hi, chunk.digits,
                                       chunk.facs, chunk.phis)
-    bits = chunk.table.odd_bits
     if digits is None:
-        rs = _window_rs(c_lo, c_hi, bits)
+        rs = _window_rs(chunk)
     else:
         w = len(digits) // len(facs)
-        n_lo, n_hi = c_lo >> 1, c_hi >> 1
-        odd_n = bytearray(len(facs))  # [N odd and marked]
-        odd_n[(n_lo | 1) - n_lo :: 2] = bits[(n_lo | 1) >> 1 : (n_hi + 1) >> 1]
+        odd_n = bytearray(len(facs))  # [N odd and marked], from the first odd N on
+        odd_n[1 - (c_lo >> 1) % 2 :: 2] = chunk.odds(c_lo >> 1, c_hi >> 1)
         rs = [(int(digits[j : j + w]) + m) >> 1
               for j, m in zip(range(0, len(digits), w), odd_n)]
     a_counts = list(map(sub, map(rshift, phis, repeat(1)), repeat(1)))
@@ -1102,9 +1102,9 @@ def _worker_init(table: PrimeTable) -> None:
     _WORKER_TABLE = table
 
 
-def _evaluate_chunk(kernels, c_lo, c_hi, pi, first_false, digits, table) -> list:
+def _evaluate_chunk(kernels, c_lo, c_hi, pi, trusted, digits, table) -> list:
     """Every kernel's result for the evens in [c_lo, c_hi], on one context."""
-    chunk = _ChunkContext(c_lo, c_hi, pi, first_false, digits, table)
+    chunk = _ChunkContext(c_lo, c_hi, pi, trusted, digits, table)
     return [kernel(chunk) for kernel in kernels]
 
 
@@ -1263,10 +1263,10 @@ def range_verify(
     table = _range_table(lo, hi, workers, chunk_evens, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     kernels = tuple(CLAIM_SPECS[c].kernel for c in selected)
-    first_false = math.inf  # a table sieved here is the fresh sieve itself
-    if given and ClaimId.COMPANION_DECOMPOSES in selected:
-        first_false = _first_false_prime(table, hi)
-    jobs = [(kernels, *chunk, first_false, None)
+    # a table sieved here is the fresh sieve itself; only companions read this
+    trusted = not given or (ClaimId.COMPANION_DECOMPOSES in selected
+                            and _sieve_agrees(table, hi))
+    jobs = [(kernels, *chunk, trusted, None)
             for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
     partials = _map_chunks(jobs, workers, table)
     return [_merge_partials(cid, [p[i] for p in partials], lo, hi)
@@ -1291,6 +1291,6 @@ def comet_rows(
         slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
                  for c_lo, c_hi, _ in chunks]
         del digits
-    jobs = [((_chunk_comet,), *chunk, None, digits)
+    jobs = [((_chunk_comet,), *chunk, False, digits)
             for chunk, digits in zip(chunks, slots)]
     return [row for (rows,) in _map_chunks(jobs, workers, table) for row in rows]

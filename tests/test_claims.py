@@ -44,9 +44,9 @@ from goldbach_ab.claims import (
     _chunk_ranges,
     _chunk_s_bound,
     _chunk_same_type,
-    _first_false_prime,
     _odd_factor_lists,
     _pair_count_digits,
+    _sieve_agrees,
     _window_rs,
     TargetContext,
     claim_goldbach_witness,
@@ -901,14 +901,20 @@ def _doctored_table_oracle(case):
     return rows, a_primes
 
 
-def test_first_false_prime_is_the_smallest_marked_composite(table_20k):
-    assert _first_false_prime(table_20k, 20_000) == math.inf
-    cleared = _doctored_table(table_20k, (5, 7), ())
-    assert _first_false_prime(cleared, 20_000) == math.inf
-    table = _doctored_table(table_20k, (), (1309, 27, 19_997))
-    assert _first_false_prime(table, 20_000) == 27
-    assert _first_false_prime(table, 28) == math.inf  # 27 lies above 28 - 3
-    assert _first_false_prime(table, 30) == 27
+def test_trust_bit_needs_the_fresh_sieve_both_ways(table_20k):
+    """A caller's table is trusted only when it equals a fresh sieve on the
+    odds up to hi - 3: a cleared prime breaks that as a marked composite
+    does, and a bit past hi - 3 does not."""
+    bare = PrimeTable(table_20k.limit, table_20k.odd_bits)
+    assert _sieve_agrees(bare, 20_000)
+    for clear, mark in (((7,), ()), ((), (27,))):
+        bits = _doctored_table(table_20k, clear, mark).odd_bits
+        table = PrimeTable(table_20k.limit, bits)
+        assert not _sieve_agrees(table, 20_000)
+        assert _sieve_agrees(table, 28 if mark else 8)  # 27 lies above 28 - 3
+    # a tuple of candidate primes is the table's own, not the sieve's
+    explicit = PrimeTable(bare.limit, bare.odd_bits, bare.prime_list)
+    assert not _sieve_agrees(explicit, 20_000)
 
 
 def test_comparison_sieve_runs_only_for_a_callers_table(monkeypatch, table_20k):
@@ -1333,7 +1339,7 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
         assert (_chunk_s_bound(chunk)
                 == _counted(oracles.s_bound_chunk(c_lo, c_hi, facs, table),
                             c_lo, c_hi))
-        assert (_chunk_pair_scan(c_lo, c_hi, table)
+        assert (_chunk_pair_scan(chunk)
                 == _counted(oracles.pair_scan_chunk(c_lo, c_hi, table, True, True),
                             c_lo, c_hi))
         assert (_chunk_midpoint_coprime(chunk)
@@ -1404,14 +1410,14 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
                 facs[i] = facs[i][1:] if q is None else sorted({*facs[i], q})
         return facs
 
-    first_false = _first_false_prime(table, hi)
+    trusted = _sieve_agrees(table, hi)
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         facs = doctored(c_lo, c_hi, table)
         want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table)
         chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
         with mock.patch.object(claims_mod, "_odd_factor_lists", doctored):
-            chunk = _ChunkContext(c_lo, c_hi, pi, first_false, None, table)
+            chunk = _ChunkContext(c_lo, c_hi, pi, trusted, None, table)
             assert (_chunk_same_type(chunk)
                     == _counted(oracles.same_type_chunk(c_lo, c_hi, facs, table),
                                 c_lo, c_hi))
@@ -1472,7 +1478,13 @@ def test_pair_count_digits_give_r_on_flipped_tables(table_20k, hi, data):
         want = sum(1 for a in range(3, n + 1, 2)
                    if bits[a >> 1] and bits[(two_n - a) >> 1])
         assert (c + (n % 2 and bits[n >> 1])) // 2 == want, two_n
-        assert _window_rs(two_n, two_n, bytes(bits)) == [want], two_n
+        assert _window_rs(_one_target(two_n, bytes(bits))) == [want], two_n
+
+
+def _one_target(two_n, bits):
+    """The chunk context of the one target 2N on the bitmap ``bits``."""
+    table = PrimeTable(2 * len(bits) - 1, bits)
+    return _ChunkContext(two_n, two_n, 0, False, None, table)
 
 
 def test_one_target_window_rs_is_r_on_every_target(table_20k):
@@ -1484,5 +1496,5 @@ def test_one_target_window_rs_is_r_on_every_target(table_20k):
             if p + q > 20_000:
                 break
             r[p + q] += 1
-    assert [_window_rs(t, t, bits) for t in range(6, 20_001, 2)] == [
+    assert [_window_rs(_one_target(t, bits)) for t in range(6, 20_001, 2)] == [
         [r[t]] for t in range(6, 20_001, 2)]

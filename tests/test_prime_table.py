@@ -132,14 +132,18 @@ def test_tables_pickle_without_the_prime_tuple():
 
 
 def test_spawn_workers_match_in_process(table_20k, monkeypatch):
+    """Pools under spawn and under forkserver, the default start method on
+    Linux from Python 3.14, give the in-process output."""
     want = [o.as_dict() for o in range_verify(8, 20_000, table=table_20k)]
     rows = comet_rows(8, 20_000, table=table_20k)
-    monkeypatch.setattr(claims_mod, "multiprocessing",
-                        multiprocessing.get_context("spawn"))
-    # 4 chunks, so that 2 workers get 2 chunks each and the pool starts
-    got = range_verify(8, 20_000, workers=2, table=table_20k, chunk_evens=2_500)
-    assert [o.as_dict() for o in got] == want
-    assert comet_rows(8, 20_000, workers=2, table=table_20k, chunk_evens=2_500) == rows
+    for method in ("spawn", "forkserver"):
+        monkeypatch.setattr(claims_mod, "multiprocessing",
+                            multiprocessing.get_context(method))
+        # 4 chunks, so that 2 workers get 2 chunks each and the pool starts
+        got = range_verify(8, 20_000, workers=2, table=table_20k, chunk_evens=2_500)
+        assert [o.as_dict() for o in got] == want, method
+        assert comet_rows(8, 20_000, workers=2, table=table_20k,
+                          chunk_evens=2_500) == rows, method
 
 
 @settings(max_examples=40, deadline=None)
