@@ -184,8 +184,9 @@ def decompose_over_a_basis(
 ) -> ExponentVector:
     """Write odd m (3 <= m < 2N-1) as a product of A-primes of 2N.
 
-    Raises NotAPureAProduct when some prime factor of m divides 2N, which is
-    exactly the B-type case.
+    Raises NotAPureAProduct on the smallest prime factor of m that is no
+    A-prime: one that divides 2N, which is exactly the B-type case, or one
+    prime to 2N that the table leaves unmarked.
     """
     if m % 2 == 0 or m < 3 or m >= split.two_n - 1:
         raise UsageError(f"{m} is not an odd number in [3, {split.two_n - 3}]")
@@ -234,7 +235,8 @@ def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list
     The companions are split by walking one smallest-factor sieve over the
     table's small primes, the primes ``factorize`` trial-divides by: a
     cofactor m stops the walk, as a factor of its own, once its smallest
-    listed factor q has q * q > m or none is listed.
+    listed factor q has q * q > m or none is listed.  The small primes come
+    from a fresh sieve, so the factors are true primes, ascending.
     """
     two_n = t.two_n
     window_end(two_n, table)
@@ -255,12 +257,12 @@ def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list
                 m //= q
                 e += 1
             facs.append((q, e))
-        facs.sort()  # a doctored table can yield them out of order
         for q, _ in facs:
-            if q not in a_set:  # the smallest factor that is no A-prime
+            if q not in a_set:  # q divides c, which is prime to 2N: q is unmarked
                 raise CounterexampleFound(
-                    f"companion {c} of A-prime {p} is not A-type",
-                    {"two_n": two_n, "p": p, "companion": c, "shared_prime": q})
+                    f"factor {q} of companion {c} of A-prime {p} not marked prime",
+                    {"two_n": two_n, "p": p, "companion": c, "factor": q,
+                     "reason": "factor not marked prime"})
         rows.append((p, c, bool(bits[c >> 1]), *chain.from_iterable(facs)))
     return rows
 
@@ -278,11 +280,11 @@ def companions(
     """Companion record for every A-prime of ``split``, which is
     ``split_primes(t, table)``; empty when there are none.
 
-    Each companion must be A-type, so that it decomposes over the A-basis,
-    or CounterexampleFound is raised with its smallest factor that is no
-    A-prime.  An A-prime p never divides 2N, so it never divides its
-    companion 2N - p either.  The records are built from the rows of one
-    factor walk (``_companion_rows``), which analyze reads without them.
+    An A-prime p is prime to 2N, so its companion 2N - p is too, and p does
+    not divide it.  Each companion must decompose over the A-basis, or
+    CounterexampleFound is raised with its smallest factor that the table
+    leaves unmarked.  The records are built from the rows of one factor walk
+    (``_companion_rows``), which analyze reads without them.
     """
     return _records(_companion_rows(t, split, table), split)
 
@@ -305,10 +307,9 @@ def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> Pairi
     """Pair up the A-primes of ``split``, which is ``split_primes(t, table)``,
     whose companions are marked prime; list the rest as unpaired.
 
-    A prime-marked companion c of an A-prime p that shares a factor with 2N
-    (c = 3 of p = 27 at 2N = 30, with 27 marked prime) raises
-    CounterexampleFound.  Any other one is prime to 2N, so it is itself an
-    A-prime whose companion is p; and c != p, since p = N would divide 2N.
+    An A-prime p has gcd(p, 2N) = 1, so its companion c = 2N - p has
+    gcd(c, 2N) = gcd(p, 2N) = 1: a c the table marks prime is itself an
+    A-prime whose companion is p, and c != p, since p = N would divide 2N.
     So every A-prime lands in exactly one pair or in unpaired.
     """
     pairs = []
@@ -316,12 +317,6 @@ def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> Pairi
     for p in split.a_primes:
         c = t.two_n - p
         if table.odd_bits[c >> 1]:
-            if math.gcd(c, t.two_n) != 1:
-                raise CounterexampleFound(
-                    f"prime companion {c} of A-prime {p} shares a factor with "
-                    f"{t.two_n}",
-                    {"two_n": t.two_n, "p": p, "companion": c},
-                )
             if p < c:
                 pairs.append((p, c))
         else:
@@ -399,8 +394,8 @@ class TargetContext:
     """The per-target objects of 2N on one table, each built on first use and
     then kept, so that a report and the claim verdicts share them.
 
-    ``companion_rows`` and ``pairing`` hold the CounterexampleFound their
-    builder raised, if any; ``midpoints`` is None below 2N = 8.
+    ``companion_rows`` holds the CounterexampleFound its builder raised, if
+    any; ``midpoints`` is None below 2N = 8.
     """
 
     def __init__(self, t: EvenTarget, table: PrimeTable,
@@ -426,11 +421,8 @@ class TargetContext:
             return exc
 
     @cached_property
-    def pairing(self) -> PairingReport | CounterexampleFound:
-        try:
-            return pairing_report(self.t, self.split, self.table)
-        except CounterexampleFound as exc:
-            return exc
+    def pairing(self) -> PairingReport:
+        return pairing_report(self.t, self.split, self.table)
 
     @cached_property
     def midpoints(self) -> MidpointReport | None:
@@ -479,8 +471,6 @@ def prime_power_exclusion(
 
 def _pairing(ctx: TargetContext) -> ClaimOutcome:
     t, report = ctx.t, ctx.pairing
-    if isinstance(report, CounterexampleFound):
-        return _single(ClaimId.PAIRING_NON_EMPTY, t.two_n, FAIL, report.witness)
     bself = self_pair(t, ctx.table)
     payload = {
         "pairs": list(report.pairs),
@@ -498,8 +488,7 @@ def _pairing(ctx: TargetContext) -> ClaimOutcome:
 def claim_pairing_non_empty(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> ClaimOutcome:
-    """Pass iff some A-prime pair exists, or the self pair (N, N) covers 2N;
-    a pairing report that breaks fails with its witness."""
+    """Pass iff some A-prime pair exists, or the self pair (N, N) covers 2N."""
     return _pairing(TargetContext(t, table, split))
 
 
@@ -706,9 +695,9 @@ def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict |
 
 def _sieve_agrees(table: PrimeTable, hi: int) -> bool:
     """Whether a caller's table is what a fresh sieve gives: the same bits on
-    the odds up to hi - 3, and no candidate tuple of its own to differ."""
+    the odds up to hi - 3."""
     n = (hi >> 1) - 1  # the odds 1, 3, ..., hi - 3
-    return table.primes is None and table.odd_bits[1:n] == build_table(hi).odd_bits[1:n]
+    return table.odd_bits[1:n] == build_table(hi).odd_bits[1:n]
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +739,7 @@ class _ChunkContext(Record):
     factor sieve runs 2 evens past each end, where the midpoint flankers sit.
     ``pi`` is pi(c_lo - 3), carried in; ``trusted`` that the table equals a
     fresh sieve; ``digits`` the chunk's slots of the bitmap square (comet).
-    Kernels see ``table`` only through the next three members."""
+    Kernels see ``table`` only through the next two members."""
 
     def __init__(self, c_lo: int, c_hi: int, pi: int, trusted: bool,
                  digits: str | None, table: PrimeTable) -> None:
@@ -769,12 +758,6 @@ class _ChunkContext(Record):
     @property
     def small_primes(self) -> tuple[int, ...]:
         return self.table.small_primes
-
-    def candidates(self, lo: int, hi: int):
-        """Odd primes lo to hi, from a table's own prime tuple, else the marked odds."""
-        if self.table.primes is not None:
-            return self.table.odd_primes(lo, hi)
-        return compress(range(lo | 1, hi + 1, 2), self.odds(lo, hi))
 
     @property
     def evens(self) -> range:
@@ -912,8 +895,8 @@ def _chunk_pair_scan(chunk: _ChunkContext) -> dict:
     over all targets of the chunk at once.
 
     Bit i of ``left`` stands for the target c_lo + 2i whose smallest prime p
-    with 2N - p marked prime is still unknown.  The scan walks the candidate
-    primes up to c_hi / 2 in ascending blocks (P / 2, P], P = 64, 128, ...;
+    with 2N - p marked prime is still unknown.  The scan walks the marked odds
+    up to c_hi / 2 in ascending blocks (P / 2, P], P = 64, 128, ...;
     for each p the targets with 2N - p marked prime are one shifted window
     of the block's odds c_lo - P + 1 to c_hi - 3, packed once per block, and
     a window hit resolves its targets.
@@ -932,7 +915,8 @@ def _chunk_pair_scan(chunk: _ChunkContext) -> dict:
     while left and p_lo <= c_hi >> 1:
         first = max(1, c_lo - span + 1)  # the window's first odd
         packed = _pack(chunk.odds(first, c_hi - 3))
-        for p in chunk.candidates(p_lo, min(span, c_hi >> 1)):
+        top = min(span, c_hi >> 1)
+        for p in compress(range(p_lo | 1, top + 1, 2), chunk.odds(p_lo, top)):
             shift = (c_lo - p - first) >> 1  # bit 0 of the window: c_lo - p
             hit = (packed >> shift if shift >= 0 else packed << -shift) & left
             if p > h:  # only targets with N >= p take p

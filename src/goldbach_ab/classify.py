@@ -1,9 +1,9 @@
 """Typing of primes and odd numbers against an even target 2N.
 
-An odd prime q strictly between 1 and 2N-1 is *A-type* for 2N when it does
-not divide 2N, and *B-type* when it does.  An odd number in that window is
-A-type when every prime factor is A-type (equivalently, gcd with 2N is 1)
-and B-type otherwise.
+An odd number strictly between 1 and 2N-1, prime or not, is *A-type* for
+2N when its gcd with 2N is 1, and *B-type* otherwise.  For a true prime q
+that is whether q divides 2N; every route reads the gcd, so a composite
+that a doctored table marks prime is typed as any other odd number is.
 
 Window convention used throughout the package: the odd numbers
 3, 5, ..., 2N-3 are indexed by i = (value - 3) // 2, giving a window of
@@ -57,7 +57,8 @@ class EvenFactorization(Record):
 
 
 class PrimeSplit(Record):
-    """The A/B partition of the odd primes in the open interval (1, 2N-1).
+    """The A/B partition, by gcd with 2N, of the odd primes in the open
+    interval (1, 2N-1).
 
     ``s`` counts the A-type primes; the interval excludes both endpoints, so
     a prime equal to 2N-1 does not appear on either side.
@@ -82,20 +83,22 @@ def factorize_even(t: EvenTarget, table: PrimeTable) -> EvenFactorization:
 
 
 def split_primes(t: EvenTarget, table: PrimeTable) -> PrimeSplit:
-    """Enumerate the odd primes in (1, 2N-1) and split them by divisibility."""
+    """Enumerate the odd primes in (1, 2N-1), those the table marks, and put
+    q among the A-primes iff gcd(q, 2N) = 1."""
     two_n = t.two_n
     a: list[int] = []
     b: list[int] = []
     for q in primes_in(3, two_n - 3, table):
-        if two_n % q == 0:
-            b.append(q)
-        else:
+        if math.gcd(q, two_n) == 1:
             a.append(q)
+        else:
+            b.append(q)
     return PrimeSplit(two_n=two_n, a_primes=tuple(a), b_primes=tuple(b), s=len(a))
 
 
 def classify_odd(m: int, t: EvenTarget, table: PrimeTable) -> NumberClass:
-    """Classify an odd number in [3, 2N-3] by coprimality with 2N.
+    """Classify an odd number in [3, 2N-3] by its gcd with 2N, the rule
+    ``split_primes`` applies to the primes.
 
     The gcd route used here agrees with factoring m and checking each prime
     factor's divisibility into 2N; the test suite holds the two routes

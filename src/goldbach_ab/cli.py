@@ -158,13 +158,10 @@ def _analyze_doc(t: EvenTarget, table) -> dict:
     else:
         report["companions"] = rows
     pairing = ctx.pairing
-    if isinstance(pairing, CounterexampleFound):
-        report["pairing"] = {"error": str(pairing), "witness": pairing.witness}
-    else:
-        report["pairing"] = {
-            "pairs": [list(p) for p in pairing.pairs],
-            "unpaired": list(pairing.unpaired),
-        }
+    report["pairing"] = {
+        "pairs": [list(p) for p in pairing.pairs],
+        "unpaired": list(pairing.unpaired),
+    }
     mid = ctx.midpoints
     if mid is not None:
         report["midpoints"] = {

@@ -9,17 +9,18 @@ class UsageError(ValueError):
 
 
 class NotAPureAProduct(ValueError):
-    """Raised when an odd number has a prime factor shared with the even target.
+    """Raised when an odd number has a prime factor that is no A-prime of the
+    even target: one shared with the target, which is exactly what makes the
+    number B-type, or one prime to it that the table leaves unmarked.
 
-    Such a number cannot be written over the basis of primes coprime to the
-    target, which is exactly what makes it B-type.
+    Such a number cannot be written over the basis of A-primes.
     """
 
     def __init__(self, value: int, offending_prime: int):
         self.value = value
         self.offending_prime = offending_prime
         super().__init__(
-            f"{value} has prime factor {offending_prime} dividing the even target"
+            f"{value} has prime factor {offending_prime}, no A-prime of the even target"
         )
 
 

@@ -1,11 +1,11 @@
 """Prime generation, primality testing and factorization services.
 
 Everything downstream works against a PrimeTable: an immutable, sieve-backed
-oracle for the primes up to a configured limit.  The table holds the sieve's
-bitmap of the odd numbers plus the small tuple of primes up to the square
-root of the limit; trial division and the range routes read primes from
-these two, and the tuple of every prime below the limit is derived from the
-bitmap only when asked for.  Queries past the limit fall back to a
+oracle for the primes up to a configured limit.  The table is the sieve's
+bitmap of the odd numbers, the one source of primality; trial division
+reads the small primes up to the square root of the limit, which a fresh
+sieve gives, and the tuple of every prime below the limit is derived from
+the bitmap only when asked for.  Queries past the limit fall back to a
 Miller-Rabin test with a witness set that is deterministic for all 64-bit
 integers, and factorization of large cofactors uses Brent's cycle variant of
 Pollard rho.
@@ -16,9 +16,8 @@ from __future__ import annotations
 import io
 import math
 import os
-from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress
 
 from ._record import Record, set_field
 from .errors import UsageError
@@ -74,47 +73,38 @@ class PrimeTable(Record):
     ``odd_bits[i]`` is 1 exactly when ``2*i + 1`` is prime, so the bitmap
     covers the odd numbers only; 2 is special-cased everywhere.
     ``small_primes`` holds 2 and the odd primes up to sqrt(limit), all that
-    trial division below the limit needs, and ``odd_primes`` reads any other
-    run of primes lazily off the bitmap.
+    trial division below the limit needs, from a fresh sieve, so that no
+    bit of the table changes which primes are tried; ``odd_primes`` reads
+    any run of primes lazily off the bitmap.
     ``prime_list``, every prime up to ``limit``, is derived on first access
     and cached; no library route reads it, and pickling drops it.
-
-    A table given an explicit ``primes`` tuple takes that tuple, not the
-    bitmap, as its list of candidate primes: ``prime_list``,
-    ``small_primes`` and ``odd_primes`` all read it.  Primality lookups
-    still read the bitmap, so a bit can be flipped without changing which
-    primes are tried.
     """
 
-    def __init__(self, limit: int, odd_bits: bytes,
-                 primes: tuple[int, ...] | None = None) -> None:
+    def __init__(self, limit: int, odd_bits: bytes) -> None:
         set_field(self, "limit", limit)
         set_field(self, "odd_bits", odd_bits)
-        set_field(self, "primes", primes)
 
     @cached_property
     def prime_list(self) -> tuple[int, ...]:
-        if self.primes is not None:
-            return self.primes
         return (2, *self.odd_primes(3, self.limit))
 
     @cached_property
     def small_primes(self) -> tuple[int, ...]:
-        """2 and the odd primes up to sqrt(limit)."""
-        root = max(2, math.isqrt(self.limit))
-        if self.primes is not None:
-            return self.primes[: bisect_right(self.primes, root)]
-        return (2, *self.odd_primes(3, root))
+        """2 and the odd primes up to sqrt(limit), from a fresh sieve."""
+        return (2, *_base_primes(self.limit))
 
     def odd_primes(self, lo: int, hi: int):
         """Iterator over the odd primes p with lo <= p <= hi <= limit,
         ascending; it copies nothing, so stopping early costs nothing more."""
-        if self.primes is not None:
-            ps = self.primes
-            return islice(ps, bisect_left(ps, max(lo, 3)), bisect_right(ps, hi))
         first = max(lo, 3) | 1
         bits = memoryview(self.odd_bits)[first >> 1 : (hi >> 1) + 1]
         return compress(range(first, hi + 1, 2), bits)
+
+
+def _base_primes(limit: int) -> list[int]:
+    """The odd primes up to sqrt(limit), read off a fresh table of that limit."""
+    root = math.isqrt(limit)
+    return list(build_table(root).odd_primes(3, root)) if root > 2 else []
 
 
 def _strike_odds(bits: bytearray, first: int, primes) -> None:
@@ -134,7 +124,7 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
 
     Each segment is sieved in its own buffer and appended to the bitmap, so
     beyond the bitmap itself memory stays bounded by the segment width plus
-    the base primes below sqrt(limit), read off a table of limit sqrt(limit).
+    the base primes below sqrt(limit) (``_base_primes``).
     A bitmap larger than the machine's physical memory is refused up front.
 
     >>> build_table(10).prime_list
@@ -153,8 +143,7 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
     if 0 < memory < half:
         raise UsageError(f"a table of limit {limit} needs {half} bytes, more than "
                          f"the {memory} bytes of physical memory")
-    root = math.isqrt(limit)
-    base = list(build_table(root).odd_primes(3, root)) if root > 2 else []
+    base = _base_primes(limit)
     out = io.BytesIO()
 
     for seg_lo in range(0, half, segment_size):

@@ -140,10 +140,11 @@ def companions_td(t, split, table) -> list:
         try:
             exps = decompose_over_a_basis(c, split, table)
         except NotAPureAProduct as exc:
+            q = exc.offending_prime
             raise CounterexampleFound(
-                f"companion {c} of A-prime {p} is not A-type",
-                {"two_n": t.two_n, "p": p, "companion": c,
-                 "shared_prime": exc.offending_prime},
+                f"factor {q} of companion {c} of A-prime {p} not marked prime",
+                {"two_n": t.two_n, "p": p, "companion": c, "factor": q,
+                 "reason": "factor not marked prime"},
             ) from exc
         if exps.exponent_at(idx) != 0:
             raise CounterexampleFound(
@@ -347,7 +348,7 @@ def prime_power_chunk(c_lo, c_hi, table) -> dict:
             if two_n % n != 0 and fail is None:
                 fail = {"two_n": two_n, "p": n, "k": 1}
     root = math.isqrt(c_hi)
-    for p in table.prime_list[1 : bisect_right(table.prime_list, root)]:
+    for p in table.small_primes[1 : bisect_right(table.small_primes, root)]:
         v = p * p
         while p + v <= c_hi:
             two_n = p + v
@@ -362,14 +363,15 @@ def prime_power_chunk(c_lo, c_hi, table) -> dict:
 
 def doctored_pair_scan_fails_td(lo: int, hi: int, prime) -> tuple:
     """(witness, pairing) counterexamples over [lo, hi] when ``prime(m)`` says
-    which partners 2N - p are prime: the smallest target without a partner,
+    which odds are prime, the primes p and their partners 2N - p alike: the
+    smallest target without a partner,
     or, for the witness claim only, one whose smallest partner prime p divides
     2N - p with p < N."""
     witness = pairing = None
     for two_n in range(lo, hi + 1, 2):
         n = two_n // 2
         p = next((p for p in range(3, n + 1, 2)
-                  if is_prime_td(p) and prime(two_n - p)), None)
+                  if prime(p) and prime(two_n - p)), None)
         if p is None:
             detail = {"two_n": two_n, "count": 0}
             witness = witness or detail

@@ -178,7 +178,8 @@ def _records_or_witness(build, t, split, table):
 @settings(max_examples=150, deadline=None)
 @given(evens, st.data())
 def test_companions_match_trial_division_on_flipped_tables(table_20k, two_n, data):
-    # flips below 60 change the small primes the factors are split over
+    # flips below 60 fall on the small primes, which the walk takes from a
+    # fresh sieve, not from the bitmap
     flips = data.draw(st.lists(
         st.one_of(st.integers(min_value=0, max_value=60),
                   st.integers(min_value=0, max_value=two_n // 2 - 1)),
@@ -189,9 +190,7 @@ def test_companions_match_trial_division_on_flipped_tables(table_20k, two_n, dat
         bits = bytearray(table.odd_bits)
         for i in flips:
             bits[i] ^= 1
-        explicit = data.draw(st.booleans())  # candidate primes from the tuple
-        table = PrimeTable(table.limit, bytes(bits),
-                           table.prime_list if explicit else None)
+        table = PrimeTable(table.limit, bytes(bits))
     t = EvenTarget(two_n)
     split = split_primes(t, table)
     assert (_records_or_witness(companions, t, split, table)
@@ -199,22 +198,21 @@ def test_companions_match_trial_division_on_flipped_tables(table_20k, two_n, dat
 
 
 @settings(max_examples=150, deadline=None)
-# 3 cleared, 45 marked prime: the walk lists 75 as 5^2 before its cofactor 3
-@example(two_n=120, flips=[1, 22], explicit=False)
+# 3 cleared, 45 marked prime: a walk over the bitmap's small primes would list
+# 75 as 5^2 before its cofactor 3
+@example(two_n=120, flips=[1, 22])
 @given(two_n=evens, flips=st.lists(
     st.one_of(st.integers(min_value=0, max_value=60),
               st.integers(min_value=0, max_value=9_999)),
     max_size=6,
-), explicit=st.booleans())
-def test_analyze_rows_match_trial_division_on_flipped_tables(table_20k, two_n, flips,
-                                                             explicit):
+))
+def test_analyze_rows_match_trial_division_on_flipped_tables(table_20k, two_n, flips):
     """The analyze report and the companion verdict, both read from the rows
     of one factor walk, against records split by trial division."""
     bits = bytearray(table_20k.odd_bits)
     for i in flips:
         bits[i % (two_n >> 1)] ^= 1
-    table = PrimeTable(table_20k.limit, bytes(bits),
-                       table_20k.prime_list if explicit else None)
+    table = PrimeTable(table_20k.limit, bytes(bits))
     t = EvenTarget(two_n)
     split = split_primes(t, table)
     try:
@@ -295,7 +293,7 @@ def test_pairing_identity_reduces_to_companion_primality(table_1k):
 
 
 @settings(max_examples=150, deadline=None)
-@example(two_n=30, flips=[13])  # 27 marked prime: its companion 3 divides 30
+@example(two_n=30, flips=[13])  # 27 marked prime: it shares 3 with 30
 @given(two_n=evens, flips=st.lists(
     st.one_of(st.integers(min_value=0, max_value=60),
               st.integers(min_value=0, max_value=9_999)),
@@ -303,17 +301,17 @@ def test_pairing_identity_reduces_to_companion_primality(table_1k):
 ))
 def test_split_invariants_hold_on_flipped_tables(table_20k, two_n, flips):
     """What the single-target routes no longer check holds on any table: an
-    A-prime of split_primes never divides its companion, no partition is
-    mixed, same-type and prime-power exclusion pass, and the pairing either
-    fails on the smallest A-prime whose prime-marked companion shares a
-    factor with 2N or covers the A-primes exactly once."""
+    A-prime of split_primes is prime to 2N and never divides its companion,
+    no partition is mixed, same-type and prime-power exclusion pass, and the
+    pairing covers the A-primes exactly once."""
     bits = bytearray(table_20k.odd_bits)
     for i in flips:
         bits[i % (two_n >> 1)] ^= 1
-    table = PrimeTable(table_20k.limit, bytes(bits), table_20k.prime_list)
+    table = PrimeTable(table_20k.limit, bytes(bits))
     t = EvenTarget(two_n)
     split = split_primes(t, table)
-    assert all((two_n - p) % p for p in split.a_primes)
+    assert all(math.gcd(p, two_n) == 1 and (two_n - p) % p for p in split.a_primes)
+    assert all(math.gcd(q, two_n) > 1 for q in split.b_primes)
     cen = census(t, table)  # the B-type window is its own mirror on any table
     assert cen.mixed_count == 0
     (same,) = evaluate_claims(t, table, (ClaimId.SAME_TYPE_LEMMA,))
@@ -325,16 +323,7 @@ def test_split_invariants_hold_on_flipped_tables(table_20k, two_n, flips):
     else:
         assert (out.status, out.payload) == (
             "pass", {"two_n": two_n, "a_primes_checked": split.s})
-    shared = [p for p in split.a_primes
-              if bits[(two_n - p) >> 1] and math.gcd(two_n - p, two_n) != 1]
-    try:
-        report = pairing_report(t, split, table)
-    except CounterexampleFound as exc:
-        assert shared
-        assert exc.witness == {"two_n": two_n, "p": shared[0],
-                               "companion": two_n - shared[0]}
-        return
-    assert not shared
+    report = pairing_report(t, split, table)
     assert all(p < q and p + q == two_n for p, q in report.pairs)
     flat = [p for pair in report.pairs for p in pair]
     assert sorted(flat + list(report.unpaired)) == list(split.a_primes)
@@ -448,19 +437,22 @@ def test_evaluate_claims_reads_a_given_context(table_20k):
 
 
 def test_single_claims_fail_with_the_report_witness(table_1k):
-    # 27 marked prime: an A-prime of 30 (30 % 27 != 0) whose prime-marked
-    # companion 3 divides 30, so both the companion and the pairing reports
-    # break; the verdicts carry their witnesses instead of raising
+    # 97 cleared: the companion 97 of the A-prime 3 of 100 has a factor the
+    # table does not mark prime; the verdict carries the walk's witness
+    table = _doctored_table(table_1k, (97,))
+    by_id = {o.claim_id: o for o in evaluate_claims(EvenTarget(100), table)}
+    comp = by_id[ClaimId.COMPANION_DECOMPOSES]
+    assert (comp.status, comp.payload) == ("fail", {
+        "two_n": 100, "p": 3, "companion": 97, "factor": 97,
+        "reason": "factor not marked prime"})
+    # 27 marked prime shares 3 with 30, so it is a B-prime and no report breaks
     table = _doctored_table(table_1k, (), (27,))
     t = EvenTarget(30)
+    split = _split(30, table)
+    assert 27 in split.b_primes
     by_id = {o.claim_id: o for o in evaluate_claims(t, table)}
     pairing = by_id[ClaimId.PAIRING_NON_EMPTY]
-    assert pairing.status == "fail"
-    assert pairing.payload == {"two_n": 30, "p": 27, "companion": 3}
-    comp = by_id[ClaimId.COMPANION_DECOMPOSES]
-    assert comp.status == "fail"
-    assert comp.payload == {"two_n": 30, "p": 27, "companion": 3, "shared_prime": 3}
-    split = _split(30, table)
+    assert pairing.status == by_id[ClaimId.COMPANION_DECOMPOSES].status == "pass"
     assert claim_pairing_non_empty(t, split, table) == pairing
 
 
@@ -571,7 +563,7 @@ def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
         bits = bytearray(table.odd_bits)
         for i in (1, 2, 3):
             bits[i] ^= 1
-        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+        table = PrimeTable(table.limit, bytes(bits))
     elif variant == "doctored":  # same-type, midpoint-decomposes, companions fail
         _doctor_factor_lists(monkeypatch, 2002, 167)
     together = range_verify(6, 4_000, table=table, chunk_evens=chunk_evens)
@@ -809,13 +801,13 @@ def test_failing_run_payloads_do_not_depend_on_chunks(table_20k, monkeypatch, do
 
 def _doctored_table(table, clear=(), mark=()):
     """``table`` with the odd values in ``clear`` marked composite and those in
-    ``mark`` marked prime; ``prime_list`` stays as it is."""
+    ``mark`` marked prime."""
     bits = bytearray(table.odd_bits)
     for m in clear:
         bits[m >> 1] = 0
     for m in mark:
         bits[m >> 1] = 1
-    return PrimeTable(table.limit, bytes(bits), table.prime_list)
+    return PrimeTable(table.limit, bytes(bits))
 
 
 # Every prime partner of 1000 cleared; the partner 3 of 6 cleared (only the
@@ -912,9 +904,51 @@ def test_trust_bit_needs_the_fresh_sieve_both_ways(table_20k):
         table = PrimeTable(table_20k.limit, bits)
         assert not _sieve_agrees(table, 20_000)
         assert _sieve_agrees(table, 28 if mark else 8)  # 27 lies above 28 - 3
-    # a tuple of candidate primes is the table's own, not the sieve's
-    explicit = PrimeTable(bare.limit, bare.odd_bits, bare.prime_list)
-    assert not _sieve_agrees(explicit, 20_000)
+
+
+def test_marked_small_composites_leave_the_factor_lists_alone():
+    """21 and 613 marked prime below the root of a table of limit 4001: the
+    factor sieve walks a fresh sieve's small primes, so a target's list does
+    not depend on the chunk around it, and range runs return the same output
+    at every chunk size."""
+    table = _doctored_table(build_table(4_001), (), (21, 613))
+    assert (_odd_factor_lists(1_806, 1_806, table) == [[3, 7, 43]]
+            == [_odd_factor_lists(2, 4_004, table)[902]])
+    outputs = set()
+    for chunk_evens in (1, 2, 3, 64, 8192):
+        outs = range_verify(6, 2_000, table=table, chunk_evens=chunk_evens)
+        rows = comet_rows(6, 2_000, table=table, chunk_evens=chunk_evens)
+        outputs.add(json.dumps([[o.as_dict() for o in outs], rows]))
+    assert len(outputs) == 1
+
+
+# The (2N, claim) pairs where the single-target and range routes still give
+# different statuses on the doctored tables below.  Two causes remain: the
+# range route never checks that the factors of a companion or a midpoint
+# flanker are marked prime, so a cleared prime prime to 2N passes there
+# (28 with 17 and 23 cleared, 8 with 3 cleared); and a marked composite
+# partner divisible by its prime fails the range witness, while the
+# single-target witness counts the pair (30 = 3 + 27).
+_KNOWN_GAP = {
+    (28, ClaimId.COMPANION_DECOMPOSES),
+    (8, ClaimId.COMPANION_DECOMPOSES),
+    (8, ClaimId.MIDPOINT_DECOMPOSES),
+    (30, ClaimId.GOLDBACH_WITNESS),
+}
+
+
+@pytest.mark.parametrize("two_n, clear, mark", [
+    (28, (17, 23), ()), (30, (), (27,)), (50, (), (45,)), (8, (3,), ())])
+def test_single_target_and_range_routes_agree_but_for_the_known_gap(two_n, clear,
+                                                                    mark):
+    table = _doctored_table(build_table(101), clear, mark)
+    single = {o.claim_id: o.status for o in evaluate_claims(EvenTarget(two_n), table)}
+    ranged = {o.claim_id: o.status for o in range_verify(two_n, two_n, table=table)}
+    for cid in ALL_CLAIMS:
+        if (two_n, cid) in _KNOWN_GAP:
+            assert single[cid] != ranged[cid], cid
+        else:
+            assert single[cid] == ranged[cid], cid
 
 
 def test_comparison_sieve_runs_only_for_a_callers_table(monkeypatch, table_20k):
@@ -1109,7 +1143,7 @@ def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
         bits = bytearray(table.odd_bits)
         for m in unmarked:
             bits[m >> 1] = 0
-        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+        table = PrimeTable(table.limit, bytes(bits))
     real = claims_mod._odd_factor_lists
 
     def doctored(c_lo, c_hi, table):
@@ -1330,7 +1364,7 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
         bits = bytearray(table.odd_bits)
         for i in flips:
             bits[i] ^= 1
-        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+        table = PrimeTable(table.limit, bytes(bits))
     chunks = _chunk_ranges(lo, hi, chunk_evens, table)
     assert chunks[0][0] == lo and chunks[-1][1] == hi
     for c_lo, c_hi, pi in chunks:
@@ -1391,7 +1425,7 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
         bits = bytearray(table.odd_bits)
         for i in flips:
             bits[i] ^= 1
-        table = PrimeTable(table.limit, bytes(bits), table.prime_list)
+        table = PrimeTable(table.limit, bytes(bits))
     # doctored lists: None drops a target's smallest factor, a prime is added
     edits = data.draw(st.dictionaries(
         st.integers(min_value=lo // 2, max_value=hi // 2).map(lambda n: 2 * n),

@@ -251,15 +251,15 @@ def _doctored_build(clear=(), mark=()):
     return build
 
 
-# (two_n, cleared, marked, reports that break).  A marked composite that
-# shares a factor with 2N without dividing it is an A-prime whose prime
-# companion divides 2N; a cleared prime partner leaves a companion that is
-# no A-prime.
+# (two_n, cleared, marked, claims that break).  A marked composite is typed
+# by its gcd with 2N, as any odd is: 27 and 8931 share 3 with their targets,
+# so they are B-primes and no report breaks.  A cleared prime partner leaves a
+# companion whose factor the table does not mark prime.
 _DOCTORED_ANALYZE = [
-    (30, (), (27,), {"companions", "pairing"}),
-    (8934, (), (8931,), {"companions", "pairing"}),
-    (100, (97,), (), {"companions"}),
-    (1000, (997,), (), {"companions"}),
+    (30, (), (27,), set()),
+    (8934, (), (8931,), set()),
+    (100, (97,), (), {"companion_decomposes"}),
+    (1000, (997,), (), {"companion_decomposes"}),
 ]
 
 
@@ -270,20 +270,22 @@ def test_analyze_reports_a_doctored_table(monkeypatch, capsys, two_n, clear, mar
     build = _doctored_build(clear, mark)
     monkeypatch.setattr(cli, "build_table", build)
     code, out, _ = run_main(["analyze", str(two_n), "--format", fmt], capsys)
-    assert code == 1
+    assert code == (1 if broken else 0)
     report = build_analyze_report(EvenTarget(two_n), build(two_n + 1, 1 << 18))
     if fmt == "csv":
         assert out == cli._flat_csv(report)
         return
     assert out == json.dumps(report, indent=2) + "\n"
-    assert {k for k in ("companions", "pairing")
-            if set(report[k]) == {"error", "witness"}} == broken
-    failed = {c["claim"] for c in report["claims"] if c["status"] == "fail"}
-    assert failed == {"companion_decomposes"} | (
-        {"pairing_non_empty"} if "pairing" in broken else set())
-    witness = report["companions"]["witness"]
-    assert witness["two_n"] == two_n
-    assert witness["p"] + witness["companion"] == two_n
+    assert set(mark) <= set(report["prime_split"]["b_primes"])
+    assert set(report["pairing"]) == {"pairs", "unpaired"}
+    assert {c["claim"] for c in report["claims"] if c["status"] == "fail"} == broken
+    if broken:
+        (q,) = clear
+        assert report["companions"]["witness"] == {
+            "two_n": two_n, "p": two_n - q, "companion": q, "factor": q,
+            "reason": "factor not marked prime"}
+    else:
+        assert isinstance(report["companions"], list)
 
 
 def test_analyze_exits_1_when_28_has_no_goldbach_pair(monkeypatch, capsys):

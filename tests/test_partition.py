@@ -157,7 +157,7 @@ def test_goldbach_pairs_read_flipped_tables(table_20k, flips):
     bits = bytearray(table_20k.odd_bits)
     for i in flips:
         bits[i] ^= 1
-    table = PrimeTable(table_20k.limit, bytes(bits), table_20k.prime_list)
+    table = PrimeTable(table_20k.limit, bytes(bits))
     for two_n in range(6, 2_001, 2):
         want = [(a, b) for a, b in partitions_td(two_n) if bits[a >> 1] and bits[b >> 1]]
         assert list(goldbach_pairs(two_n, table)) == want, two_n

@@ -1,4 +1,5 @@
-"""The prime table is its bitmap plus the primes up to sqrt(limit).
+"""The prime table is its bitmap; its primes up to sqrt(limit) come from a
+fresh sieve.
 
 No library or CLI route may build the tuple of every prime below the limit;
 tables pickle without it, so spawned pool workers receive the bitmap alone
@@ -91,14 +92,16 @@ def test_odd_primes_read_the_candidate_list(table_20k, lo, width, flips):
     real = table_20k.prime_list
     assert list(table_20k.odd_primes(lo, hi)) == [p for p in real
                                                   if p > 2 and lo <= p <= hi]
-    # with an explicit tuple, flipped bits change no candidate prime
+    # on flipped bits the odd primes are the marked odds, while the small
+    # primes stay a fresh sieve's
     bits = bytearray(table_20k.odd_bits)
     for i in flips:
         bits[i] ^= 1
-    explicit = PrimeTable(table_20k.limit, bytes(bits), real)
-    assert list(explicit.odd_primes(lo, hi)) == list(table_20k.odd_primes(lo, hi))
-    assert explicit.small_primes == table_20k.small_primes
-    assert explicit.prime_list is real
+    flipped = PrimeTable(table_20k.limit, bytes(bits))
+    assert list(flipped.odd_primes(lo, hi)) == [
+        m for m in range(max(lo, 3) | 1, hi + 1, 2) if bits[m >> 1]]
+    assert flipped.prime_list == (2, *flipped.odd_primes(3, flipped.limit))
+    assert flipped.small_primes == table_20k.small_primes
 
 
 @pytest.mark.parametrize("limit", [2, 3, 8, 9, 24, 25, 26, 10_000, 10_201])
@@ -106,8 +109,9 @@ def test_small_primes_are_2_and_the_odd_primes_to_the_root(limit):
     table = build_table(limit)
     want = (2, *(p for p in primes_td(math.isqrt(limit)) if p > 2))
     assert table.small_primes == want
-    explicit = PrimeTable(limit, table.odd_bits, tuple(primes_td(limit)))
-    assert explicit.small_primes == want
+    # every bit flipped: no bit of the table changes them
+    inverted = PrimeTable(limit, bytes(1 - b for b in table.odd_bits))
+    assert inverted.small_primes == want
 
 
 def test_tables_pickle_without_the_prime_tuple():
@@ -119,16 +123,15 @@ def test_tables_pickle_without_the_prime_tuple():
         data = pickle.dumps(table)
         assert len(data) == size  # the derived tuple stays behind
         back = pickle.loads(data)
-        assert back == table and back.primes is None
+        assert back == table and back._fields == ("limit", "odd_bits")
         assert "prime_list" not in vars(back)
         assert back.prime_list == table.prime_list
     bits = bytearray(table.odd_bits)
     bits[27 >> 1] = 1
-    explicit = PrimeTable(table.limit, bytes(bits), table.prime_list)
-    back = pickle.loads(pickle.dumps(explicit))
-    assert back == explicit
-    assert back.primes == table.prime_list and back.odd_bits == bytes(bits)
-    assert list(back.odd_primes(20, 30)) == [23, 29]
+    doctored = PrimeTable(table.limit, bytes(bits))
+    back = pickle.loads(pickle.dumps(doctored))
+    assert back == doctored and back.odd_bits == bytes(bits)
+    assert list(back.odd_primes(20, 30)) == [23, 27, 29]
 
 
 def test_spawn_workers_match_in_process(table_20k, monkeypatch):

@@ -39,7 +39,7 @@ MIDPOINTS = (MidpointValue(3, True, None), MidpointValue(7, True, VECTOR))
 # class -> its fields, in constructor order, with one valid value each
 RECORDS = {
     FactorMultiset: {"factors": ((3, 1), (5, 2))},
-    PrimeTable: {"limit": TABLE.limit, "odd_bits": TABLE.odd_bits, "primes": None},
+    PrimeTable: {"limit": TABLE.limit, "odd_bits": TABLE.odd_bits},
     EvenTarget: {"two_n": 10},
     EvenFactorization: {"m": 1, "b_factors": FactorMultiset(((5, 1),))},
     PrimeSplit: {"two_n": 10, "a_primes": (3, 7), "b_primes": (5,), "s": 2},
@@ -96,7 +96,6 @@ def test_record_semantics(cls):
 
 
 def test_defaults_and_checks():
-    assert PrimeTable(TABLE.limit, TABLE.odd_bits).primes is None
     assert ClaimSpec(SPEC.verdict, SPEC.kernel).aliases == ()
     assert ClaimSpec(verdict=SPEC.verdict, kernel=SPEC.kernel) == ClaimSpec(
         SPEC.verdict, SPEC.kernel, ())

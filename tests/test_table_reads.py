@@ -127,7 +127,7 @@ def test_kernels_read_only_their_windows_through_odds(marked_odds, lo, hi,
                                                       chunk_evens):
     true = build_table(hi + 1)
     table = PrimeTable(true.limit, RecordingBits(true.odd_bits))
-    assert table.small_primes == true.small_primes  # cached before reads are logged
+    assert table.small_primes == true.small_primes  # a fresh sieve's, read off no bitmap
     runs = list(_kernel_runs(lo, hi, chunk_evens, table))
     kernels_read = set()
     for kernel, chunk in runs:
@@ -153,7 +153,7 @@ def test_kernels_read_only_their_windows_through_odds(marked_odds, lo, hi,
 
 def _kernel_sources():
     """Every range kernel and kernel helper, and every chunk context member
-    but the three that read the table."""
+    but the two that read the table."""
     # _chunk_ranges runs in the parent, which carries pi from chunk to chunk
     names = [n for n in vars(claims_mod)
              if n.startswith("_chunk_") and n != "_chunk_ranges"]
@@ -161,7 +161,7 @@ def _kernel_sources():
     for name in names:
         yield name, inspect.getsource(getattr(claims_mod, name))
     for name, member in vars(_ChunkContext).items():
-        if name in ("odds", "small_primes", "candidates"):
+        if name in ("odds", "small_primes"):
             continue
         fn = getattr(member, "func", None) or getattr(member, "fget", None) or member
         if inspect.isfunction(fn):
