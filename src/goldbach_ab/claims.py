@@ -4,17 +4,21 @@ Single-target verifiers follow the definitions (enumerate the A-primes,
 factor every companion over them, and so on), reading the per-target objects
 from one TargetContext, which builds each of them at most once.  Range
 verification re-derives the same verdicts from window arithmetic that is
-feasible for millions of targets: a running prime count, and a per-chunk
-distinct-factor sieve that also factors the midpoint flankers, so no range
-route trial-divides.
+feasible for millions of targets: a running prime count, and one fused
+chunk sieve over the odd prime factors of the chunk's evens and of the
+midpoint flankers' doubles, so no range route trial-divides.
 
-The same-type, companion and comet routes screen each target's factor
-list.  When every listed factor divides 2N, the B-type window is its own
-mirror and no partition is mixed; same-type needs no more.  When the list is
-exactly the odd primes of 2N, gcd(a, 2N) = gcd(2N - a, 2N) also gives
-a_count = phi(2N) / 2 - 1, and its A-primes are s(2N) on a trusted table:
-one the run sieved, or one equal to a fresh sieve.  Other targets take the
-byte windows of ``classify``.  r(2N) comes from one square of the bitmap
+The fused sieve (``_factor_sieve``) walks each small prime's strides with
+slice operations and gives, per even, omega (its count of odd primes, all
+that s = pi - omega reads), a bit that every counted factor divides 2N, and
+phi(2N) where the factors are exactly the odd primes of 2N.  On the sieve
+both bits hold by construction.  When every factor divides 2N, the B-type
+window is its own mirror and no partition is mixed; same-type needs no
+more.  When they are exactly the odd primes of 2N, gcd(a, 2N) =
+gcd(2N - a, 2N) also gives a_count = phi(2N) / 2 - 1, and its A-primes are
+s(2N) on a trusted table: one the run sieved, or one equal to a fresh sieve.
+Other targets take the byte windows of ``classify`` on their factor lists,
+which are built only for them.  r(2N) comes from one square of the bitmap
 polynomial in C ``decimal`` (Kronecker substitution, number-theoretic
 transform) where a work estimate says the targets' prime windows cost more,
 else from the windows.
@@ -50,7 +54,7 @@ from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import floordiv, itemgetter, mod, not_, rshift, sub, truth
+from operator import add, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
 
 from ._record import Record, set_field
 from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes, window_end
@@ -710,10 +714,11 @@ def _odd_factor_lists(c_lo: int, c_hi: int, source) -> list[list[int]]:
 
     Sieve-style, one slice per odd prime power q <= c_hi / 2: the evens
     divisible by 2q sit at stride q from index (-c_lo / 2) mod q.  Each small
-    prime of ``source`` (a table or chunk) up to sqrt(c_hi) is appended along
-    its stride and divides the odd parts down along the strides of its powers;
-    whatever survives above 1 is a single prime factor larger than them: the
-    table reaches c_hi - 7 at least, so two larger factors would exceed c_hi.
+    prime of ``source`` (a table, chunk or sieve record) up to sqrt(c_hi) is
+    appended along its stride and divides the odd parts down along the
+    strides of its powers; whatever survives above 1 is a single prime factor
+    larger than them: the table reaches c_hi - 7 at least, so two larger
+    factors would exceed c_hi.
     """
     cof = [v // (v & -v) for v in range(c_lo, c_hi + 1, 2)]
     facs: list[list[int]] = [[] for _ in cof]
@@ -733,13 +738,137 @@ def _odd_factor_lists(c_lo: int, c_hi: int, source) -> list[list[int]]:
     return facs
 
 
+def _zeros(flags: bytes):
+    """The indices of the zero bytes of ``flags``, ascending."""
+    i = flags.find(0)
+    while i >= 0:
+        yield i
+        i = flags.find(0, i + 1)
+
+
+class _Factors(Record):
+    """The per-target inputs that the range kernels read off the odd prime
+    factors ``lists`` of the evens lo, lo + 2, ..., hi, each built from the
+    lists on first read, so that a run reads only what its kernels need:
+
+    - ``omega``: the length of each list, one byte per even;
+    - ``divides``: 1 where every listed prime divides 2N, else 0;
+    - ``phi``: phi(2N) where the list is exactly the odd primes of 2N, else 0
+      (``_screened_phi``);
+    - ``exact``: 1 where ``phi`` is nonzero, else 0.
+    """
+
+    def __init__(self, lo: int, hi: int, lists: list[list[int]]) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lists", lists)
+
+    @property
+    def evens(self) -> range:
+        return range(self.lo, self.hi + 1, 2)
+
+    @cached_property
+    def omega(self) -> bytes:
+        return bytes(map(len, self.lists))
+
+    @cached_property
+    def divides(self) -> bytes:
+        return bytes(map(not_, map(mod, self.evens, map(math.prod, self.lists))))
+
+    @cached_property
+    def phi(self) -> list[int]:
+        return list(map(_screened_phi, self.evens, self.lists))
+
+    @cached_property
+    def exact(self) -> bytes:
+        return bytes(map(truth, self.phi))
+
+
+# translate table that adds 1 to every byte
+_INCREMENT = bytes(range(1, 256)) + b"\x00"
+
+
+class _SievedFactors(_Factors):
+    """The fields of ``_Factors`` for the true factor lists, read off the
+    strides of the small primes up to sqrt(hi) that ``_odd_factor_lists``
+    walks, without building a list: each prime adds 1 to ``omega`` along its
+    stride with one ``translate``, and its powers divide the odd parts down
+    along theirs, as the lists' cofactors are; an even gains 1 more where the
+    cofactor left is above 1.  ``phi`` is built in the same division pass,
+    only when it is read before ``omega``; ``lists`` only when read.
+
+    ``divides`` and ``exact`` are 1 everywhere, by construction: each small
+    prime is counted only on its own stride, so it divides 2N, and the
+    cofactor is what is left of 2N's odd part, so it divides 2N too; the small
+    primes are a fresh sieve's, every one that divides 2N is counted, and the
+    cofactor is 1 or a single prime, as two factors above sqrt(hi) would
+    exceed hi.  So the factors counted are exactly the odd primes of 2N.
+    """
+
+    def __init__(self, lo: int, hi: int, small_primes: tuple[int, ...]) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "small_primes", small_primes)
+        ones = b"\x01" * ((hi - lo) // 2 + 1)
+        set_field(self, "divides", ones)
+        set_field(self, "exact", ones)
+
+    @cached_property
+    def lists(self) -> list[list[int]]:
+        return _odd_factor_lists(self.lo, self.hi, self)
+
+    @cached_property
+    def omega(self) -> bytes:
+        return self._divide(False)[0]
+
+    @cached_property
+    def phi(self) -> list[int]:
+        omega, phi = self._divide(True)
+        set_field(self, "omega", omega)
+        return phi
+
+    def _divide(self, with_phi: bool) -> tuple[bytes, list[int] | None]:
+        """(omega, phi(2N) or None) of every even, in one pass over the strides."""
+        lo, hi, small = self.lo, self.hi, self.small_primes
+        h = lo >> 1
+        cof = [v // (v & -v) for v in range(lo, hi + 1, 2)]
+        n = len(cof)
+        omega = bytearray(n)
+        phi = list(range(h, h + n)) if with_phi else None  # N = phi(2N) / prod(1 - 1/p)
+        for p in small[1 : bisect_right(small, math.isqrt(hi))]:
+            s = -h % p  # index of the first multiple of p; none when s >= n
+            if s >= n:
+                continue
+            omega[s::p] = omega[s::p].translate(_INCREMENT)
+            if with_phi:
+                phi[s::p] = map(mul, map(floordiv, phi[s::p], repeat(p)), repeat(p - 1))
+            q = p
+            while s < n:  # q <= hi / 2 holds while a multiple of q is in the window
+                cof[s::q] = map(floordiv, cof[s::q], repeat(p))
+                q *= p
+                s = -h % q
+        big = bytes(map(gt, cof, repeat(1)))  # 1 where a prime above sqrt(hi) is left
+        # bytewise omega + big: no byte carries, as omega stays below 255
+        omega = (int.from_bytes(omega, "little")
+                 + int.from_bytes(big, "little")).to_bytes(n, "little")
+        if with_phi:  # phi(cofactor) = cofactor - 1 for a prime, 1 for 1
+            phi = list(map(mul, map(floordiv, phi, cof), map(sub, cof, big)))
+        return omega, phi
+
+
+def _factor_sieve(lo: int, hi: int, source) -> _Factors:
+    """The fused chunk sieve: the ``_Factors`` of the evens in [lo, hi] on the
+    small primes of ``source``, read off the strides (``_SievedFactors``)."""
+    return _SievedFactors(lo, hi, source.small_primes)
+
+
 class _ChunkContext(Record):
     """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
     and then kept, so that every kernel run on the chunk shares them.  The
-    factor sieve runs 2 evens past each end, where the midpoint flankers sit.
-    ``pi`` is pi(c_lo - 3), carried in; ``trusted`` that the table equals a
-    fresh sieve; ``digits`` the chunk's slots of the bitmap square (comet).
-    Kernels see ``table`` only through the next two members."""
+    fused sieve runs 2 evens past each end, where the midpoint flankers'
+    doubles sit.  ``pi`` is pi(c_lo - 3), carried in; ``trusted`` that the
+    table equals a fresh sieve; ``digits`` the chunk's slots of the bitmap
+    square (comet).  Kernels see ``table`` only through the next two members."""
 
     def __init__(self, c_lo: int, c_hi: int, pi: int, trusted: bool,
                  digits: str | None, table: PrimeTable) -> None:
@@ -764,12 +893,15 @@ class _ChunkContext(Record):
         return range(self.c_lo, self.c_hi + 1, 2)
 
     @cached_property
-    def halo(self) -> list[list[int]]:
-        return _odd_factor_lists(self.c_lo - 4, self.c_hi + 4, self)
+    def halo(self) -> _Factors:
+        """The fused sieve's inputs of the evens from c_lo - 4 to c_hi + 4."""
+        return _factor_sieve(self.c_lo - 4, self.c_hi + 4, self)
 
     @cached_property
     def facs(self) -> list[list[int]]:
-        return self.halo[2:-2]
+        """The targets' factor lists, read only by the targets that take a
+        byte window."""
+        return self.halo.lists[2:-2]
 
     @cached_property
     def steps(self) -> bytes:  # bit i steps pi(2N - 3) from target i to i + 1
@@ -781,14 +913,18 @@ class _ChunkContext(Record):
         return list(accumulate(self.steps, initial=self.pi))
 
     @cached_property
+    def omega(self) -> bytes:
+        return self.halo.omega[2:-2]
+
+    @cached_property
     def s(self) -> list[int]:
         """s(2N) = pi(2N - 3) - omega_odd(2N) for every target."""
-        return list(map(sub, self.pis, map(len, self.facs)))
+        return list(map(sub, self.pis, self.omega))
 
     @cached_property
     def phis(self) -> list[int]:
-        """phi(2N) where the factor list passes the screen, else 0."""
-        return list(map(_screened_phi, self.evens, self.facs))
+        """phi(2N) where the target's factors are exactly its odd primes, else 0."""
+        return self.halo.phi[2:-2]
 
     @cached_property
     def scan(self) -> dict:
@@ -801,14 +937,15 @@ class _ChunkContext(Record):
 
 
 def _chunk_same_type(chunk: _ChunkContext) -> dict:
-    """Mixed partitions of the chunk's evens.  A target whose listed factors
-    all divide 2N has none: a is a multiple of a listed q iff 2N - a is, so
-    its B-type window is its own mirror.  Any other target compares that
-    window with the mirror."""
-    evens, facs = chunk.evens, chunk.facs
+    """Mixed partitions of the chunk's evens.  A target whose factors all
+    divide 2N (``divides``) has none: a is a multiple of a listed q iff
+    2N - a is, so its B-type window is its own mirror.  Any other target
+    compares that window with the mirror."""
     mixed_total = 0
     fail = None
-    for two_n, qs in compress(zip(evens, facs), map(mod, evens, map(math.prod, facs))):
+    for i in _zeros(chunk.halo.divides[2:-2]):
+        two_n = chunk.c_lo + 2 * i
+        qs = chunk.facs[i]
         count, first = mixed_partitions(two_n, btype_bytes((two_n >> 1) - 2, qs))
         mixed_total += count
         if first and fail is None:
@@ -820,19 +957,19 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     """The first minimum, maximum and s < 2 of s(2N) in target order.
 
     From one target to the next pi(2N - 3) rises by 0 or 1, and omega lies
-    in [0, W], W the longest list.  So every s at or below the first
-    target's, and every s < 2 once the first is not, sits where
-    pi <= s_first + W: a prefix that ends before the (W - omega_first + 1)-th
-    marked bit.  Every s at or above the last target's sits where
-    pi >= s_last: a suffix that starts after the (omega_last + 1)-th marked
-    bit from the end.  s is evaluated on those two ends only.
+    in [0, W], W the largest.  So every s at or below the first target's,
+    and every s < 2 once the first is not, sits where pi <= s_first + W: a
+    prefix that ends before the (W - omega_first + 1)-th marked bit.  Every
+    s at or above the last target's sits where pi >= s_last: a suffix that
+    starts after the (omega_last + 1)-th marked bit from the end.  s is
+    evaluated on those two ends only.
     """
-    c_lo, facs, pi, bits = chunk.c_lo, chunk.facs, chunk.pi, chunk.steps
+    c_lo, omega, pi, bits = chunk.c_lo, chunk.omega, chunk.pi, chunk.steps
     boundary = []  # bit i of ``bits`` steps pi from target i to target i + 1
     if c_lo == 6:
-        boundary.append({"two_n": 6, "s": pi - len(facs[0])})
-        c_lo, pi, bits, facs = 8, pi + bits[:1].count(1), bits[1:], facs[1:]
-    n = len(facs)
+        boundary.append({"two_n": 6, "s": pi - omega[0]})
+        c_lo, pi, bits, omega = 8, pi + bits[:1].count(1), bits[1:], omega[1:]
+    n = len(omega)
     out = {"fail": None, "boundary": boundary, "min_s": None, "max_s": None}
     if not n:
         return out
@@ -840,18 +977,17 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     def s_of(a: int, b: int) -> list[int]:
         """s of the targets [a, b)."""
         pi_a = pi + bits.count(1, 0, a)
-        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a),
-                        map(len, facs[a:b])))
+        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a), omega[a:b]))
 
     j = -1
-    for _ in range(max(map(len, facs)) - len(facs[0]) + 1):
+    for _ in range(max(omega) - omega[0] + 1):
         j = bits.find(1, j + 1, n - 1)
         if j < 0:
             j = n - 1
             break
     head = s_of(0, j + 1)
     j = n - 1
-    for _ in range(len(facs[-1]) + 1):
+    for _ in range(omega[-1] + 1):
         j = bits.rfind(1, 0, j)
         if j < 0:
             break
@@ -869,22 +1005,24 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
 def _chunk_companions(chunk: _ChunkContext) -> dict:
     """Companion checks for the chunk's evens.
 
-    On a trusted table a target whose list passes the screen cannot fail:
-    the list holds its odd primes, each marked, so its A-primes are s(2N).
-    Those targets are counted in one pass; the others, and every target on
-    an untrusted table, take the byte windows in ascending order.
+    On a trusted table a target whose factors are exactly its odd primes
+    (``exact``) cannot fail: they are each marked, so its A-primes are
+    s(2N).  Those targets are counted in one pass; the others, and every
+    target on an untrusted table, take the byte windows of their factor
+    lists in ascending order.
     """
-    c_lo, facs = chunk.c_lo, chunk.facs
-    fast = list(map(truth, chunk.phis)) if chunk.trusted else [False] * len(facs)
+    c_lo = chunk.c_lo
+    fast = bytearray(chunk.halo.exact[2:-2] if chunk.trusted else len(chunk.evens))
     boundary = []
     if c_lo == 6:
-        fast[0] = False
+        fast[0] = 0
         boundary.append({"two_n": 6})
     a_total = sum(compress(chunk.s, fast))
     fail = None
-    for two_n, qs in compress(zip(chunk.evens, facs), map(not_, fast)):
+    for i in _zeros(fast):
+        two_n = c_lo + 2 * i
         if two_n != 6:
-            count, detail = _companion_window(two_n, qs, chunk)
+            count, detail = _companion_window(two_n, chunk.facs[i], chunk)
             a_total += count
             fail = fail or detail
     return {"fail": fail, "boundary": boundary, "a_primes_checked": a_total}
@@ -988,12 +1126,13 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     """Check that the midpoint flankers of each even in [c_lo, c_hi] factor
     over its A-primes.
 
-    The halo lists the odd prime factors of the evens in [c_lo - 4, c_hi + 4],
-    2 evens past each end of the chunk.  A flanker v of 2N has 2v = 2N -+ 2 or
-    2N -+ 4, so its factors sit at index (2v - c_lo + 4) >> 1.  A listed prime
-    of v that divides v is prime to 2N, as it would else divide 2 or 4; so
-    only a flanker whose listed primes do not all divide v, a wrong list, can
-    fail, and only its four targets 2v -+ 2 and 2v -+ 4 are checked, in
+    The halo holds the fused sieve's inputs of the evens in
+    [c_lo - 4, c_hi + 4], 2 evens past each end of the chunk.  A flanker v of
+    2N has 2v = 2N -+ 2 or 2N -+ 4, so its factors sit at index
+    (2v - c_lo + 4) >> 1.  A factor of v that divides v is prime to 2N, as it
+    would else divide 2 or 4; so only a flanker whose factors do not all
+    divide 2v (``divides``), a wrong list, can fail, and only its four
+    targets 2v -+ 2 and 2v -+ 4 are checked, on its factor list, in
     ascending order.  A flanker marked prime is prime to 2N, so it is its own
     A-prime.  The targets with two flankers marked prime are counted off the
     bitmap: N -+ 1 for even N, N -+ 2 for odd N, one byte apart per step of 4.
@@ -1003,13 +1142,14 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     vb = ((first >> 1) - 2) | 1
     vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
     bits = chunk.odds(vb, vs[-1])  # byte j: the flanker vb + 2j
-    rads = map(math.prod, halo[vb - (c_lo >> 1) + 2 :: 2])
-    todo = {2 * v + d for v in compress(vs, map(mod, vs, rads)) for d in (-4, -2, 2, 4)}
+    at = vb - (c_lo >> 1) + 2  # the halo index of 2 * vb
+    divides = halo.divides[at : at + 2 * len(vs) : 2]
+    todo = {2 * vs[j] + d for j in _zeros(divides) for d in (-4, -2, 2, 4)}
     fail = None
     for two_n in sorted(t for t in todo if first <= t <= c_hi):
         for v in midpoint_values(two_n):
             # lists ascend, so shared[0] is the smallest shared prime
-            shared = [q for q in halo[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
+            shared = [q for q in halo.lists[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
             if shared and not bits[(v - vb) >> 1]:
                 fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
                 break
@@ -1048,28 +1188,31 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
     from the chunk's slots of the bitmap square or else from each target's
     prime window.
 
-    On a passing target the phi(2N) odds prime to 2N form mirrored pairs
-    (a, 2N - a), a != N, and none is mixed: a_count is those pairs less
-    (1, 2N - 1), b_count h - a_count.  Any other target mirrors its B-type
-    window once and keeps its r, which reads only the table.
+    A target whose factors are exactly its odd primes (phi(2N) > 0) has its
+    phi(2N) odds prime to 2N in mirrored pairs (a, 2N - a), a != N, and none
+    is mixed: a_count is those pairs less (1, 2N - 1), b_count h - a_count.
+    Any other target mirrors the B-type window of its factor list once and
+    keeps its r, which reads only the table.  phi is read first, so that the
+    fused sieve builds it in the pass that builds omega, s's input.
     """
-    c_lo, c_hi, digits, facs, phis = (chunk.c_lo, chunk.c_hi, chunk.digits,
-                                      chunk.facs, chunk.phis)
+    c_lo, c_hi, digits = chunk.c_lo, chunk.c_hi, chunk.digits
+    phis = chunk.phis
     if digits is None:
         rs = _window_rs(chunk)
     else:
-        w = len(digits) // len(facs)
-        odd_n = bytearray(len(facs))  # [N odd and marked], from the first odd N on
+        import re  # loaded by the CLI already; not at package import
+        w = len(digits) // len(phis)
+        odd_n = bytearray(len(phis))  # [N odd and marked], from the first odd N on
         odd_n[1 - (c_lo >> 1) % 2 :: 2] = chunk.odds(c_lo >> 1, c_hi >> 1)
-        rs = [(int(digits[j : j + w]) + m) >> 1
-              for j, m in zip(range(0, len(digits), w), odd_n)]
+        slots = map(int, re.findall(f".{{{w}}}", digits))
+        rs = list(map(rshift, map(add, slots, odd_n), repeat(1)))
     a_counts = list(map(sub, map(rshift, phis, repeat(1)), repeat(1)))
     hs = map(floordiv, range(c_lo - 2, c_hi - 1, 2), repeat(4))  # h(2N) = (2N - 2) // 4
     rows = list(zip(chunk.evens, rs, chunk.s, a_counts, map(sub, hs, a_counts)))
-    for i in compress(range(len(phis)), map(not_, phis)):
+    for i in _zeros(chunk.halo.exact[2:-2]):
         two_n, r, s = rows[i][:3]
         h = partition_total(two_n)
-        fwd, rev = mirror_pair(btype_bytes((two_n >> 1) - 2, facs[i]), h)
+        fwd, rev = mirror_pair(btype_bytes((two_n >> 1) - 2, chunk.facs[i]), h)
         rows[i] = two_n, r, s, h - (fwd | rev).bit_count(), (fwd & rev).bit_count()
     return rows
 

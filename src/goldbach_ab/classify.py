@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import compress
 
 from ._record import Record, set_field
 from .errors import UsageError
-from .sieve import FactorMultiset, PrimeTable, factorize, primes_in
+from .sieve import FactorMultiset, PrimeTable, factorize, odd_prime_bytes
 
 
 class NumberClass(Enum):
@@ -83,17 +84,28 @@ def factorize_even(t: EvenTarget, table: PrimeTable) -> EvenFactorization:
 
 
 def split_primes(t: EvenTarget, table: PrimeTable) -> PrimeSplit:
-    """Enumerate the odd primes in (1, 2N-1), those the table marks, and put
-    q among the A-primes iff gcd(q, 2N) = 1."""
+    """Enumerate the odd primes in (1, 2N-1), those the table marks
+    (``odd_prime_bytes``), and put q among the A-primes iff gcd(q, 2N) = 1.
+
+    The gcd is read off the B-type window (``btype_window``), which marks
+    the odd multiples of the odd primes of 2N: exactly the odds whose gcd
+    with 2N exceeds 1; ``factorize`` gives those primes exactly on any table.
+    Both windows pack to ints, one
+    byte per odd, so each side of the split is one AND; the A-primes are
+    read with one ``compress``, the few B-primes with ``find``.
+    """
     two_n = t.two_n
-    a: list[int] = []
-    b: list[int] = []
-    for q in primes_in(3, two_n - 3, table):
-        if math.gcd(q, two_n) == 1:
-            a.append(q)
-        else:
-            b.append(q)
-    return PrimeSplit(two_n=two_n, a_primes=tuple(a), b_primes=tuple(b), s=len(a))
+    odds = range(3, two_n - 2, 2)
+    marked = int.from_bytes(odd_prime_bytes(3, two_n - 3, table), "little")
+    btype = int.from_bytes(btype_window(t, table), "little")
+    a = tuple(compress(odds, (marked & ~btype).to_bytes(len(odds), "little")))
+    shared = (marked & btype).to_bytes(len(odds), "little")
+    b = []
+    i = shared.find(1)
+    while i >= 0:
+        b.append(odds[i])
+        i = shared.find(1, i + 1)
+    return PrimeSplit(two_n=two_n, a_primes=a, b_primes=tuple(b), s=len(a))
 
 
 def classify_odd(m: int, t: EvenTarget, table: PrimeTable) -> NumberClass:

@@ -207,8 +207,9 @@ def is_prime(n: int, table: PrimeTable) -> bool:
     return _is_prime_u64(n)
 
 
-def primes_in(lo: int, hi: int, table: PrimeTable) -> list[int]:
-    """Ascending primes p with lo <= p <= hi, read off the table's bitmap.
+def odd_prime_bytes(lo: int, hi: int, table: PrimeTable) -> bytes:
+    """One byte per odd from max(lo, 3) rounded up to odd to hi, 1 where the
+    odd is prime, read off the table's bitmap.
 
     Windows beyond the table limit are sieved afresh while sqrt(hi) stays
     within the table's base primes (i.e. hi <= limit**2) and hi fits in 64
@@ -221,14 +222,20 @@ def primes_in(lo: int, hi: int, table: PrimeTable) -> list[int]:
             f"window end {hi} exceeds the width supported by a table of limit "
             f"{table.limit}"
         )
-    out = [2] if lo <= 2 <= hi else []
     first = max(lo, 3) | 1  # round up to odd
     if hi <= table.limit:
-        bits = table.odd_bits[first >> 1 : (hi >> 1) + 1]
-    else:
-        bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
-        _strike_odds(bits, first, table.odd_primes(3, math.isqrt(hi)))
-    out.extend(compress(range(first, hi + 1, 2), bits))
+        return table.odd_bits[first >> 1 : (hi >> 1) + 1]
+    bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
+    _strike_odds(bits, first, table.odd_primes(3, math.isqrt(hi)))
+    return bytes(bits)
+
+
+def primes_in(lo: int, hi: int, table: PrimeTable) -> list[int]:
+    """Ascending primes p with lo <= p <= hi, read off the table's bitmap;
+    windows beyond the limit as ``odd_prime_bytes`` sieves them."""
+    bits = odd_prime_bytes(lo, hi, table)
+    out = [2] if lo <= 2 <= hi else []
+    out.extend(compress(range(max(lo, 3) | 1, hi + 1, 2), bits))
     return out
 
 
@@ -236,8 +243,10 @@ def factorize(n: int, table: PrimeTable) -> FactorMultiset:
     """Complete factorization of n >= 1; factorize(1) is the empty multiset.
 
     Trial division handles the bulk: over the small primes when n <= limit,
-    and on up the table for larger n.  Any remaining cofactor is resolved by
-    Miller-Rabin plus Pollard rho, so every 64-bit input factors completely.
+    and on up the table for larger n.  A cofactor left at or below the limit
+    is prime, as the small primes, a fresh sieve's, reach its root; a larger
+    one is resolved by Miller-Rabin plus Pollard rho, so every 64-bit input
+    factors completely on any table, one with doctored bits included.
 
     >>> factorize(12, build_table(100)).as_dict()
     {2: 2, 3: 1}
@@ -262,16 +271,15 @@ def factorize(n: int, table: PrimeTable) -> FactorMultiset:
                 n //= p
             exps[p] = e
     if n > 1:
-        if table.limit * table.limit >= n:
-            # survived trial division by every prime <= sqrt(n)
+        if n <= table.limit:
             exps[n] = exps.get(n, 0) + 1
-        else:
+        else:  # the table's primes above the small ones are its bits: trust none
             _factor_large(n, exps)
     return FactorMultiset.from_dict(exps)
 
 
 def _factor_large(n: int, exps: dict[int, int]) -> None:
-    """Split n (coprime to all table primes) into primes via Pollard rho."""
+    """Split n, odd and past the trial division, into primes via Pollard rho."""
     stack = [n]
     while stack:
         m = stack.pop()

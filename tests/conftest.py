@@ -16,3 +16,8 @@ def table_20k():
 @pytest.fixture(scope="session")
 def table_100k():
     return build_table(100_001)
+
+
+@pytest.fixture(scope="session")
+def table_1e7():
+    return build_table(10**7)

@@ -544,3 +544,23 @@ def comet_chunk(c_lo, c_hi, pi, facs, table) -> list:
         rows.append((two_n, (pf & pr).bit_count(), pi - len(qs),
                      h - (b | rb).bit_count(), (b & rb).bit_count()))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Doctored factor lists
+# ---------------------------------------------------------------------------
+
+
+def patch_factor_lists(monkeypatch, lists) -> None:
+    """Make every range run read its chunks' factor inputs off
+    ``lists(c_lo, c_hi, source)``, factor lists a test doctors, typically an
+    edit of ``claims._odd_factor_lists``: the fused chunk sieve returns the
+    record built from them.  ``monkeypatch`` is pytest's, or a
+    ``pytest.MonkeyPatch.context()``; pool workers inherit the patch under
+    fork."""
+    import goldbach_ab.claims as claims_mod
+
+    def listed(lo, hi, source):
+        return claims_mod._Factors(lo, hi, lists(lo, hi, source))
+
+    monkeypatch.setattr(claims_mod, "_factor_sieve", listed)

@@ -5,7 +5,6 @@ import multiprocessing
 import weakref
 from collections import defaultdict
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +34,7 @@ from goldbach_ab import (
 import goldbach_ab.claims as claims_mod
 from goldbach_ab.claims import (
     _ChunkContext,
+    _Factors,
     _chunk_comet,
     _chunk_companions,
     _chunk_midpoint_coprime,
@@ -44,6 +44,7 @@ from goldbach_ab.claims import (
     _chunk_ranges,
     _chunk_s_bound,
     _chunk_same_type,
+    _factor_sieve,
     _odd_factor_lists,
     _pair_count_digits,
     _sieve_agrees,
@@ -68,6 +69,7 @@ from oracles import (
     factorize_td,
     is_prime_td,
     midpoints_td,
+    patch_factor_lists,
     split_td,
 )
 
@@ -547,7 +549,7 @@ def _doctor_factor_lists(monkeypatch, even, q, drop=False):
             facs[i] = [p for p in facs[i] if p != q] if drop else sorted(facs[i] + [q])
         return facs
 
-    monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
+    patch_factor_lists(monkeypatch, doctored)
 
 
 @pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
@@ -751,7 +753,7 @@ def test_range_companions_fail_on_every_dropped_factor(
         chunk_fails.extend(p["fail"] for p in partials if p["fail"])
         return real_merge(claim_id, partials, lo, hi)
 
-    monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
+    patch_factor_lists(monkeypatch, doctored)
     monkeypatch.setattr(claims_mod, "_merge_partials", merge)
     dropped = 0
     for lo, hi, run in _drop_runs(chunk_evens):
@@ -1067,7 +1069,8 @@ def test_range_runs_reject_a_chunk_size_below_one(table_1k, chunk_evens):
 
 
 def test_range_runs_build_each_chunk_input_once(table_20k, monkeypatch):
-    """All claims of a chunk share one factor sieve and one phi screen."""
+    """All claims of a chunk share one fused sieve, and on a true table no
+    kernel builds a factor list or screens a list for phi."""
     calls = defaultdict(int)
 
     def counted(name):
@@ -1078,13 +1081,14 @@ def test_range_runs_build_each_chunk_input_once(table_20k, monkeypatch):
             return real(*args)
         monkeypatch.setattr(claims_mod, name, wrapper)
 
+    counted("_factor_sieve")
     counted("_odd_factor_lists")
     counted("_screened_phi")
     range_verify(6, 3_000, table=table_20k, chunk_evens=100)
-    assert calls == {"_odd_factor_lists": 15, "_screened_phi": 1_498}
+    assert calls == {"_factor_sieve": 15}
     calls.clear()
     comet_rows(6, 3_000, table=table_20k, chunk_evens=100)
-    assert calls == {"_odd_factor_lists": 15, "_screened_phi": 1_498}
+    assert calls == {"_factor_sieve": 15}
 
 
 def test_range_s_stats_match_direct_recompute(table_1k):
@@ -1153,7 +1157,7 @@ def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
                 facs[(t - c_lo) >> 1] = edit(facs[(t - c_lo) >> 1])
         return facs
 
-    monkeypatch.setattr(claims_mod, "_odd_factor_lists", doctored)
+    patch_factor_lists(monkeypatch, doctored)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
         assert (_chunk_s_bound(chunk)
@@ -1400,6 +1404,59 @@ def test_odd_factor_lists_on_random_ranges(table_20k, c_lo, span):
         assert fac == sorted(q for q in factorize_td(two_n) if q != 2), two_n
 
 
+_FIELDS = ("omega", "divides", "phi", "exact")
+
+
+def _listed(lo, hi, table):
+    """The record of the evens in [lo, hi] built from their factor lists."""
+    return _Factors(lo, hi, _odd_factor_lists(lo, hi, table))
+
+
+@functools.lru_cache
+def _listed_to_2e5():
+    table = build_table(200_010)
+    return table, _listed(2, 200_004, table)
+
+
+@pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
+def test_fused_sieve_equals_the_listed_record_to_2e5(chunk_evens):
+    """Every chunk halo of [6, 2e5], from the one at c_lo = 6 on, gets from
+    the strides the fields its factor lists define.  The lists do not depend
+    on the bounds, so one listed record, sliced, stands for each halo's;
+    ``lists`` itself is compared on the halo's own bounds, up to 2e4 for the
+    one- and three-target chunks."""
+    table, listed = _listed_to_2e5()
+    whole = {name: getattr(listed, name) for name in _FIELDS}
+    lists_up_to = 200_000 if chunk_evens >= 64 else 20_000
+    chunks = _chunk_ranges(6, 200_000, chunk_evens, table)
+    assert chunks[0][0] == 6
+    for c_lo, c_hi, _ in chunks:
+        lo, hi = c_lo - 4, c_hi + 4
+        sieved = _factor_sieve(lo, hi, table)
+        assert isinstance(sieved, claims_mod._SievedFactors)
+        for name in _FIELDS:
+            assert getattr(sieved, name) == whole[name][(lo - 2) >> 1 : (hi >> 1)], (
+                name, lo, hi)
+        if c_hi <= lists_up_to:
+            assert sieved.lists == _odd_factor_lists(lo, hi, table), (lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5 * 10**6 - 4), st.integers(0, 300),
+       st.booleans())
+def test_fused_sieve_equals_the_listed_record_to_1e7(table_1e7, h, span, phi_first):
+    """Random halos up to 1e7, omega read before phi or after it."""
+    lo, hi = 2 * h, min(2 * (h + span), 10**7)
+    sieved, listed = _factor_sieve(lo, hi, table_1e7), _listed(lo, hi, table_1e7)
+    names = ("phi", "omega") if phi_first else ("omega", "phi")
+    assert [getattr(sieved, n) for n in names] == [getattr(listed, n) for n in names]
+    for name in _FIELDS:
+        assert getattr(sieved, name) == getattr(listed, name), (name, lo, hi)
+    assert sieved.lists == listed.lists
+    assert list(sieved.omega) == [sum(1 for q in factorize_td(two_n) if q != 2)
+                                  for two_n in range(lo, hi + 1, 2)]
+
+
 # ---------------------------------------------------------------------------
 # screened window kernels against the bit-window oracles
 # ---------------------------------------------------------------------------
@@ -1450,7 +1507,8 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
         facs = doctored(c_lo, c_hi, table)
         want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table)
         chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
-        with mock.patch.object(claims_mod, "_odd_factor_lists", doctored):
+        with pytest.MonkeyPatch.context() as patch:
+            patch_factor_lists(patch, doctored)
             chunk = _ChunkContext(c_lo, c_hi, pi, trusted, None, table)
             assert (_chunk_same_type(chunk)
                     == _counted(oracles.same_type_chunk(c_lo, c_hi, facs, table),

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +9,14 @@ from goldbach_ab import (
     EvenTarget,
     NumberClass,
     UsageError,
+    build_table,
     classify_odd,
     factorize_even,
+    primes_in,
     split_primes,
 )
 from goldbach_ab.classify import btype_window, prime_window
+from goldbach_ab.sieve import PrimeTable
 
 from oracles import (
     classify_odd_by_factors,
@@ -149,3 +154,37 @@ def test_btype_window_matches_gcd_route_at_scale(table_100k):
         odd_vals = 3 + 2 * np.arange(t.window_len)
         want = (np.gcd(odd_vals, two_n) > 1).astype(np.uint8)
         assert np.array_equal(mask, want), two_n
+
+
+@pytest.mark.parametrize("flips", [(), (1, 4, 13, 27, 52, 300, 2_106, 9_000)])
+def test_split_from_windows_is_the_gcd_split(table_20k, flips):
+    """The split read off the B-type window is the gcd split of every 2N in
+    [6, 2e4], on the true table and on one with the primes 3 and 601
+    cleared and the composites 9, 27, 105, 4213 and 18001 marked."""
+    np = pytest.importorskip("numpy")
+    bits = bytearray(table_20k.odd_bits)
+    for i in flips:
+        bits[i] ^= 1
+    table = PrimeTable(table_20k.limit, bytes(bits))
+    marked = 2 * np.flatnonzero(np.frombuffer(bytes(bits), dtype=np.uint8)) + 1
+    for two_n in range(6, 20_001, 2):
+        qs = marked[: np.searchsorted(marked, two_n - 3, side="right")]
+        coprime = np.gcd(qs, two_n) == 1
+        want = tuple(qs[coprime].tolist()), tuple(qs[~coprime].tolist())
+        split = split_primes(EvenTarget(two_n), table)
+        assert (split.a_primes, split.b_primes, split.s) == (*want, len(want[0])), two_n
+
+
+def test_split_past_a_doctored_limit_is_the_gcd_split():
+    """Past the limit of a table with 53 cleared, the B-type window still
+    marks the multiples of 53 for 2N = 2 * 53 * 59 and its neighbours: the
+    odd primes of 2N come from a factorization that trusts no bit."""
+    true = build_table(100)
+    bits = bytearray(true.odd_bits)
+    bits[53 >> 1] = 0
+    table = PrimeTable(true.limit, bytes(bits))
+    for two_n in range(6_200, 6_301, 2):
+        marked = primes_in(3, two_n - 3, table)
+        split = split_primes(EvenTarget(two_n), table)
+        assert split.a_primes == tuple(q for q in marked if math.gcd(q, two_n) == 1)
+        assert split.b_primes == tuple(q for q in marked if math.gcd(q, two_n) > 1)

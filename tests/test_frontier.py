@@ -10,9 +10,7 @@ definitions; these numbers come from the literature instead.
   Pardi, Math. Comp. 83 (2014), carry the list to 4e18).
 """
 
-import pytest
-
-from goldbach_ab import ClaimId, build_table, range_verify
+from goldbach_ab import ClaimId, range_verify
 from goldbach_ab.sieve import pi_upto
 
 PI_POWERS_OF_TEN = (4, 25, 168, 1_229, 9_592, 78_498, 664_579)
@@ -26,11 +24,6 @@ RECORD_SETTERS = (
     (601, 1_077_422), (727, 3_526_958), (751, 3_807_404),
 )
 RECORDS_UP_TO = 4_000_000
-
-
-@pytest.fixture(scope="module")
-def table_1e7():
-    return build_table(10**7)
 
 
 def test_prime_counts_at_powers_of_ten(table_1e7):

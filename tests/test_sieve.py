@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldbach_ab import UsageError, build_table, factorize, is_prime, primes_in
+from goldbach_ab.sieve import PrimeTable
 import goldbach_ab.sieve as sieve_mod
 from goldbach_ab.sieve import _is_prime_u64, pi_upto
 
@@ -157,6 +158,19 @@ def test_factorize_reconstructs_everything_up_to_1e5(table_1k):
         for p, e in fac:
             assert e >= 1
             assert is_prime_td(p), (n, p)
+
+
+def test_factorize_past_the_limit_trusts_no_bit():
+    """With 53 cleared on a table of limit 100, trial division past the limit
+    never tries 53, and the cofactor it leaves is split by rho, not taken as
+    a prime."""
+    true = build_table(100)
+    bits = bytearray(true.odd_bits)
+    bits[53 >> 1] = 0
+    table = PrimeTable(true.limit, bytes(bits))
+    assert factorize(5_459, table).as_dict() == {53: 1, 103: 1}
+    for n in range(1, 12_000):
+        assert factorize(n, table).as_dict() == factorize_td(n), n
 
 
 def test_factorize_large_cofactors_with_small_table():

@@ -157,7 +157,8 @@ def _kernel_sources():
     # _chunk_ranges runs in the parent, which carries pi from chunk to chunk
     names = [n for n in vars(claims_mod)
              if n.startswith("_chunk_") and n != "_chunk_ranges"]
-    names += ["_window_rs", "_companion_window", "_odd_factor_lists", "_screened_phi"]
+    names += ["_window_rs", "_companion_window", "_odd_factor_lists", "_screened_phi",
+              "_zeros", "_factor_sieve", "_Factors", "_SievedFactors"]
     for name in names:
         yield name, inspect.getsource(getattr(claims_mod, name))
     for name, member in vars(_ChunkContext).items():
