@@ -9,12 +9,14 @@ chunk sieve over the odd prime factors of the chunk's evens and of the
 midpoint flankers' doubles, so no range route trial-divides.
 
 The fused sieve (``_factor_sieve``) walks each small prime's strides with
-slice operations and gives, per even, omega (its count of odd primes, all
-that s = pi - omega reads), a bit that every counted factor divides 2N, and
-phi(2N) where the factors are exactly the odd primes of 2N.  On the sieve
-both bits hold by construction.  When every factor divides 2N, the B-type
-window is its own mirror and no partition is mixed; same-type needs no
-more.  When they are exactly the odd primes of 2N, gcd(a, 2N) =
+slice operations and gives, per even, omega (its count of odd primes, which
+comet and companions read whole), a bit that every counted factor divides
+2N, and phi(2N) where the factors are exactly the odd primes of 2N.  The s
+statistics read omega only on a short head and tail of each chunk, under an
+a-priori primorial bound, so the linear claims sieve no whole chunk.  On
+the sieve both bits hold by construction.  When every factor divides 2N,
+the B-type window is its own mirror and no partition is mixed; same-type
+needs no more.  When they are exactly the odd primes of 2N, gcd(a, 2N) =
 gcd(2N - a, 2N) also gives a_count = phi(2N) / 2 - 1, and its A-primes are
 s(2N) on a trusted table: one the run sieved, or one equal to a fresh sieve.
 Other targets take the byte windows of ``classify`` on their factor lists,
@@ -751,7 +753,8 @@ class _Factors(Record):
     factors ``lists`` of the evens lo, lo + 2, ..., hi, each built from the
     lists on first read, so that a run reads only what its kernels need:
 
-    - ``omega``: the length of each list, one byte per even;
+    - ``omega``: the length of each list, one byte per even, also read by
+      window (``omega_at``) and bounded above (``omega_bound``);
     - ``divides``: 1 where every listed prime divides 2N, else 0;
     - ``phi``: phi(2N) where the list is exactly the odd primes of 2N, else 0
       (``_screened_phi``);
@@ -770,6 +773,14 @@ class _Factors(Record):
     @cached_property
     def omega(self) -> bytes:
         return bytes(map(len, self.lists))
+
+    def omega_bound(self) -> int:
+        """An upper bound on every ``omega``: here their maximum."""
+        return max(self.omega)
+
+    def omega_at(self, lo: int, hi: int) -> bytes:
+        """``omega`` of the evens in [lo, hi], a window of the record's."""
+        return self.omega[(lo - self.lo) >> 1 : ((hi - self.lo) >> 1) + 1]
 
     @cached_property
     def divides(self) -> bytes:
@@ -795,7 +806,10 @@ class _SievedFactors(_Factors):
     stride with one ``translate``, and its powers divide the odd parts down
     along theirs, as the lists' cofactors are; an even gains 1 more where the
     cofactor left is above 1.  ``phi`` is built in the same division pass,
-    only when it is read before ``omega``; ``lists`` only when read.
+    only when it is read before ``omega``; ``lists`` only when read.  A
+    window of ``omega`` (``omega_at``) takes a pass over that window alone
+    until the whole is built, and ``omega_bound`` is a primorial count that
+    reads no stride.
 
     ``divides`` and ``exact`` are 1 everywhere, by construction: each small
     prime is counted only on its own stride, so it divides 2N, and the
@@ -819,17 +833,39 @@ class _SievedFactors(_Factors):
 
     @cached_property
     def omega(self) -> bytes:
-        return self._divide(False)[0]
+        return self._divide(self.lo, self.hi, False)[0]
 
     @cached_property
     def phi(self) -> list[int]:
-        omega, phi = self._divide(True)
+        omega, phi = self._divide(self.lo, self.hi, True)
         set_field(self, "omega", omega)
         return phi
 
-    def _divide(self, with_phi: bool) -> tuple[bytes, list[int] | None]:
-        """(omega, phi(2N) or None) of every even, in one pass over the strides."""
-        lo, hi, small = self.lo, self.hi, self.small_primes
+    def omega_bound(self) -> int:
+        """The largest k with 2 * 3 * 5 * ... * p_k <= hi, p_k the k-th odd
+        prime: an even with k distinct odd primes is at least that product,
+        so no even up to hi has more.  Read off no sieve."""
+        k, product, m = 0, 2, 3
+        while True:
+            if math.gcd(m, product) == 1:  # product holds every prime below m
+                if product * m > self.hi:
+                    return k
+                product *= m
+                k += 1
+            m += 2
+
+    def omega_at(self, lo: int, hi: int) -> bytes:
+        """``omega`` of the evens in [lo, hi]: a window of ``omega`` once it
+        is built, else one division pass over that window alone."""
+        if "omega" in self.__dict__:
+            return super().omega_at(lo, hi)
+        return self._divide(lo, hi, False)[0]
+
+    def _divide(self, lo: int, hi: int, with_phi: bool
+                ) -> tuple[bytes, list[int] | None]:
+        """(omega, phi(2N) or None) of every even in [lo, hi], a window of
+        the record's, in one pass over the strides."""
+        small = self.small_primes
         h = lo >> 1
         cof = [v // (v & -v) for v in range(lo, hi + 1, 2)]
         n = len(cof)
@@ -913,13 +949,9 @@ class _ChunkContext(Record):
         return list(accumulate(self.steps, initial=self.pi))
 
     @cached_property
-    def omega(self) -> bytes:
-        return self.halo.omega[2:-2]
-
-    @cached_property
     def s(self) -> list[int]:
         """s(2N) = pi(2N - 3) - omega_odd(2N) for every target."""
-        return list(map(sub, self.pis, self.omega))
+        return list(map(sub, self.pis, self.halo.omega[2:-2]))
 
     @cached_property
     def phis(self) -> list[int]:
@@ -956,20 +988,25 @@ def _chunk_same_type(chunk: _ChunkContext) -> dict:
 def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     """The first minimum, maximum and s < 2 of s(2N) in target order.
 
-    From one target to the next pi(2N - 3) rises by 0 or 1, and omega lies
-    in [0, W], W the largest.  So every s at or below the first target's,
-    and every s < 2 once the first is not, sits where pi <= s_first + W: a
-    prefix that ends before the (W - omega_first + 1)-th marked bit.  Every
-    s at or above the last target's sits where pi >= s_last: a suffix that
-    starts after the (omega_last + 1)-th marked bit from the end.  s is
-    evaluated on those two ends only.
+    s = pi - omega, where pi = pi(2N - 3) rises by 0 or 1 from one target to
+    the next, and omega lies in [0, W] for the halo's ``omega_bound`` W: an
+    even 2N <= hi with k distinct odd primes is at least 2 * 3 * 5 * ... *
+    p_k, so W is the largest k whose product stays within hi (a record
+    built from lists gives their maximum instead).  So every s at or below
+    the first target's, and every s < 2 once the first is not, sits where
+    pi <= pi_first + W: a prefix that ends before the (W + 1)-th marked
+    bit.  Every s at or above the last target's sits where pi >= pi_last -
+    W: a suffix that starts after the (W + 1)-th marked bit from the end.
+    A larger W only lengthens the two ends, so any bound at or above the
+    true maximum gives the same first minimum, maximum and failure.  s, and
+    so omega, is evaluated on those two ends only, each tens of targets.
     """
-    c_lo, omega, pi, bits = chunk.c_lo, chunk.omega, chunk.pi, chunk.steps
+    c_lo, pi, bits, halo = chunk.c_lo, chunk.pi, chunk.steps, chunk.halo
     boundary = []  # bit i of ``bits`` steps pi from target i to target i + 1
     if c_lo == 6:
-        boundary.append({"two_n": 6, "s": pi - omega[0]})
-        c_lo, pi, bits, omega = 8, pi + bits[:1].count(1), bits[1:], omega[1:]
-    n = len(omega)
+        boundary.append({"two_n": 6, "s": pi - halo.omega_at(6, 6)[0]})
+        c_lo, pi, bits = 8, pi + bits[:1].count(1), bits[1:]
+    n = (chunk.c_hi - c_lo) // 2 + 1
     out = {"fail": None, "boundary": boundary, "min_s": None, "max_s": None}
     if not n:
         return out
@@ -977,22 +1014,27 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     def s_of(a: int, b: int) -> list[int]:
         """s of the targets [a, b)."""
         pi_a = pi + bits.count(1, 0, a)
-        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a), omega[a:b]))
+        omega = halo.omega_at(c_lo + 2 * a, c_lo + 2 * b - 2)
+        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a), omega))
 
+    w = halo.omega_bound()
     j = -1
-    for _ in range(max(omega) - omega[0] + 1):
+    for _ in range(w + 1):
         j = bits.find(1, j + 1, n - 1)
         if j < 0:
             j = n - 1
             break
-    head = s_of(0, j + 1)
-    j = n - 1
-    for _ in range(omega[-1] + 1):
+    last, j = j, n - 1  # the head's last target
+    for _ in range(w + 1):
         j = bits.rfind(1, 0, j)
         if j < 0:
             break
-    first = j + 1
-    tail = s_of(first, n)
+    first = j + 1  # the tail's first target
+    if first <= last + 1:  # the ends meet: the whole chunk serves as both
+        head = tail = s_of(0, n)
+        first = 0
+    else:
+        head, tail = s_of(0, last + 1), s_of(first, n)
     lo, hi = min(head), max(tail)
     out["min_s"] = [lo, c_lo + 2 * head.index(lo)]
     out["max_s"] = [hi, c_lo + 2 * (first + tail.index(hi))]

@@ -212,8 +212,9 @@ def odd_prime_bytes(lo: int, hi: int, table: PrimeTable) -> bytes:
     odd is prime, read off the table's bitmap.
 
     Windows beyond the table limit are sieved afresh while sqrt(hi) stays
-    within the table's base primes (i.e. hi <= limit**2) and hi fits in 64
-    bits.
+    within the table (i.e. hi <= limit**2) and hi fits in 64 bits.  They are
+    struck with a fresh sieve's primes up to sqrt(hi) (``_base_primes``), as
+    ``small_primes`` are, so no table bit decides a prime past the limit.
     """
     if lo > hi:
         raise UsageError(f"empty window: lo={lo} > hi={hi}")
@@ -226,7 +227,7 @@ def odd_prime_bytes(lo: int, hi: int, table: PrimeTable) -> bytes:
     if hi <= table.limit:
         return table.odd_bits[first >> 1 : (hi >> 1) + 1]
     bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
-    _strike_odds(bits, first, table.odd_primes(3, math.isqrt(hi)))
+    _strike_odds(bits, first, _base_primes(hi))
     return bytes(bits)
 
 

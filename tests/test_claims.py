@@ -1173,6 +1173,99 @@ def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
     assert out.payload[key]["two_n"] == two_n
 
 
+# windows of the end-window route: c_lo = 6 and 8, and the odd primorials
+# 2 * 3 * ... * 11, ... * 13 and ... * 17, where omega meets its bound
+_PRIMORIALS = (2_310, 30_030, 510_510)
+_S_BOUND_WINDOWS = [(6, 600), (8, 600), *((p - 120, p + 120) for p in _PRIMORIALS)]
+# whole 8192-even chunks holding each primorial: the second chunk from 6
+# holds 30 030
+_S_BOUND_CHUNKS = [(6, 16_388), (16_390, 32_772), (500_000, 516_382)]
+
+
+@pytest.mark.parametrize("chunk_evens, lo, hi", [
+    *((c, lo, hi) for c in (1, 2, 3, 64, 8192) for lo, hi in _S_BOUND_WINDOWS),
+    *((8192, lo, hi) for lo, hi in _S_BOUND_CHUNKS),
+])
+def test_s_bound_end_windows_match_the_oracle(table_1e7, chunk_evens, lo, hi):
+    """s is read only at a chunk's two ends, under the primorial bound on
+    omega; every chunk's partial equals the scalar oracle's, and on the
+    chunk holding a primorial its omega equals the bound."""
+    table = table_1e7
+    met = set()
+    for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
+        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
+        assert (_chunk_s_bound(chunk)
+                == _counted(oracles.s_bound_chunk(
+                    c_lo, c_hi, _odd_factor_lists(c_lo, c_hi, table), table),
+                    c_lo, c_hi)), (c_lo, c_hi)
+        for p in _PRIMORIALS:
+            if c_lo <= p <= c_hi:
+                assert chunk.halo.omega_at(p, p)[0] == chunk.halo.omega_bound(), p
+                met.add(p)
+    assert met == {p for p in _PRIMORIALS if lo <= p <= hi}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_s_bound_end_windows_match_the_oracle_to_1e7(table_1e7, data):
+    """Random ranges up to 1e7, some starting near a primorial."""
+    chunk_evens = data.draw(st.sampled_from((1, 2, 3, 64, 8192)))
+    near = data.draw(st.sampled_from((6, 8, *_PRIMORIALS, 9_699_690)))
+    lo = data.draw(st.one_of(
+        st.integers(max(3, near // 2 - chunk_evens), near // 2).map(lambda n: 2 * n),
+        st.integers(3, 5 * 10**6 - 8192).map(lambda n: 2 * n),
+    ))
+    hi = min(lo + 2 * data.draw(st.integers(0, min(2 * chunk_evens, 9_000))), 10**7)
+    for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table_1e7):
+        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table_1e7)
+        assert (_chunk_s_bound(chunk)
+                == _counted(oracles.s_bound_chunk(
+                    c_lo, c_hi, _odd_factor_lists(c_lo, c_hi, table_1e7), table_1e7),
+                    c_lo, c_hi)), (c_lo, c_hi)
+
+
+def test_omega_bound_holds_on_every_chunk_to_1e7(table_1e7):
+    """On every 8192-even chunk halo of [6, 1e7] the sieved omega stays
+    within the primorial bound, and meets it on the chunks holding 510 510
+    and 9 699 690 = 2 * 3 * ... * 19."""
+    met = []
+    for c_lo, c_hi, _ in _chunk_ranges(6, 10**7, 8192, table_1e7):
+        halo = _factor_sieve(c_lo - 4, c_hi + 4, table_1e7)
+        top, bound = max(halo.omega), halo.omega_bound()
+        assert top <= bound, (c_lo, c_hi, top, bound)
+        if c_lo <= 510_510 <= c_hi or c_lo <= 9_699_690 <= c_hi:
+            met.append((top, bound))
+    assert met == [(6, 6), (7, 7)]
+
+
+def test_s_bound_sieves_only_the_chunk_ends(table_1e7, monkeypatch):
+    """The linear claims' s statistics run no division pass over a whole
+    chunk, only over its two ends; companions and comet still build the
+    whole omega, once per chunk halo."""
+    widths = []
+    real = claims_mod._SievedFactors._divide
+
+    def divide(self, lo, hi, with_phi):
+        widths.append(((hi - lo) // 2 + 1, (self.hi - self.lo) // 2 + 1, with_phi))
+        return real(self, lo, hi, with_phi)
+
+    monkeypatch.setattr(claims_mod._SievedFactors, "_divide", divide)
+    linear = tuple(c for c in ALL_CLAIMS if c not in (
+        ClaimId.SAME_TYPE_LEMMA, ClaimId.COMPANION_DECOMPOSES))
+    lo, hi = 1_000_000, 1_100_000  # 7 chunks of up to 8192 evens
+    range_verify(lo, hi, claims=linear, table=table_1e7)
+    assert widths and len(widths) <= 2 * 7
+    assert all(width < whole // 10 and not phi for width, whole, phi in widths), widths
+    for claims in ((ClaimId.COMPANION_DECOMPOSES,), ALL_CLAIMS):
+        widths.clear()
+        range_verify(lo, hi, claims=claims, table=table_1e7)
+        whole = [w for w in widths if w[0] == w[1]]
+        assert [w[2] for w in whole] == [False] * 7, widths
+    widths.clear()
+    comet_rows(100_000, 140_000, table=table_1e7)
+    assert [w[0] == w[1] and w[2] for w in widths] == [True] * 3, widths
+
+
 def test_same_type_screens_on_divisibility_alone(table_20k, monkeypatch):
     """A same-type run computes no phi(2N).  A list whose entries all divide
     2N, true or short of a factor, takes no byte window; a listed prime that

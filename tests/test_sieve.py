@@ -118,6 +118,20 @@ def test_primes_in_beyond_limit_uses_segmented_window(table_1k):
         assert got == want, (lo, hi)
 
 
+def test_primes_in_past_the_limit_trusts_no_bit():
+    """With 53 cleared on a table of limit 100, a window past the limit is
+    still struck with 53, so its multiples 9169 and 9487 are not listed."""
+    true = build_table(100)
+    bits = bytearray(true.odd_bits)
+    bits[53 >> 1] = 0
+    table = PrimeTable(true.limit, bytes(bits))
+    got = primes_in(9_000, 9_500, table)
+    assert 9_169 not in got and 9_487 not in got
+    assert got == [p for p in simple_sieve(9_500) if p >= 9_000]
+    for lo, hi in [(101, 2_000), (5_000, 10_000)]:
+        assert primes_in(lo, hi, table) == [p for p in simple_sieve(hi) if p >= lo]
+
+
 def test_primes_in_rejects_window_past_supported_width(table_1k):
     # sqrt(hi) beyond the table's base primes
     with pytest.raises(UsageError):
