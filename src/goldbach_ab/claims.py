@@ -68,9 +68,10 @@ from .partition import (
     mirror_pair,
     mixed_partitions,
     partition_total,
+    prime_mirror,
     self_pair,
 )
-from .sieve import PrimeTable, build_table, factorize, pi_upto
+from .sieve import PrimeTable, build_table, factorize
 
 
 def __getattr__(name: str):
@@ -246,7 +247,7 @@ def _companion_rows(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> list
     """
     two_n = t.two_n
     window_end(two_n, table)
-    bits = table.odd_bits
+    bits = table.odds(0, two_n - 3)  # byte c >> 1: the odd c
     sf = _smallest_factors(two_n - 3, table.small_primes)
     a_set = set(split.a_primes)
     rows = []
@@ -318,11 +319,12 @@ def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> Pairi
     A-prime whose companion is p, and c != p, since p = N would divide 2N.
     So every A-prime lands in exactly one pair or in unpaired.
     """
+    bits = table.odds(0, t.two_n - 3)  # byte c >> 1: the odd c
     pairs = []
     unpaired = []
     for p in split.a_primes:
         c = t.two_n - p
-        if table.odd_bits[c >> 1]:
+        if bits[c >> 1]:
             if p < c:
                 pairs.append((p, c))
         else:
@@ -369,15 +371,14 @@ def midpoint_report(
     if t.two_n < 8:
         raise UsageError(f"midpoints are defined for 2N >= 8, got {t.two_n}")
     v1, v2 = midpoint_values(t.two_n)
+    bits = table.odds(v1, v2)  # byte j: the odd v1 + 2j
     vals = []
-    for v in (v1, v2):
+    for v, marked in ((v1, bits[0]), (v2, bits[-1])):
         try:
             exps = decompose_over_a_basis(v, split, table)
         except NotAPureAProduct:
             exps = None
-        vals.append(
-            MidpointValue(value=v, is_prime=bool(table.odd_bits[v >> 1]), exps=exps)
-        )
+        vals.append(MidpointValue(value=v, is_prime=bool(marked), exps=exps))
     both_prime = vals[0].is_prime and vals[1].is_prime
     return MidpointReport(
         parity="even" if t.n % 2 == 0 else "odd",
@@ -653,9 +654,7 @@ def _window_rs(chunk: _ChunkContext) -> list[int]:
     of its window, one byte per odd: that skips packing the table to bits."""
     c_lo, c_hi = chunk.c_lo, chunk.c_hi
     if c_lo == c_hi:
-        h = partition_total(c_lo)  # the window's first and last h odds
-        fwd = int.from_bytes(chunk.odds(3, 2 * h + 1), "little")
-        rev = int.from_bytes(chunk.odds(c_lo - 1 - 2 * h, c_lo - 3), "big")
+        fwd, rev = prime_mirror(c_lo, chunk)
         return [(fwd & rev).bit_count()]
     fwd = _pack(chunk.odds(3, 2 * partition_total(c_hi) + 1))
     rev = _pack(chunk.odds(c_lo - 1 - 2 * partition_total(c_lo), c_hi - 3)[::-1])
@@ -702,8 +701,7 @@ def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict |
 def _sieve_agrees(table: PrimeTable, hi: int) -> bool:
     """Whether a caller's table is what a fresh sieve gives: the same bits on
     the odds up to hi - 3."""
-    n = (hi >> 1) - 1  # the odds 1, 3, ..., hi - 3
-    return table.odd_bits[1:n] == build_table(hi).odd_bits[1:n]
+    return table.odds(3, hi - 3) == build_table(hi).odds(3, hi - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -916,9 +914,7 @@ class _ChunkContext(Record):
         set_field(self, "table", table)
 
     def odds(self, lo: int, hi: int) -> bytes:
-        """The bitmap bytes of the odd values from lo to hi, 0 <= lo: byte j
-        stands for the odd (lo | 1) + 2j."""
-        return self.table.odd_bits[lo >> 1 : (hi + 1) >> 1]
+        return self.table.odds(lo, hi)
 
     @property
     def small_primes(self) -> tuple[int, ...]:
@@ -1321,13 +1317,13 @@ CLAIM_SPECS: dict[ClaimId, ClaimSpec] = {
 def _chunk_ranges(lo: int, hi: int, chunk_evens: int, table: PrimeTable
                   ) -> list[tuple[int, int, int]]:
     """(c_lo, c_hi, pi(c_lo - 3)) per chunk: one prime count below lo, then
-    each chunk's own span."""
+    each chunk's own span, the last one's (which nothing reads) to hi - 3."""
     span = 2 * chunk_evens
-    pi = pi_upto(lo - 3, table) - 1  # odd primes only
+    pi = table.count(3, lo - 3)  # odd primes only
     chunks = []
     for c in range(lo, hi + 1, span):
         chunks.append((c, min(c + span - 2, hi), pi))
-        pi += table.odd_bits[(c >> 1) - 1 : ((c + span) >> 1) - 1].count(1)
+        pi += table.count(c - 1, min(c + span, hi) - 3)
     return chunks
 
 
@@ -1456,7 +1452,7 @@ def comet_rows(
     slots = [None] * len(chunks)
     sum_n = ((hi - lo) // 2 + 1) * (lo + hi) // 4
     if sum_n > _SQUARE_COST * hi and _lazy("_decimal") is not None:
-        digits, w = _pair_count_digits(table.odd_bits, lo, hi)
+        digits, w = _pair_count_digits(table.odds(0, hi - 3), lo, hi)
         slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
                  for c_lo, c_hi, _ in chunks]
         del digits

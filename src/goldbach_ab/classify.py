@@ -153,16 +153,9 @@ def btype_bytes(window_len: int, odd_factors: tuple[int, ...]) -> bytes:
     return bytes(mask)
 
 
-def window_end(two_n: int, table: PrimeTable) -> int:
-    """N - 1, the table index just past the window's last odd 2N - 3, once
-    the table is checked to reach it."""
+def window_end(two_n: int, table: PrimeTable) -> None:
+    """Check that the table reaches 2N - 3, the last odd of the window of 2N."""
     if table.limit < two_n - 3:
         raise UsageError(
             f"table limit {table.limit} does not cover the window of 2N={two_n}"
         )
-    return (two_n >> 1) - 1
-
-
-def prime_window(t: EvenTarget, table: PrimeTable) -> bytes:
-    """Primality bytes for the odd values 3, 5, ..., 2N-3."""
-    return table.odd_bits[1 : window_end(t.two_n, table)]

@@ -113,26 +113,31 @@ def census(t: EvenTarget, table: PrimeTable) -> PartitionCensus:
     )
 
 
-def mirror_pair(window: bytes, h: int, start: int = 0,
-                stop: int | None = None) -> tuple[int, int]:
-    """The first h bytes of the 0/1 window ``window[start:stop]`` and of its
-    reversal as ints, byte j to bit 8j, the reversal read big-endian in place:
-    bit 8j of the pair stands for the partition (3 + 2j, 2N - 3 - 2j).
+def mirror_pair(window: bytes, h: int) -> tuple[int, int]:
+    """The first h bytes of the 0/1 ``window`` and of its reversal as ints,
+    byte j to bit 8j, the reversal read big-endian in place: bit 8j of the
+    pair stands for the partition (3 + 2j, 2N - 3 - 2j).
 
-    >>> w = bytes([0, 1, 0, 0, 1, 1, 0])
-    >>> mirror_pair(w[1:6], 2), mirror_pair(w, 2, 1, 6)
-    ((1, 257), (1, 257))
+    >>> mirror_pair(bytes([1, 0, 0, 1, 1]), 2)
+    (1, 257)
     """
-    stop = len(window) if stop is None else stop
-    return (int.from_bytes(window[start : start + h], "little"),
-            int.from_bytes(window[stop - h : stop], "big"))
+    return (int.from_bytes(window[:h], "little"),
+            int.from_bytes(window[len(window) - h :], "big"))
+
+
+def prime_mirror(two_n: int, source) -> tuple[int, int]:
+    """``mirror_pair`` of the prime window of 2N, the odds 3 to 2N - 3, read
+    at its two ends off ``source.odds``, a table's or a chunk context's."""
+    h = partition_total(two_n)
+    return (int.from_bytes(source.odds(3, 2 * h + 1), "little"),
+            int.from_bytes(source.odds(two_n - 1 - 2 * h, two_n - 3), "big"))
 
 
 def goldbach_pairs(two_n: int, table: PrimeTable) -> tuple[tuple[int, int], ...]:
     """The (p, q) prime pairs of 2N, p <= q, read off the table's window."""
-    h = partition_total(two_n)
-    pf, pr = mirror_pair(table.odd_bits, h, 1, window_end(two_n, table))
-    both = (pf & pr).to_bytes(h, "little")
+    window_end(two_n, table)
+    pf, pr = prime_mirror(two_n, table)
+    both = (pf & pr).to_bytes(partition_total(two_n), "little")
     pairs = []
     i = both.find(1)
     while i >= 0:
@@ -160,7 +165,7 @@ def self_pair(t: EvenTarget, table: PrimeTable) -> tuple[int, int] | None:
     possible B-type Goldbach pair.
     """
     n = t.n
-    if n % 2 == 1 and table.odd_bits[n >> 1]:
+    if n % 2 == 1 and table.odds(n, n)[0]:
         return (n, n)
     return None
 

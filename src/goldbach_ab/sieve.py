@@ -2,13 +2,13 @@
 
 Everything downstream works against a PrimeTable: an immutable, sieve-backed
 oracle for the primes up to a configured limit.  The table is the sieve's
-bitmap of the odd numbers, the one source of primality; trial division
-reads the small primes up to the square root of the limit, which a fresh
-sieve gives, and the tuple of every prime below the limit is derived from
-the bitmap only when asked for.  Queries past the limit fall back to a
-Miller-Rabin test with a witness set that is deterministic for all 64-bit
-integers, and factorization of large cofactors uses Brent's cycle variant of
-Pollard rho.
+bitmap of the odd numbers, the one source of primality, indexed only by its
+own reads ``odds``, ``count`` and ``odd_primes``; trial division reads the
+small primes up to the square root of the limit, which a fresh sieve gives,
+and the tuple of every prime below the limit is derived from the bitmap only
+when asked for.  Queries past the limit fall back to a Miller-Rabin test
+with a witness set that is deterministic for all 64-bit integers, and
+factorization of large cofactors uses Brent's cycle variant of Pollard rho.
 """
 
 from __future__ import annotations
@@ -71,11 +71,10 @@ class PrimeTable(Record):
     """Immutable sieve output: primality of every integer up to ``limit``.
 
     ``odd_bits[i]`` is 1 exactly when ``2*i + 1`` is prime, so the bitmap
-    covers the odd numbers only; 2 is special-cased everywhere.
-    ``small_primes`` holds 2 and the odd primes up to sqrt(limit), all that
-    trial division below the limit needs, from a fresh sieve, so that no
-    bit of the table changes which primes are tried; ``odd_primes`` reads
-    any run of primes lazily off the bitmap.
+    covers the odd numbers only; 2 is special-cased everywhere, and no route
+    but this class's members reads it.  ``small_primes`` holds 2 and the odd
+    primes up to sqrt(limit), all that trial division below the limit needs,
+    from a fresh sieve, so that no bit of the table changes which are tried.
     ``prime_list``, every prime up to ``limit``, is derived on first access
     and cached; no library route reads it, and pickling drops it.
     """
@@ -92,6 +91,27 @@ class PrimeTable(Record):
     def small_primes(self) -> tuple[int, ...]:
         """2 and the odd primes up to sqrt(limit), from a fresh sieve."""
         return (2, *_base_primes(self.limit))
+
+    def odds(self, lo: int, hi: int) -> bytes:
+        """The bitmap of the odds from lo to hi, 0 <= lo and hi <= limit: byte
+        j is 1 exactly when the odd (lo | 1) + 2j is marked prime.
+
+        >>> list(build_table(15).odds(4, 9))  # 5, 7, 9
+        [1, 1, 0]
+        """
+        if hi > self.limit:
+            raise UsageError(f"{hi} exceeds table limit {self.limit}")
+        return self.odd_bits[lo >> 1 : (hi + 1) >> 1]
+
+    def count(self, lo: int, hi: int) -> int:
+        """How many odds from lo to hi ``odds(lo, hi)`` marks, counted in place.
+
+        >>> build_table(15).count(4, 15)  # 5, 7, 11, 13
+        4
+        """
+        if hi > self.limit:
+            raise UsageError(f"{hi} exceeds table limit {self.limit}")
+        return self.odd_bits.count(1, lo >> 1, (hi + 1) >> 1)
 
     def odd_primes(self, lo: int, hi: int):
         """Iterator over the odd primes p with lo <= p <= hi <= limit,
@@ -203,7 +223,7 @@ def is_prime(n: int, table: PrimeTable) -> bool:
     if n % 2 == 0:
         return False
     if n <= table.limit:
-        return table.odd_bits[n >> 1] == 1
+        return table.odds(n, n) == b"\x01"
     return _is_prime_u64(n)
 
 
@@ -225,7 +245,7 @@ def odd_prime_bytes(lo: int, hi: int, table: PrimeTable) -> bytes:
         )
     first = max(lo, 3) | 1  # round up to odd
     if hi <= table.limit:
-        return table.odd_bits[first >> 1 : (hi >> 1) + 1]
+        return table.odds(first, hi)
     bits = bytearray(b"\x01") * ((hi - first) // 2 + 1)
     _strike_odds(bits, first, _base_primes(hi))
     return bytes(bits)
@@ -328,8 +348,6 @@ def _rho_brent(n: int) -> int:
 
 def pi_upto(x: int, table: PrimeTable) -> int:
     """Count of primes <= x, answered from the table (x must be <= limit)."""
-    if x > table.limit:
-        raise UsageError(f"{x} exceeds table limit {table.limit}")
     if x < 2:
         return 0
-    return 1 + table.odd_bits.count(1, 1, (x + 1) >> 1)
+    return 1 + table.count(3, x)

@@ -427,7 +427,7 @@ class BitWindows:
         self.marks: dict[int, int] = {}
 
     def primes(self, k: int, mask: int) -> tuple[int, int]:
-        """``prime_window`` and its reversal."""
+        """The prime window, ``table.odds(3, 2N - 3)``, and its reversal."""
         return self.fwd & mask, (self.rev >> (self.k_max - k)) & mask
 
     def btype(self, k: int, qs, mask: int) -> tuple[int, int]:

@@ -53,7 +53,7 @@ from goldbach_ab.claims import (
     claim_goldbach_witness,
     claim_pairing_non_empty,
 )
-from goldbach_ab.classify import btype_bytes, prime_window
+from goldbach_ab.classify import btype_bytes
 from goldbach_ab.cli import build_analyze_report
 from goldbach_ab.partition import PartitionKind, classify_partition, goldbach_partitions
 from goldbach_ab.sieve import PrimeTable, pi_upto
@@ -1429,7 +1429,7 @@ def test_packed_primes_match_prime_window(table_20k, two_n, data):
     k = (two_n >> 1) - 2
     width = data.draw(st.integers(min_value=1, max_value=k))
     mask = (1 << width) - 1
-    pwin = prime_window(EvenTarget(two_n), table_20k)
+    pwin = table_20k.odds(3, two_n - 3)
     pf, pr = BitWindows(table_20k, c_hi).primes(k, mask)
     assert pf == _bits(pwin) & mask
     assert pr == _bits(pwin[::-1]) & mask

@@ -15,7 +15,7 @@ from goldbach_ab import (
     primes_in,
     split_primes,
 )
-from goldbach_ab.classify import btype_window, prime_window
+from goldbach_ab.classify import btype_window
 from goldbach_ab.sieve import PrimeTable
 
 from oracles import (
@@ -134,7 +134,7 @@ def test_btype_window_matches_per_value_classification(table_1k):
 def test_prime_window_matches_bitmap(table_1k):
     for two_n in (6, 8, 10, 100, 500):
         t = EvenTarget(two_n)
-        win = prime_window(t, table_1k)
+        win = table_1k.odds(3, two_n - 3)
         assert len(win) == t.window_len
         for i, flag in enumerate(win):
             assert bool(flag) == is_prime_td(3 + 2 * i)
@@ -142,7 +142,7 @@ def test_prime_window_matches_bitmap(table_1k):
 
 def test_prime_window_requires_covering_table(table_1k):
     with pytest.raises(UsageError):
-        prime_window(EvenTarget(2_000), table_1k)
+        table_1k.odds(3, 2_000 - 3)
 
 
 def test_btype_window_matches_gcd_route_at_scale(table_100k):

@@ -3,13 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldbach_ab import (
+    ClaimId,
     EvenTarget,
     PartitionKind,
     UsageError,
     census,
     classify_partition,
+    evaluate_claims,
     goldbach_partitions,
+    midpoint_report,
     odd_partitions,
+    pairing_report,
+    split_primes,
 )
 from goldbach_ab.partition import (
     goldbach_pairs,
@@ -142,13 +147,10 @@ def test_kind_of_prime_pair():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mirror_pair_reads_a_window_in_place(data):
-    buf = bytes(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=80)))
-    start = data.draw(st.integers(0, len(buf) - 1))
-    stop = data.draw(st.integers(start + 1, len(buf)))
-    win = buf[start:stop]
+    win = bytes(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=80)))
     h = data.draw(st.sampled_from((1, len(win))) | st.integers(1, len(win)))
     want = (int.from_bytes(win[:h], "little"), int.from_bytes(win[::-1][:h], "little"))
-    assert mirror_pair(buf, h, start, stop) == mirror_pair(win, h) == want
+    assert mirror_pair(win, h) == want
 
 
 @settings(max_examples=10, deadline=None)
@@ -169,3 +171,22 @@ def test_pair_routes_require_a_covering_table(route):
     route(EvenTarget(1_004), table)  # reaches 2N - 3 = 1001
     with pytest.raises(UsageError, match="does not cover the window of 2N=1006"):
         route(EvenTarget(1_006), table)
+
+
+@pytest.mark.parametrize("route", [
+    lambda t, split, table: pairing_report(t, split, table),
+    lambda t, split, table: midpoint_report(t, split, table),
+    lambda t, split, table: self_pair(EvenTarget(202), table),
+    *(lambda t, split, table, c=c: evaluate_claims(t, table, (c,))
+      for c in (ClaimId.PAIRING_NON_EMPTY, ClaimId.MIDPOINT_COPRIME,
+                ClaimId.MIDPOINT_DECOMPOSES)),
+], ids=["pairing_report", "midpoint_report", "self_pair", "pairing",
+        "midpoint_coprime", "midpoint_decomposes"])
+def test_single_target_reads_refuse_a_short_table(route):
+    table = build_table(100)
+    t = EvenTarget(1_000)
+    split = split_primes(t, table)  # sieves past the limit on purpose
+    (s_bound,) = evaluate_claims(t, table, (ClaimId.S_BOUND,))
+    assert s_bound.status == "pass"
+    with pytest.raises(UsageError, match="exceeds table limit 100"):
+        route(t, split, table)

@@ -105,6 +105,15 @@ def test_primes_in_examples(table_1k):
     assert primes_in(2, 12, table_1k) == [2, 3, 5, 7, 11]
 
 
+def test_odd_prime_bytes_end_at_hi(table_1k):
+    # one byte per odd from max(lo, 3) | 1 to hi, for hi even and odd, within
+    # the limit and past it
+    for lo, hi in [(3, 10), (3, 11), (4, 1_000), (990, 999), (900, 1_100), (1, 1_101)]:
+        odds = range(max(lo, 3) | 1, hi + 1, 2)
+        want = bytes(is_prime_td(m) for m in odds)
+        assert sieve_mod.odd_prime_bytes(lo, hi, table_1k) == want, (lo, hi)
+
+
 def test_primes_in_rejects_reversed_window(table_1k):
     with pytest.raises(UsageError):
         primes_in(10, 9, table_1k)

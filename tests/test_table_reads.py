@@ -1,4 +1,8 @@
-"""The range kernels read the prime table only through their chunk context.
+"""Every route reads the prime table only through ``PrimeTable``'s own
+members, and the range kernels only through their chunk context.
+
+``PrimeTable.odds`` and ``count`` are pinned to a brute-force oracle, and no
+module names the bitmap field ``odd_bits`` outside ``PrimeTable``'s body.
 
 A ``bytes`` subclass stands in for a true table's bitmap and logs the table
 indices that every ``__getitem__``, ``find``, ``rfind`` and ``count`` touches,
@@ -9,12 +13,16 @@ read must come through ``odds`` and lie inside the windows its kernel
 documents.
 """
 
+import ast
 import inspect
+import random
+from pathlib import Path
 
 import pytest
 
+import goldbach_ab
 import goldbach_ab.claims as claims_mod
-from goldbach_ab import ClaimId, build_table
+from goldbach_ab import ClaimId, UsageError, build_table
 from goldbach_ab.claims import (
     CLAIM_SPECS,
     _ChunkContext,
@@ -23,6 +31,8 @@ from goldbach_ab.claims import (
     _pair_count_digits,
 )
 from goldbach_ab.sieve import PrimeTable
+
+from oracles import is_prime_td
 
 READS: list = []  # (first index, last index, the odds(lo, hi) making the read)
 ACTIVE: list = []  # the odds(lo, hi) calls running
@@ -175,3 +185,42 @@ def test_no_kernel_names_the_table():
     for name, source in sources.items():
         for word in ("odd_bits", "odd_primes", ".table"):
             assert word not in source, (name, word)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_odds_and_count_match_the_oracle(flipped):
+    for limit in range(2, 65):
+        marked = {m for m in range(1, limit + 1, 2) if is_prime_td(m)}
+        if flipped:  # a doctored table: 1 and a few other odds change their mark
+            odds = range(1, limit + 1, 2)
+            marked ^= {1, *random.Random(limit).sample(odds, len(odds) // 2)}
+        table = PrimeTable(limit, bytes(m in marked for m in range(1, limit + 1, 2)))
+        for lo in range(limit + 1):
+            for hi in range(lo, limit + 1):
+                want = bytes(m in marked for m in range(lo | 1, hi + 1, 2))
+                assert table.odds(lo, hi) == want, (limit, lo, hi)
+                assert table.count(lo, hi) == sum(want), (limit, lo, hi)
+            for hi in (limit + 1, limit + 2):
+                with pytest.raises(UsageError, match=f"exceeds table limit {limit}"):
+                    table.odds(lo, hi)
+                with pytest.raises(UsageError, match=f"exceeds table limit {limit}"):
+                    table.count(lo, hi)
+
+
+def test_only_prime_table_names_the_bitmap():
+    """In the package, ``odd_bits`` is named, as an attribute or a string,
+    only inside the body of ``PrimeTable``."""
+    inside, outside = 0, []
+    for path in sorted(Path(goldbach_ab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owned = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 and cls.name == "PrimeTable" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "odd_bits"
+                    or isinstance(node, ast.Constant) and node.value == "odd_bits"):
+                if id(node) in owned:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside > 0
