@@ -9,11 +9,12 @@ chunk sieve over the odd prime factors of the chunk's evens and of the
 midpoint flankers' doubles, so no range route trial-divides.
 
 The fused sieve (``_factor_sieve``) walks each small prime's strides with
-slice operations and gives, per even, omega (its count of odd primes, which
-comet and companions read whole), a bit that every counted factor divides
-2N, and phi(2N) where the factors are exactly the odd primes of 2N.  The s
-statistics read omega only on a short head and tail of each chunk, under an
-a-priori primorial bound, so the linear claims sieve no whole chunk.  On
+slice operations and gives, per even, omega (its count of odd primes, its
+big prime found by exact log weights; comet reads it whole and companions
+sums it), a bit that every counted factor divides 2N, and phi(2N) where the
+factors are exactly the odd primes of 2N.  The s statistics read omega only
+on a short head and tail of each chunk, under an a-priori primorial bound,
+so the linear claims sieve no whole chunk.  On
 the sieve both bits hold by construction.  When every factor divides 2N,
 the B-type window is its own mirror and no partition is mixed; same-type
 needs no more.  When they are exactly the odd primes of 2N, gcd(a, 2N) =
@@ -54,7 +55,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
 
@@ -793,21 +794,71 @@ class _Factors(Record):
         return bytes(map(truth, self.phi))
 
 
-# translate table that adds 1 to every byte
-_INCREMENT = bytes(range(1, 256)) + b"\x00"
+@cache
+def _plus(w: int) -> bytes:
+    """The ``translate`` table that adds w to every byte, modulo 256, cut
+    from the identity table: slicing is faster than building from a range."""
+    ramp = _plus(0) if w else bytes(range(256))
+    return ramp[w:] + ramp[:w]
+
+
+@cache
+def _log_adders(k: int, primes: tuple[int, ...]) -> tuple[bytes, ...]:
+    """The ``_plus`` tables of w(p) = floor(k * log2(p)), found in integers as
+    the exponent of the largest power of 2 up to p ** k, for the ascending
+    ``primes`` up to the first whose w exceeds a byte."""
+    adders = []
+    for p in primes:
+        w = (p**k).bit_length() - 1
+        if w > 255:
+            break
+        adders.append(_plus(w))
+    return tuple(adders)
+
+
+def _add_bytes(a: bytes, b: bytes) -> bytes:
+    """a + b byte by byte, for equal lengths and no sum above 255."""
+    n = len(a)
+    return (int.from_bytes(a, "little") + int.from_bytes(b, "little")).to_bytes(n, "little")
 
 
 class _SievedFactors(_Factors):
     """The fields of ``_Factors`` for the true factor lists, read off the
     strides of the small primes up to sqrt(hi) that ``_odd_factor_lists``
-    walks, without building a list: each prime adds 1 to ``omega`` along its
-    stride with one ``translate``, and its powers divide the odd parts down
-    along theirs, as the lists' cofactors are; an even gains 1 more where the
-    cofactor left is above 1.  ``phi`` is built in the same division pass,
-    only when it is read before ``omega``; ``lists`` only when read.  A
-    window of ``omega`` (``omega_at``) takes a pass over that window alone
-    until the whole is built, and ``omega_bound`` is a primorial count that
-    reads no stride.
+    walks, without building a list.
+
+    ``omega`` of 2N = 2 * N is the number of walked odd primes that divide N,
+    each adding 1 along its stride with one ``translate``, plus 1 where N
+    keeps a prime that no walk reached (a big prime).  Let r be isqrt(hi), or
+    the last small prime where that is less (a halo runs a few evens past its
+    table): every odd prime up to r is walked, and N holds at most one big
+    prime, P >= r + 1, as two would exceed hi.  The big-prime byte comes
+    from log weights, the device of the quadratic sieve (Pomerance,
+    EUROCRYPT 1984), here made exact.  A second bytearray ``logs`` gains
+    w(p) = floor(K * log2 p) along the stride of every power of each walked
+    prime p, and K along that of every power of 2, for
+    K = floor(255 / (bit_length(hi) + 1)).  So logs(N) is the weight of N's
+    walked part, at most K * log2 N < K * (bit_length(hi) - 1) < 255, and no
+    byte wraps.  On a window whose N run from N0 to N1:
+
+    - if N = P * m with a big prime P, logs(N) = logs(m) <= K * log2(m) <=
+      K * log2(N1 / (r + 1)), so logs(N) <= T = floor(K * log2(N1 / (r + 1)));
+    - else logs(N) falls short of K * log2 N by less than 1 per odd prime
+      power dividing N (one rounded weight each), and there are at most
+      E = floor(log3 N1) of them, so logs(N) >= B = ceil(K * log2 N0) - E.
+
+    Where T < B, one threshold ``translate`` (logs < B) is exactly the
+    big-prime byte.  Every bound is computed in integers.  The gap B - T is
+    about K * log2(hi) / 2, near 120, less E, about 0.63 * log2 hi, less
+    K * log2(N1 / N0): so only windows that start at small N, the first
+    halo of a range from small 2N, miss it.  Those fall back to the division
+    pass ``_divide``, which divides the odd parts down along the prime-power
+    strides as the lists' cofactors are, and leaves 1 or the big prime.
+    ``_divide`` also builds ``phi``, which only comet reads, and reads first,
+    so that a comet halo takes one pass.  A window of ``omega``
+    (``omega_at``) takes a pass over that window alone until the whole is
+    built, ``omega_bound`` is a primorial count that reads no stride, and
+    ``lists`` are built only when read.
 
     ``divides`` and ``exact`` are 1 everywhere, by construction: each small
     prime is counted only on its own stride, so it divides 2N, and the
@@ -831,11 +882,11 @@ class _SievedFactors(_Factors):
 
     @cached_property
     def omega(self) -> bytes:
-        return self._divide(self.lo, self.hi, False)[0]
+        return self.omega_at(self.lo, self.hi)
 
     @cached_property
     def phi(self) -> list[int]:
-        omega, phi = self._divide(self.lo, self.hi, True)
+        omega, phi = self._divide(self.lo, self.hi)
         set_field(self, "omega", omega)
         return phi
 
@@ -854,40 +905,73 @@ class _SievedFactors(_Factors):
 
     def omega_at(self, lo: int, hi: int) -> bytes:
         """``omega`` of the evens in [lo, hi]: a window of ``omega`` once it
-        is built, else one division pass over that window alone."""
+        is built, else the log pass over that window alone, or the division
+        pass where the log bounds do not separate."""
         if "omega" in self.__dict__:
             return super().omega_at(lo, hi)
-        return self._divide(lo, hi, False)[0]
+        omega = self._log_omega(lo, hi)
+        return self._divide(lo, hi)[0] if omega is None else omega
 
-    def _divide(self, lo: int, hi: int, with_phi: bool
-                ) -> tuple[bytes, list[int] | None]:
-        """(omega, phi(2N) or None) of every even in [lo, hi], a window of
-        the record's, in one pass over the strides."""
+    def _log_omega(self, lo: int, hi: int) -> bytes | None:
+        """``omega`` of the evens in [lo, hi] by log weights, or None where
+        the class docstring's bounds leave no gap."""
+        small = self.small_primes
+        h, n = lo >> 1, (hi - lo) // 2 + 1
+        top = h + n - 1  # N1
+        r = min(math.isqrt(hi), small[-1])
+        k = 255 // (hi.bit_length() + 1)
+        t = (top**k // (r + 1) ** k).bit_length() - 1  # T
+        e, power = 0, 3
+        while power <= top:  # E = floor(log3 N1)
+            e, power = e + 1, power * 3
+        b = (h**k - 1).bit_length() - e  # B: no N free of big primes weighs less
+        if t >= b:
+            return None
+        omega, logs = bytearray(n), bytearray(n)
+        q, s, plus = 2, -h % 2, _plus(k)
+        while s < n:  # the powers of 2
+            logs[s::q] = logs[s::q].translate(plus)
+            q <<= 1
+            s = -h % q
+        one, end = _plus(1), bisect_right(small, r)
+        for p, plus in zip(small[1:end], _log_adders(k, small)[1:end]):
+            s = -h % p  # index of the first multiple of p; none when s >= n
+            if s >= n:
+                continue
+            omega[s::p] = omega[s::p].translate(one)
+            q = p
+            while s < n:  # q <= N1 holds while a multiple of q is in the window
+                logs[s::q] = logs[s::q].translate(plus)
+                q *= p
+                s = -h % q
+        big = logs.translate(b"\x01" * b + b"\x00" * (256 - b))  # 1 below B
+        return _add_bytes(omega, big)
+
+    def _divide(self, lo: int, hi: int) -> tuple[bytes, list[int]]:
+        """(omega, phi(2N)) of every even in [lo, hi], a window of the
+        record's, in one pass over the strides."""
         small = self.small_primes
         h = lo >> 1
         cof = [v // (v & -v) for v in range(lo, hi + 1, 2)]
         n = len(cof)
         omega = bytearray(n)
-        phi = list(range(h, h + n)) if with_phi else None  # N = phi(2N) / prod(1 - 1/p)
+        phi = list(range(h, h + n))  # N = phi(2N) / prod(1 - 1/p)
+        one = _plus(1)
         for p in small[1 : bisect_right(small, math.isqrt(hi))]:
             s = -h % p  # index of the first multiple of p; none when s >= n
             if s >= n:
                 continue
-            omega[s::p] = omega[s::p].translate(_INCREMENT)
-            if with_phi:
-                phi[s::p] = map(mul, map(floordiv, phi[s::p], repeat(p)), repeat(p - 1))
+            omega[s::p] = omega[s::p].translate(one)
+            phi[s::p] = map(mul, map(floordiv, phi[s::p], repeat(p)), repeat(p - 1))
             q = p
             while s < n:  # q <= hi / 2 holds while a multiple of q is in the window
                 cof[s::q] = map(floordiv, cof[s::q], repeat(p))
                 q *= p
                 s = -h % q
         big = bytes(map(gt, cof, repeat(1)))  # 1 where a prime above sqrt(hi) is left
-        # bytewise omega + big: no byte carries, as omega stays below 255
-        omega = (int.from_bytes(omega, "little")
-                 + int.from_bytes(big, "little")).to_bytes(n, "little")
-        if with_phi:  # phi(cofactor) = cofactor - 1 for a prime, 1 for 1
-            phi = list(map(mul, map(floordiv, phi, cof), map(sub, cof, big)))
-        return omega, phi
+        # phi(cofactor) = cofactor - 1 for a prime, 1 for 1
+        phi = list(map(mul, map(floordiv, phi, cof), map(sub, cof, big)))
+        return _add_bytes(omega, big), phi
 
 
 def _factor_sieve(lo: int, hi: int, source) -> _Factors:
@@ -940,14 +1024,11 @@ class _ChunkContext(Record):
         return self.odds(self.c_lo - 1, self.c_hi - 3)
 
     @cached_property
-    def pis(self) -> list[int]:
-        """pi(2N - 3) for every target, counted on from the carried pi."""
-        return list(accumulate(self.steps, initial=self.pi))
-
-    @cached_property
     def s(self) -> list[int]:
-        """s(2N) = pi(2N - 3) - omega_odd(2N) for every target."""
-        return list(map(sub, self.pis, self.halo.omega[2:-2]))
+        """s(2N) = pi(2N - 3) - omega_odd(2N) for every target, pi counted on
+        from the carried pi."""
+        pis = accumulate(self.steps, initial=self.pi)
+        return list(map(sub, pis, self.halo.omega[2:-2]))
 
     @cached_property
     def phis(self) -> list[int]:
@@ -1045,22 +1126,28 @@ def _chunk_companions(chunk: _ChunkContext) -> dict:
 
     On a trusted table a target whose factors are exactly its odd primes
     (``exact``) cannot fail: they are each marked, so its A-primes are
-    s(2N).  Those targets are counted in one pass; the others, and every
-    target on an untrusted table, take the byte windows of their factor
-    lists in ascending order.
+    s(2N) = pi(2N - 3) - omega_odd(2N).  When every target is such, as on the
+    fused sieve, the chunk's count is a difference of two sums, with no
+    per-target value: sum(pi) from the carried pi and the steps between
+    targets, and sum(omega) over the chunk's bytes.  Otherwise (doctored
+    lists, or an untrusted table) every target takes the byte windows of its
+    factor list in ascending order, which count s on such a target too.
     """
-    c_lo = chunk.c_lo
-    fast = bytearray(chunk.halo.exact[2:-2] if chunk.trusted else len(chunk.evens))
-    boundary = []
-    if c_lo == 6:
-        fast[0] = 0
-        boundary.append({"two_n": 6})
-    a_total = sum(compress(chunk.s, fast))
-    fail = None
-    for i in _zeros(fast):
-        two_n = c_lo + 2 * i
+    c_lo, halo = chunk.c_lo, chunk.halo
+    boundary = [{"two_n": 6}] if c_lo == 6 else []
+    if chunk.trusted and 0 not in halo.exact[2:-2]:
+        n, pi, omega = len(chunk.evens), chunk.pi, halo.omega[2:-2]
+        # pi(2N - 3) of target i is pi plus the steps j < i, so step j is
+        # counted by the n - 1 - j targets after it
+        a_total = (n * pi + sum(compress(range(n - 1, 0, -1), chunk.steps))
+                   - sum(omega))
+        if c_lo == 6:
+            a_total -= pi - omega[0]
+        return {"fail": None, "boundary": boundary, "a_primes_checked": a_total}
+    a_total, fail = 0, None
+    for two_n, qs in zip(chunk.evens, chunk.facs):
         if two_n != 6:
-            count, detail = _companion_window(two_n, chunk.facs[i], chunk)
+            count, detail = _companion_window(two_n, qs, chunk)
             a_total += count
             fail = fail or detail
     return {"fail": fail, "boundary": boundary, "a_primes_checked": a_total}

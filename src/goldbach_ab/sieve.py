@@ -115,7 +115,17 @@ class PrimeTable(Record):
 
     def odd_primes(self, lo: int, hi: int):
         """Iterator over the odd primes p with lo <= p <= hi <= limit,
-        ascending; it copies nothing, so stopping early costs nothing more."""
+        ascending; it copies nothing, so stopping early costs nothing more.
+
+        >>> list(build_table(100).odd_primes(90, 100))
+        [97]
+        >>> build_table(100).odd_primes(90, 200)
+        Traceback (most recent call last):
+        ...
+        goldbach_ab.errors.UsageError: 200 exceeds table limit 100
+        """
+        if hi > self.limit:
+            raise UsageError(f"{hi} exceeds table limit {self.limit}")
         first = max(lo, 3) | 1
         bits = memoryview(self.odd_bits)[first >> 1 : (hi >> 1) + 1]
         return compress(range(first, hi + 1, 2), bits)

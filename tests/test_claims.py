@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import weakref
 from collections import defaultdict
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -56,7 +57,7 @@ from goldbach_ab.claims import (
 from goldbach_ab.classify import btype_bytes
 from goldbach_ab.cli import build_analyze_report
 from goldbach_ab.partition import PartitionKind, classify_partition, goldbach_partitions
-from goldbach_ab.sieve import PrimeTable, pi_upto
+from goldbach_ab.sieve import PrimeTable, _base_primes, pi_upto
 
 import oracles
 from oracles import (
@@ -1238,32 +1239,94 @@ def test_omega_bound_holds_on_every_chunk_to_1e7(table_1e7):
     assert met == [(6, 6), (7, 7)]
 
 
+def _logged_passes(monkeypatch) -> list:
+    """(pass, lo of its record, its width, its record's width) for every log
+    pass and division pass of a sieved record from now on."""
+    passes = []
+    for name in ("_log_omega", "_divide"):
+        def logged(self, lo, hi, real=getattr(claims_mod._SievedFactors, name),
+                   name=name):
+            passes.append((name, self.lo, (hi - lo) // 2 + 1,
+                           (self.hi - self.lo) // 2 + 1))
+            return real(self, lo, hi)
+        monkeypatch.setattr(claims_mod._SievedFactors, name, logged)
+    return passes
+
+
 def test_s_bound_sieves_only_the_chunk_ends(table_1e7, monkeypatch):
-    """The linear claims' s statistics run no division pass over a whole
-    chunk, only over its two ends; companions and comet still build the
-    whole omega, once per chunk halo."""
-    widths = []
-    real = claims_mod._SievedFactors._divide
-
-    def divide(self, lo, hi, with_phi):
-        widths.append(((hi - lo) // 2 + 1, (self.hi - self.lo) // 2 + 1, with_phi))
-        return real(self, lo, hi, with_phi)
-
-    monkeypatch.setattr(claims_mod._SievedFactors, "_divide", divide)
+    """The linear claims' s statistics sieve no whole chunk, only its two
+    ends.  Companions, alone or with every claim, read the whole omega by
+    log weights once per chunk halo, and divide only on the fallback halo
+    from 6; comet makes one division pass per halo, which builds phi and
+    omega together."""
+    passes = _logged_passes(monkeypatch)
     linear = tuple(c for c in ALL_CLAIMS if c not in (
         ClaimId.SAME_TYPE_LEMMA, ClaimId.COMPANION_DECOMPOSES))
     lo, hi = 1_000_000, 1_100_000  # 7 chunks of up to 8192 evens
     range_verify(lo, hi, claims=linear, table=table_1e7)
-    assert widths and len(widths) <= 2 * 7
-    assert all(width < whole // 10 and not phi for width, whole, phi in widths), widths
+    assert passes and len(passes) <= 2 * 7
+    assert all(name == "_log_omega" and width < whole // 10
+               for name, _, width, whole in passes), passes
     for claims in ((ClaimId.COMPANION_DECOMPOSES,), ALL_CLAIMS):
-        widths.clear()
-        range_verify(lo, hi, claims=claims, table=table_1e7)
-        whole = [w for w in widths if w[0] == w[1]]
-        assert [w[2] for w in whole] == [False] * 7, widths
-    widths.clear()
+        for lo, hi, fallbacks in ((1_000_000, 1_100_000, []), (6, 50_000, [2])):
+            passes.clear()
+            range_verify(lo, hi, claims=claims, table=table_1e7)
+            whole_logs = [at for name, at, width, size in passes
+                          if name == "_log_omega" and width == size]
+            assert len(whole_logs) == len(range(lo, hi + 1, 2 * 8192)), passes
+            assert [at for name, at, _, _ in passes if name == "_divide"] == (
+                fallbacks), passes
+    passes.clear()
     comet_rows(100_000, 140_000, table=table_1e7)
-    assert [w[0] == w[1] and w[2] for w in widths] == [True] * 3, widths
+    assert [(name, width == whole) for name, _, width, whole in passes] == (
+        [("_divide", True)] * 3), passes
+
+
+def _passes(lo, hi, small):
+    """(log pass or None, division pass) of omega on the evens in [lo, hi],
+    each on a fresh record of the small primes ``small``."""
+    record = functools.partial(claims_mod._SievedFactors, lo, hi, small)
+    return record()._log_omega(lo, hi), record()._divide(lo, hi)[0]
+
+
+# the halos where the log bounds leave no gap, per chunk size: only the first
+# halo from 6, whose N start at 1
+_LOG_FALLBACKS = {1: [(2, 10)], 3: [(2, 14)], 64: [(2, 136)], 8192: [(2, 16_392)]}
+
+
+def test_log_omega_equals_the_division_pass_to_1e7(table_1e7):
+    """Every 8192-even chunk halo of [6, 1e7], the first one falling back."""
+    fallbacks = []
+    for c_lo, c_hi, _ in _chunk_ranges(6, 10**7, 8192, table_1e7):
+        lo, hi = c_lo - 4, c_hi + 4
+        log, divided = _passes(lo, hi, table_1e7.small_primes)
+        assert divided == bytes(map(len, _odd_factor_lists(lo, hi, table_1e7))), (lo, hi)
+        if log is None:
+            fallbacks.append((lo, hi))
+        else:
+            assert log == divided, (lo, hi)
+    assert fallbacks == _LOG_FALLBACKS[8192]
+
+
+@functools.lru_cache
+def _small_primes_to(height):
+    return (2, *_base_primes(height))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((10**9, 10**12)), st.integers(0, 10**6), st.integers(0, 300))
+@example(10**9, 0, 300)
+@example(10**12, 0, 300)
+def test_log_omega_near_1e9_and_1e12(height, below, span):
+    """Halos just below 1e9 and 1e12 need no table, only the small primes up
+    to the square root.  There K is 8 and 6, and a byte one weight unit too
+    wide would wrap on a smooth N."""
+    hi = height - 2 * below
+    lo = max(hi - 2 * span, 2)
+    small = _small_primes_to(height)
+    log, divided = _passes(lo, hi, small)
+    listed = _odd_factor_lists(lo, hi, SimpleNamespace(small_primes=small))
+    assert log == divided == bytes(map(len, listed)), (lo, hi)
 
 
 def test_same_type_screens_on_divisibility_alone(table_20k, monkeypatch):
@@ -1368,6 +1431,34 @@ def test_companion_range_claim_agrees_with_full_records(table_20k):
     assert ranged.status == "pass"
     total = sum(_split(two_n, table_20k).s for two_n in range(8, 2_001, 2))
     assert ranged.payload["a_primes_checked"] == total
+
+
+@functools.lru_cache
+def _a_primes_td(lo, hi):
+    """The sum over 2N in [lo, hi], 6 aside, of s(2N) = pi(2N - 3) -
+    omega_odd(2N), each term recounted by trial division."""
+    pi = list(accumulate(map(is_prime_td, range(1, hi, 2))))  # up to 1, 3, 5, ...
+    return sum(pi[(two_n - 3) >> 1] - sum(1 for q in factorize_td(two_n) if q != 2)
+               for two_n in range(max(lo, 8), hi + 1, 2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
+def test_companion_sums_equal_the_per_target_count(table_100k, chunk_evens, workers):
+    """On a trusted table the companions kernel counts a chunk's A-primes as
+    sum(pi) - sum(omega).  The run's total equals the per-target sum of s,
+    and, in process, each chunk's partial equals the one that the per-target
+    byte windows of an untrusted table give."""
+    lo, hi = 6, 20_000
+    (out,) = range_verify(lo, hi, claims=(ClaimId.COMPANION_DECOMPOSES,),
+                          table=table_100k, workers=workers, chunk_evens=chunk_evens)
+    assert out.status == "boundary" and out.payload["boundary_cases"] == [{"two_n": 6}]
+    assert out.payload["a_primes_checked"] == _a_primes_td(lo, hi)
+    if workers == 1:
+        for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table_100k):
+            assert (_chunk_companions(_ChunkContext(c_lo, c_hi, pi, True, None, table_100k))
+                    == _chunk_companions(_ChunkContext(c_lo, c_hi, pi, False, None,
+                                                       table_100k))), (c_lo, c_hi)
 
 
 def test_prime_power_and_pairing_hold_to_1e6():
@@ -1514,24 +1605,37 @@ def _listed_to_2e5():
 @pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
 def test_fused_sieve_equals_the_listed_record_to_2e5(chunk_evens):
     """Every chunk halo of [6, 2e5], from the one at c_lo = 6 on, gets from
-    the strides the fields its factor lists define.  The lists do not depend
-    on the bounds, so one listed record, sliced, stands for each halo's;
-    ``lists`` itself is compared on the halo's own bounds, up to 2e4 for the
-    one- and three-target chunks."""
+    the strides the fields its factor lists define.  omega comes from the log
+    pass, which gives None on the named fallback halos alone, and from the
+    division pass that builds phi; on one-target chunks the one-even window
+    that s_bound reads agrees too.  The lists do not depend on the bounds, so
+    one listed record, sliced, stands for each halo's; ``lists`` itself is
+    compared on the halo's own bounds, up to 2e4 for the one- and
+    three-target chunks."""
     table, listed = _listed_to_2e5()
     whole = {name: getattr(listed, name) for name in _FIELDS}
     lists_up_to = 200_000 if chunk_evens >= 64 else 20_000
     chunks = _chunk_ranges(6, 200_000, chunk_evens, table)
     assert chunks[0][0] == 6
+    fallbacks = []
     for c_lo, c_hi, _ in chunks:
         lo, hi = c_lo - 4, c_hi + 4
+        want = {name: value[(lo - 2) >> 1 : hi >> 1] for name, value in whole.items()}
+        log, divided = _passes(lo, hi, table.small_primes)
+        assert divided == want["omega"], (lo, hi)
+        if log is None:
+            fallbacks.append((lo, hi))
+        else:
+            assert log == want["omega"], (lo, hi)
+        if chunk_evens == 1:
+            assert _factor_sieve(lo, hi, table).omega_at(c_lo, c_lo) == want["omega"][2:3]
         sieved = _factor_sieve(lo, hi, table)
         assert isinstance(sieved, claims_mod._SievedFactors)
         for name in _FIELDS:
-            assert getattr(sieved, name) == whole[name][(lo - 2) >> 1 : (hi >> 1)], (
-                name, lo, hi)
+            assert getattr(sieved, name) == want[name], (name, lo, hi)
         if c_hi <= lists_up_to:
             assert sieved.lists == _odd_factor_lists(lo, hi, table), (lo, hi)
+    assert fallbacks == _LOG_FALLBACKS[chunk_evens]
 
 
 @settings(max_examples=40, deadline=None)

@@ -114,7 +114,7 @@ def test_cached_properties_cache_and_pickling_drops_them():
     assert back == table and "prime_list" not in vars(back)
 
     chunk = _ChunkContext(8, 20, 1, None, None, TABLE)
-    assert chunk.facs is chunk.facs and chunk.pis is chunk.pis
+    assert chunk.facs is chunk.facs and chunk.s is chunk.s
     assert "facs" in vars(chunk)
     with pytest.raises(AttributeError):
         chunk.facs = []

@@ -189,6 +189,8 @@ def test_no_kernel_names_the_table():
 
 @pytest.mark.parametrize("flipped", [False, True])
 def test_odds_and_count_match_the_oracle(flipped):
+    """``odds``, ``count`` and ``odd_primes`` on every window of small
+    tables, true and doctored, and the refusal past the limit."""
     for limit in range(2, 65):
         marked = {m for m in range(1, limit + 1, 2) if is_prime_td(m)}
         if flipped:  # a doctored table: 1 and a few other odds change their mark
@@ -200,11 +202,13 @@ def test_odds_and_count_match_the_oracle(flipped):
                 want = bytes(m in marked for m in range(lo | 1, hi + 1, 2))
                 assert table.odds(lo, hi) == want, (limit, lo, hi)
                 assert table.count(lo, hi) == sum(want), (limit, lo, hi)
+                assert list(table.odd_primes(lo, hi)) == [
+                    m for m in range(max(lo, 3) | 1, hi + 1, 2) if m in marked
+                ], (limit, lo, hi)
             for hi in (limit + 1, limit + 2):
-                with pytest.raises(UsageError, match=f"exceeds table limit {limit}"):
-                    table.odds(lo, hi)
-                with pytest.raises(UsageError, match=f"exceeds table limit {limit}"):
-                    table.count(lo, hi)
+                for read in (table.odds, table.count, table.odd_primes):
+                    with pytest.raises(UsageError, match=f"exceeds table limit {limit}"):
+                        read(lo, hi)
 
 
 def test_only_prime_table_names_the_bitmap():
