@@ -1,12 +1,13 @@
 """One verifier per structural claim about an even target, plus range runs.
 
-Single-target verifiers follow the definitions (enumerate the A-primes,
+Single-target reports follow the definitions (enumerate the A-primes,
 factor every companion over them, and so on), reading the per-target objects
 from one TargetContext, which builds each of them at most once.  Range
-verification re-derives the same verdicts from window arithmetic that is
+verification decides every claim from window arithmetic that is
 feasible for millions of targets: a running prime count, and one fused
 chunk sieve over the odd prime factors of the chunk's evens and of the
-midpoint flankers' doubles, so no range route trial-divides.
+midpoint flankers' doubles, so no range route trial-divides.  A claim but
+s_bound fails on a single target only where its one-target chunk fails.
 
 The fused sieve (``_factor_sieve``) walks each small prime's strides with
 slice operations and gives, per even, omega (its count of odd primes, its
@@ -24,7 +25,9 @@ Other targets take the byte windows of ``classify`` on their factor lists,
 which are built only for them.  r(2N) comes from one square of the bitmap
 polynomial in C ``decimal`` (Kronecker substitution, number-theoretic
 transform) where a work estimate says the targets' prime windows cost more,
-else from the windows.
+else from the windows.  Three kernels read a caller's table's departures
+from a fresh sieve, where s is no longer pi - omega and a cleared prime
+can break a companion or a flanker.
 
 The linear claims evaluate a whole chunk per step.  The Goldbach scan holds
 the chunk's unresolved targets in one int and resolves, for each odd prime
@@ -57,7 +60,7 @@ from collections.abc import Callable
 from enum import Enum
 from functools import cache, cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
+from operator import add, eq, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
 
 from ._record import Record, set_field
 from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes, window_end
@@ -335,7 +338,7 @@ def pairing_report(t: EvenTarget, split: PrimeSplit, table: PrimeTable) -> Pairi
 
 class MidpointValue(Record):
     """``exps`` is None when the value failed to decompose over the A-basis,
-    which the claim layer reports as a counterexample."""
+    which analyze reports and the midpoint-decomposes claim fails on."""
 
     def __init__(self, value: int, is_prime: bool, exps: ExponentVector | None) -> None:
         set_field(self, "value", value)
@@ -402,8 +405,7 @@ class TargetContext:
     """The per-target objects of 2N on one table, each built on first use and
     then kept, so that a report and the claim verdicts share them.
 
-    ``companion_rows`` holds the CounterexampleFound its builder raised, if
-    any; ``midpoints`` is None below 2N = 8.
+    ``midpoints`` is None below 2N = 8.
     """
 
     def __init__(self, t: EvenTarget, table: PrimeTable,
@@ -420,13 +422,6 @@ class TargetContext:
     @cached_property
     def census(self) -> PartitionCensus:
         return census(self.t, self.table)
-
-    @cached_property
-    def companion_rows(self) -> list[tuple] | CounterexampleFound:
-        try:
-            return _companion_rows(self.t, self.split, self.table)
-        except CounterexampleFound as exc:
-            return exc
 
     @cached_property
     def pairing(self) -> PairingReport:
@@ -450,7 +445,7 @@ def _same_type(ctx: TargetContext) -> ClaimOutcome:
 
 def verify_same_type_lemma(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
     """Pass iff no odd partition of 2N mixes an A-type with a B-type component."""
-    return _same_type(TargetContext(t, table))
+    return evaluate_claims(t, table, (ClaimId.SAME_TYPE_LEMMA,))[0]
 
 
 def verify_s_bounds(t: EvenTarget, split: PrimeSplit) -> ClaimOutcome:
@@ -485,37 +480,32 @@ def _pairing(ctx: TargetContext) -> ClaimOutcome:
         "unpaired_count": len(report.unpaired),
         "b_self_pair": list(bself) if bself else None,
     }
-    if t.two_n == 6:
-        return _single(ClaimId.PAIRING_NON_EMPTY, 6, BOUNDARY, payload)
-    status = PASS if report.pairs or bself else FAIL
-    if status == FAIL:
-        payload = {"two_n": t.two_n, **payload}
-    return _single(ClaimId.PAIRING_NON_EMPTY, t.two_n, status, payload)
+    return _single(ClaimId.PAIRING_NON_EMPTY, t.two_n,
+                   BOUNDARY if t.two_n == 6 else PASS, payload)
 
 
 def claim_pairing_non_empty(
     t: EvenTarget, split: PrimeSplit, table: PrimeTable
 ) -> ClaimOutcome:
     """Pass iff some A-prime pair exists, or the self pair (N, N) covers 2N."""
-    return _pairing(TargetContext(t, table, split))
+    return evaluate_claims(t, table, (ClaimId.PAIRING_NON_EMPTY,),
+                           context=TargetContext(t, table, split))[0]
 
 
 def _witness(ctx: TargetContext) -> ClaimOutcome:
     two_n, pairs = ctx.t.two_n, ctx.census.goldbach_pairs
+    payload: dict = {"count": len(pairs)}
     if pairs:
         p, q = pairs[0]
-        payload = {
-            "count": len(pairs),
-            "smallest_pair": [p, q],
-            "kind": kind_of_prime_pair(p, q, two_n).value,
-        }
-        return _single(ClaimId.GOLDBACH_WITNESS, two_n, PASS, payload)
-    return _single(ClaimId.GOLDBACH_WITNESS, two_n, FAIL, {"two_n": two_n, "count": 0})
+        payload["smallest_pair"] = [p, q]
+        payload["kind"] = kind_of_prime_pair(p, q, two_n).value
+    return _single(ClaimId.GOLDBACH_WITNESS, two_n, PASS, payload)
 
 
 def claim_goldbach_witness(t: EvenTarget, table: PrimeTable) -> ClaimOutcome:
-    """Pass iff 2N has at least one prime-prime partition."""
-    return _witness(TargetContext(t, table))
+    """Pass iff 2N has a prime-prime partition whose smallest prime p does
+    not divide 2N - p, unless 2N = p + p."""
+    return evaluate_claims(t, table, (ClaimId.GOLDBACH_WITNESS,))[0]
 
 
 def _midpoint_coprime(ctx: TargetContext) -> ClaimOutcome:
@@ -534,10 +524,6 @@ def _midpoint_decomposes(ctx: TargetContext) -> ClaimOutcome:
     if two_n == 6:
         return _single(ClaimId.MIDPOINT_DECOMPOSES, 6, BOUNDARY, {"two_n": 6})
     report = ctx.midpoints
-    bad = [v.value for v in report.values if v.exps is None]
-    if bad:
-        return _single(ClaimId.MIDPOINT_DECOMPOSES, two_n, FAIL,
-                       {"two_n": two_n, "not_decomposable": bad})
     pair = report.both_prime_pair
     return _single(ClaimId.MIDPOINT_DECOMPOSES, two_n, PASS,
                    {"parity": report.parity,
@@ -546,15 +532,14 @@ def _midpoint_decomposes(ctx: TargetContext) -> ClaimOutcome:
 
 
 def _companion(ctx: TargetContext) -> ClaimOutcome:
+    """The A-primes, and the ones ``pairing_report`` pairs: those whose
+    companion is marked prime, as such a companion is an A-prime too."""
     two_n = ctx.t.two_n
     if two_n == 6:
         return _single(ClaimId.COMPANION_DECOMPOSES, 6, BOUNDARY, {"two_n": 6})
-    rows = ctx.companion_rows
-    if isinstance(rows, CounterexampleFound):
-        return _single(ClaimId.COMPANION_DECOMPOSES, two_n, FAIL, rows.witness)
+    s = ctx.split.s
     return _single(ClaimId.COMPANION_DECOMPOSES, two_n, PASS,
-                   {"a_primes": len(rows),
-                    "prime_companions": sum(map(itemgetter(2), rows))})
+                   {"a_primes": s, "prime_companions": s - len(ctx.pairing.unpaired)})
 
 
 def evaluate_claims(
@@ -566,12 +551,20 @@ def evaluate_claims(
 ) -> list[ClaimOutcome]:
     """All requested claim verdicts for a single target, in declaration order.
 
-    They read the objects of ``context``, the TargetContext of ``t`` on
-    ``table``, built here when not given, so nothing is built twice.
+    Each verdict builds its pass or boundary payload from the objects of
+    ``context``, the TargetContext of ``t`` on ``table``, built here when not
+    given, so nothing is built twice.  The one-target chunk of 2N on the
+    context's table, run once, decides which claims fail and with what
+    counterexample, for all but s_bound, whose own verdict its kernel matches.
     """
     ctx = context or TargetContext(t, table)
     wanted = set(claim_ids)
-    return [CLAIM_SPECS[c].verdict(ctx) for c in ALL_CLAIMS if c in wanted]
+    outs = [CLAIM_SPECS[c].verdict(ctx) for c in ALL_CLAIMS if c in wanted]
+    ranged = tuple(o.claim_id for o in outs if o.claim_id is not ClaimId.S_BOUND)
+    chunk = range_verify(t.two_n, t.two_n, ranged, table=ctx.table) if ranged else ()
+    fails = {o.claim_id: o.payload["counterexample"] for o in chunk if o.status == FAIL}
+    return [_single(o.claim_id, t.two_n, FAIL, fails[o.claim_id])
+            if o.claim_id in fails else o for o in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +657,27 @@ def _window_rs(chunk: _ChunkContext) -> list[int]:
             for two_n in range(c_lo, c_hi + 1, 2)]
 
 
+def _a_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, int]:
+    """(A, rB) of 2N on its byte windows, the odd m at byte (m - 3) / 2,
+    ``qs`` taken as its odd prime factors: A the marked odds prime to them,
+    s(2N) of them on the true factors, and rB the B-type window mirrored."""
+    k = (two_n >> 1) - 2
+    b, rb = mirror_pair(btype_bytes(k, qs), k)
+    return int.from_bytes(chunk.odds(3, two_n - 3), "little") & ~b, rb
+
+
 def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict | None]:
-    """(A-primes, first failed check) of 2N on its byte windows (the odds 3 to
-    2N - 3), ``qs`` taken as its odd prime factors: (1) no companion is B-type,
-    (2) every listed factor divides 2N, (3) no A-prime divides its companion.
+    """(A-primes, first failed check) of 2N on its byte windows (``_a_window``),
+    ``qs`` taken as its odd prime factors: (1) no companion is B-type,
+    (2) every listed factor divides 2N, (3) no A-prime divides its companion,
+    (4) no companion has a prime factor that the table clears.
 
     An A-prime p divides 2N - p iff it divides 2N, and then it divides m, the
     odd part of 2N with the listed primes stripped; so (3) reports the
-    smallest A-prime among the divisors of m."""
-    k = (two_n >> 1) - 2
-    b, rb = mirror_pair(btype_bytes(k, qs), k)
-    a = int.from_bytes(chunk.odds(3, two_n - 3), "little") & ~b
+    smallest A-prime among the divisors of m.  (4) mirrors the window of the
+    cleared primes' multiples as (1) mirrors the B-type window, and reports
+    the smallest A-prime hit, with its companion's smallest cleared prime."""
+    a, rb = _a_window(two_n, qs, chunk)
     count = a.bit_count()
     if not a:
         return 0, None
@@ -696,13 +699,22 @@ def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict |
             if a >> (4 * (p - 3)) & 1:  # byte (p - 3) / 2 of the window
                 return count, {"two_n": two_n, "p": p, "companion": two_n - p,
                                "reason": "companion divisible by its own prime"}
+    k = (two_n >> 1) - 2
+    hit = a & mirror_pair(btype_bytes(k, chunk.cleared), k)[1]
+    if hit:
+        p = 3 + 2 * (_low_bit(hit) >> 3)
+        q = next(q for q in chunk.cleared if not (two_n - p) % q)
+        return count, {"two_n": two_n, "p": p, "companion": two_n - p, "factor": q,
+                       "reason": "factor not marked prime"}
     return count, None
 
 
-def _sieve_agrees(table: PrimeTable, hi: int) -> bool:
-    """Whether a caller's table is what a fresh sieve gives: the same bits on
-    the odds up to hi - 3."""
-    return table.odds(3, hi - 3) == build_table(hi).odds(3, hi - 3)
+def _departures(table: PrimeTable, hi: int) -> tuple[int, ...]:
+    """The odds up to hi - 3 where ``table`` differs from a fresh sieve."""
+    got, true = table.odds(3, hi - 3), build_table(hi).odds(3, hi - 3)
+    if got == true:
+        return ()
+    return tuple(3 + 2 * i for i in _zeros(bytes(map(eq, got, true))))
 
 
 # ---------------------------------------------------------------------------
@@ -984,16 +996,17 @@ class _ChunkContext(Record):
     """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
     and then kept, so that every kernel run on the chunk shares them.  The
     fused sieve runs 2 evens past each end, where the midpoint flankers'
-    doubles sit.  ``pi`` is pi(c_lo - 3), carried in; ``trusted`` that the
-    table equals a fresh sieve; ``digits`` the chunk's slots of the bitmap
-    square (comet).  Kernels see ``table`` only through the next two members."""
+    doubles sit.  ``pi`` is pi(c_lo - 3), carried in; ``departures`` where
+    the table differs from a fresh sieve, empty unless a run's kernels read
+    them; ``digits`` the chunk's slots of the bitmap square (comet).
+    Kernels see ``table`` only through the next two members."""
 
-    def __init__(self, c_lo: int, c_hi: int, pi: int, trusted: bool,
+    def __init__(self, c_lo: int, c_hi: int, pi: int, departures: tuple[int, ...],
                  digits: str | None, table: PrimeTable) -> None:
         set_field(self, "c_lo", c_lo)
         set_field(self, "c_hi", c_hi)
         set_field(self, "pi", pi)
-        set_field(self, "trusted", trusted)
+        set_field(self, "departures", departures)
         set_field(self, "digits", digits)
         set_field(self, "table", table)
 
@@ -1007,6 +1020,12 @@ class _ChunkContext(Record):
     @property
     def evens(self) -> range:
         return range(self.c_lo, self.c_hi + 1, 2)
+
+    @cached_property
+    def cleared(self) -> tuple[int, ...]:
+        """The departures up to c_hi - 3 left unmarked: the primes cleared."""
+        return tuple(d for d in self.departures
+                     if d <= self.c_hi - 3 and not self.odds(d, d)[0])
 
     @cached_property
     def halo(self) -> _Factors:
@@ -1077,22 +1096,31 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     A larger W only lengthens the two ends, so any bound at or above the
     true maximum gives the same first minimum, maximum and failure.  s, and
     so omega, is evaluated on those two ends only, each tens of targets.
+
+    s(2N) counts the marked odds prime to 2N, which is pi - omega only on a
+    table without departures; on one with some, every target's s is read
+    off its A-window (``_a_window``), and no cut is made.
     """
     c_lo, pi, bits, halo = chunk.c_lo, chunk.pi, chunk.steps, chunk.halo
+
+    def s_of(a: int, b: int) -> list[int]:
+        """s of the targets [a, b) from c_lo."""
+        if chunk.departures:
+            i = (c_lo - chunk.c_lo) >> 1
+            return [_a_window(c_lo + 2 * j, chunk.facs[i + j], chunk)[0].bit_count()
+                    for j in range(a, b)]
+        pi_a = pi + bits.count(1, 0, a)
+        omega = halo.omega_at(c_lo + 2 * a, c_lo + 2 * b - 2)
+        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a), omega))
+
     boundary = []  # bit i of ``bits`` steps pi from target i to target i + 1
-    if c_lo == 6:
-        boundary.append({"two_n": 6, "s": pi - halo.omega_at(6, 6)[0]})
+    if c_lo == 6:  # s_of reads c_lo, pi and bits when called: 6 before they move
+        boundary.append({"two_n": 6, "s": s_of(0, 1)[0]})
         c_lo, pi, bits = 8, pi + bits[:1].count(1), bits[1:]
     n = (chunk.c_hi - c_lo) // 2 + 1
     out = {"fail": None, "boundary": boundary, "min_s": None, "max_s": None}
     if not n:
         return out
-
-    def s_of(a: int, b: int) -> list[int]:
-        """s of the targets [a, b)."""
-        pi_a = pi + bits.count(1, 0, a)
-        omega = halo.omega_at(c_lo + 2 * a, c_lo + 2 * b - 2)
-        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a), omega))
 
     w = halo.omega_bound()
     j = -1
@@ -1107,7 +1135,7 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
         if j < 0:
             break
     first = j + 1  # the tail's first target
-    if first <= last + 1:  # the ends meet: the whole chunk serves as both
+    if chunk.departures or first <= last + 1:  # the whole chunk serves as both
         head = tail = s_of(0, n)
         first = 0
     else:
@@ -1124,18 +1152,18 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
 def _chunk_companions(chunk: _ChunkContext) -> dict:
     """Companion checks for the chunk's evens.
 
-    On a trusted table a target whose factors are exactly its odd primes
-    (``exact``) cannot fail: they are each marked, so its A-primes are
-    s(2N) = pi(2N - 3) - omega_odd(2N).  When every target is such, as on the
-    fused sieve, the chunk's count is a difference of two sums, with no
+    On a table without departures a target whose factors are exactly its
+    odd primes (``exact``) cannot fail: they are each marked, so its A-primes
+    are s(2N) = pi(2N - 3) - omega_odd(2N).  When every target is such, as on
+    the fused sieve, the chunk's count is a difference of two sums, with no
     per-target value: sum(pi) from the carried pi and the steps between
     targets, and sum(omega) over the chunk's bytes.  Otherwise (doctored
-    lists, or an untrusted table) every target takes the byte windows of its
-    factor list in ascending order, which count s on such a target too.
+    lists, or departures) every target takes ``_companion_window`` on its
+    factor list in ascending order, which counts s on such a target too.
     """
     c_lo, halo = chunk.c_lo, chunk.halo
     boundary = [{"two_n": 6}] if c_lo == 6 else []
-    if chunk.trusted and 0 not in halo.exact[2:-2]:
+    if not chunk.departures and 0 not in halo.exact[2:-2]:
         n, pi, omega = len(chunk.evens), chunk.pi, halo.omega[2:-2]
         # pi(2N - 3) of target i is pi plus the steps j < i, so step j is
         # counted by the n - 1 - j targets after it
@@ -1163,9 +1191,11 @@ def _chunk_pair_scan(chunk: _ChunkContext) -> dict:
     for each p the targets with 2N - p marked prime are one shifted window
     of the block's odds c_lo - P + 1 to c_hi - 3, packed once per block, and
     a window hit resolves its targets.
-    The hits on the stride of the multiples of p have p | 2N; a true table
-    allows that only for 2N = p + p, so any other such hit fails the witness
-    claim.
+    The hits on the stride of the multiples of p have p | 2N, so p divides
+    the partner 2N - p too.  On a true table that partner is marked only
+    when it is p itself: no marked partner shares a prime with 2N unless
+    2N = p + p.  Any other such hit is a pair that the table marks wrongly,
+    so the witness claim fails on it rather than count it.
     """
     c_lo, c_hi = chunk.c_lo, chunk.c_hi
     h = c_lo >> 1
@@ -1207,10 +1237,8 @@ def _chunk_pair_scan(chunk: _ChunkContext) -> dict:
                         "reason": "divisible partner reported prime"}
     pairing_boundary = []
     if c_lo == 6:  # the boundary target 2N = 6 = 3 + 3 never fails pairing
-        if left & 1:
-            left ^= 1
-        else:
-            pairing_boundary.append({"two_n": 6, "pair": [3, 3]})
+        pairing_boundary.append({"two_n": 6, "pair": None if left & 1 else [3, 3]})
+        left &= ~1
     if left:
         pairing_fail = {"two_n": c_lo + 2 * _low_bit(left), "count": 0}
     max_min_p = None
@@ -1259,10 +1287,12 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     divide 2v (``divides``), a wrong list, can fail, and only its four
     targets 2v -+ 2 and 2v -+ 4 are checked, on its factor list, in
     ascending order.  A flanker marked prime is prime to 2N, so it is its own
-    A-prime.  The targets with two flankers marked prime are counted off the
-    bitmap: N -+ 1 for even N, N -+ 2 for odd N, one byte apart per step of 4.
+    A-prime.  A flanker with a factor that the table clears is no product of
+    A-primes: where the table clears any prime, every target is checked.
+    The targets with two flankers marked prime are counted off the bitmap:
+    N -+ 1 for even N, N -+ 2 for odd N, one byte apart per step of 4.
     """
-    c_lo, c_hi, halo = chunk.c_lo, chunk.c_hi, chunk.halo
+    c_lo, c_hi, halo, cleared = chunk.c_lo, chunk.c_hi, chunk.halo, chunk.cleared
     first = max(c_lo, 8)
     vb = ((first >> 1) - 2) | 1
     vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
@@ -1270,6 +1300,8 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     at = vb - (c_lo >> 1) + 2  # the halo index of 2 * vb
     divides = halo.divides[at : at + 2 * len(vs) : 2]
     todo = {2 * vs[j] + d for j in _zeros(divides) for d in (-4, -2, 2, 4)}
+    if cleared:  # a flanker of any target may have a factor the table clears
+        todo = range(first, c_hi + 1, 2)
     fail = None
     for two_n in sorted(t for t in todo if first <= t <= c_hi):
         for v in midpoint_values(two_n):
@@ -1277,6 +1309,11 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
             shared = [q for q in halo.lists[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
             if shared and not bits[(v - vb) >> 1]:
                 fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
+                break
+            q = next((q for q in cleared if not v % q), None)
+            if q is not None:
+                fail = {"two_n": two_n, "value": v, "factor": q,
+                        "reason": "factor not marked prime"}
                 break
         if fail is not None:
             break
@@ -1354,10 +1391,11 @@ def _worker_init(table: PrimeTable) -> None:
     _WORKER_TABLE = table
 
 
-def _evaluate_chunk(kernels, c_lo, c_hi, pi, trusted, digits, table) -> list:
-    """Every kernel's result for the evens in [c_lo, c_hi], on one context."""
-    chunk = _ChunkContext(c_lo, c_hi, pi, trusted, digits, table)
-    return [kernel(chunk) for kernel in kernels]
+def _evaluate_chunk(kernels, c_lo, c_hi, pi, departures, digits, table) -> list:
+    """Every kernel's result for the evens in [c_lo, c_hi], on one context,
+    run last to first: companions builds the whole omega that s_bound slices."""
+    chunk = _ChunkContext(c_lo, c_hi, pi, departures, digits, table)
+    return [kernel(chunk) for kernel in reversed(kernels)][::-1]
 
 
 def _pooled(job):
@@ -1515,10 +1553,10 @@ def range_verify(
     table = _range_table(lo, hi, workers, chunk_evens, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     kernels = tuple(CLAIM_SPECS[c].kernel for c in selected)
-    # a table sieved here is the fresh sieve itself; only companions read this
-    trusted = not given or (ClaimId.COMPANION_DECOMPOSES in selected
-                            and _sieve_agrees(table, hi))
-    jobs = [(kernels, *chunk, trusted, None)
+    # only these kernels read departures, and a table sieved here has none
+    reads = {ClaimId.S_BOUND, ClaimId.MIDPOINT_DECOMPOSES, ClaimId.COMPANION_DECOMPOSES}
+    departures = _departures(table, hi) if given and reads & set(selected) else ()
+    jobs = [(kernels, *chunk, departures, None)
             for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
     partials = _map_chunks(jobs, workers, table)
     return [_merge_partials(cid, [p[i] for p in partials], lo, hi)
@@ -1543,6 +1581,6 @@ def comet_rows(
         slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
                  for c_lo, c_hi, _ in chunks]
         del digits
-    jobs = [((_chunk_comet,), *chunk, False, digits)
+    jobs = [((_chunk_comet,), *chunk, (), digits)
             for chunk, digits in zip(chunks, slots)]
     return [row for (rows,) in _map_chunks(jobs, workers, table) for row in rows]

@@ -24,6 +24,7 @@ from .claims import (
     ClaimId,
     ClaimOutcome,
     TargetContext,
+    _companion_rows,
     comet_rows,
     evaluate_claims,
     range_verify,
@@ -152,11 +153,10 @@ def _analyze_doc(t: EvenTarget, table) -> dict:
         },
         "census": _census_dict(ctx.census),
     }
-    rows = ctx.companion_rows
-    if isinstance(rows, CounterexampleFound):
-        report["companions"] = {"error": str(rows), "witness": rows.witness}
-    else:
-        report["companions"] = rows
+    try:
+        report["companions"] = _companion_rows(t, split, table)
+    except CounterexampleFound as exc:
+        report["companions"] = {"error": str(exc), "witness": exc.witness}
     pairing = ctx.pairing
     report["pairing"] = {
         "pairs": [list(p) for p in pairing.pairs],

@@ -25,18 +25,10 @@ class PartitionKind(Enum):
 
 
 class OddPartition(Record):
-    __slots__ = ("a", "b", "kind")
-
     def __init__(self, a: int, b: int, kind: PartitionKind) -> None:
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_kind(self, kind)
-
-
-# The slots' own setters pass the refusing __setattr__ at less cost than
-# set_field, for the millions of partitions a run of censuses builds.
-_set_a, _set_b, _set_kind = (
-    vars(OddPartition)[name].__set__ for name in OddPartition.__slots__)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "kind", kind)
 
 
 class PartitionCensus(Record):

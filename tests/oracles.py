@@ -169,9 +169,12 @@ def doctored_same_type_td(two_n: int, listed) -> tuple[list[int], int]:
 
 def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
     """First failure of the companion checks when ``listed`` are taken as the
-    odd prime factors of 2N, None when 2N has no A-prime: the smallest A-prime
-    whose companion shares a listed factor, else the smallest listed prime
-    that does not divide 2N, else the smallest A-prime p dividing 2N - p."""
+    odd prime factors of 2N and ``prime(m)`` says which odds are marked, None
+    when 2N has no A-prime: the smallest A-prime whose companion shares a
+    listed factor, else the smallest listed prime that does not divide 2N,
+    else the smallest A-prime p dividing 2N - p, else the smallest A-prime
+    whose companion has a prime factor left unmarked, with the smallest such
+    factor."""
     if prime is None:
         prime = is_prime_td
     rad = math.prod(listed)
@@ -191,7 +194,52 @@ def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
         if (two_n - p) % p == 0:
             return {"two_n": two_n, "p": p, "companion": two_n - p,
                     "reason": "companion divisible by its own prime"}
+    for p in a_primes:
+        unmarked = [q for q in factorize_td(two_n - p) if not prime(q)]
+        if unmarked:
+            return {"two_n": two_n, "p": p, "companion": two_n - p,
+                    "factor": unmarked[0], "reason": "factor not marked prime"}
     return None
+
+
+def midpoint_fail_td(two_n: int, prime) -> dict | None:
+    """The first flanker of 2N >= 8 with a prime factor that ``prime(m)``
+    leaves unmarked, with the smallest such factor: it is no product of
+    A-primes, as every factor of a flanker is prime to 2N."""
+    for v in midpoints_td(two_n):
+        unmarked = [q for q in factorize_td(v) if not prime(q)]
+        if unmarked:
+            return {"two_n": two_n, "value": v, "factor": unmarked[0],
+                    "reason": "factor not marked prime"}
+    return None
+
+
+def s_td(two_n: int, prime, listed=None) -> int:
+    """s(2N): the odds in [3, 2N - 3] that ``prime(m)`` marks and that share
+    no prime with 2N, or with the product of ``listed`` when given."""
+    rad = two_n if listed is None else math.prod(listed)
+    return sum(1 for m in range(3, two_n - 2, 2) if prime(m) and math.gcd(m, rad) == 1)
+
+
+def claim_fails_td(two_n: int, prime) -> dict:
+    """Each claim's counterexample at 2N (None where it holds or 2N is its
+    boundary case) when ``prime(m)`` says which odds are marked and the odd
+    prime factors of 2N are its true ones, by direct enumeration."""
+    n_odd = sorted(q for q in factorize_td(two_n) if q != 2)
+    witness, pairing = doctored_pair_scan_fails_td(two_n, two_n, prime)
+    s = s_td(two_n, prime)
+    big = two_n > 6
+    return {
+        "same_type_lemma": None,
+        "s_bound": {"two_n": two_n, "s": s} if big and s < 2 else None,
+        "prime_power_exclusion": None,
+        "midpoint_coprime": None,
+        "midpoint_decomposes": midpoint_fail_td(two_n, prime) if big else None,
+        "pairing_non_empty": pairing,
+        "goldbach_witness": witness,
+        "companion_decomposes": (doctored_companion_fail_td(two_n, n_odd, prime)
+                                 if big else None),
+    }
 
 
 def comet_row_td(two_n: int, prime) -> tuple[int, int, int, int, int]:
@@ -212,7 +260,9 @@ def comet_row_td(two_n: int, prime) -> tuple[int, int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def s_bound_chunk(c_lo, c_hi, facs, table) -> dict:
+def s_bound_chunk(c_lo, c_hi, facs, table, windows=False) -> dict:
+    """s = pi - the list's length, or with ``windows`` (a table that departs
+    from a fresh sieve) the marked odds prime to the listed primes."""
     bits = table.odd_bits
     pi = bits[1 : (c_lo - 2) >> 1].count(1)  # odd primes <= c_lo - 3
     checked = 0
@@ -225,6 +275,8 @@ def s_bound_chunk(c_lo, c_hi, facs, table) -> dict:
         if i:
             pi += bits[(two_n - 3) >> 1]
         s = pi - len(facs[i])
+        if windows:
+            s = s_td(two_n, lambda m: bits[m >> 1], facs[i])
         if two_n == 6:
             boundary.append({"two_n": 6, "s": s})
             continue
@@ -264,6 +316,8 @@ def pair_scan_chunk(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
                 break
             j += 1
         checked += 1
+        if two_n == 6:  # with its pair, or none when 3 is unmarked
+            pairing_boundary.append({"two_n": 6, "pair": [3, 3] if found else None})
         if not found:
             detail = {"two_n": two_n, "count": 0}
             if witness_fail is None:
@@ -280,8 +334,6 @@ def pair_scan_chunk(c_lo, c_hi, table, want_pairing, want_witness) -> dict:
             b_self_evens += 1
         else:
             a_pair_evens += 1
-        if two_n == 6:
-            pairing_boundary.append({"two_n": 6, "pair": [found, two_n - found]})
     out = {"checked": checked}
     if want_witness:
         out["witness"] = {"checked": checked, "fail": witness_fail, "boundary": [],
@@ -310,10 +362,12 @@ def midpoint_coprime_chunk(c_lo, c_hi, table) -> dict:
             "boundary": [{"two_n": 6}] if c_lo == 6 else []}
 
 
-def midpoint_decomposes_chunk(c_lo, c_hi, halo, table) -> dict:
+def midpoint_decomposes_chunk(c_lo, c_hi, halo, table, cleared=()) -> dict:
     """Both flankers of every target from 8 on, ``halo`` listing the odd prime
     factors of the evens in [c_lo - 4, c_hi + 4]: a flanker the table marks
-    prime is its own A-prime, any other fails on a listed prime dividing 2N."""
+    prime is its own A-prime, any other fails on a listed prime dividing 2N,
+    and a flanker also fails on its smallest factor among ``cleared``, the
+    primes the table leaves unmarked, ascending."""
     bits = table.odd_bits
     first = max(c_lo, 8)
     both_prime = 0
@@ -325,6 +379,10 @@ def midpoint_decomposes_chunk(c_lo, c_hi, halo, table) -> dict:
             shared = [q for q in halo[(2 * v - c_lo + 4) // 2] if two_n % q == 0]
             if fail is None and shared and not bits[v >> 1]:
                 fail = {"two_n": two_n, "value": v, "shared_prime": min(shared)}
+            unmarked = [q for q in cleared if v % q == 0]
+            if fail is None and unmarked:
+                fail = {"two_n": two_n, "value": v, "factor": unmarked[0],
+                        "reason": "factor not marked prime"}
     return {"checked": (c_hi - first) // 2 + 1, "fail": fail,
             "boundary": [{"two_n": 6}] if c_lo == 6 else [],
             "both_prime_pairs": both_prime}
@@ -478,12 +536,15 @@ def same_type_chunk(c_lo, c_hi, facs, table) -> dict:
             "boundary": []}
 
 
-def companions_chunk(c_lo, c_hi, facs, table) -> dict:
+def companions_chunk(c_lo, c_hi, facs, table, cleared=()) -> dict:
     """Every target's A-primes (unmarked primes of its window) are counted;
     the first target to break a check, in this order, fails: (1) an A-prime's
     companion is marked B-type, (2) a listed factor does not divide 2N,
     (3) an A-prime divides its companion, the smallest such one reported: it
-    is an odd divisor of 2N, so only those are tried."""
+    is an odd divisor of 2N, so only those are tried; (4) a companion has a
+    factor among ``cleared``, the primes the table leaves unmarked,
+    ascending: the smallest such A-prime, found for each cleared q from the
+    largest odd multiple of q down, with its smallest cleared factor."""
     win = BitWindows(table, c_hi)
     checked = 0
     a_total = 0
@@ -522,6 +583,20 @@ def companions_chunk(c_lo, c_hi, facs, table) -> dict:
                 fail = {"two_n": two_n, "p": p, "companion": two_n - p,
                         "reason": "companion divisible by its own prime"}
                 break
+        if fail is not None:
+            continue
+        hits = []
+        for q in (q for q in cleared if q <= two_n - 3):
+            m = (two_n - 3) // q
+            for c in range((m - 1 + m % 2) * q, 0, -2 * q):
+                if a >> ((two_n - c - 3) >> 1) & 1:
+                    hits.append(two_n - c)
+                    break
+        if hits:
+            p = min(hits)
+            q = next(q for q in cleared if (two_n - p) % q == 0)
+            fail = {"two_n": two_n, "p": p, "companion": two_n - p, "factor": q,
+                    "reason": "factor not marked prime"}
     return {"checked": checked, "fail": fail, "boundary": boundary,
             "a_primes_checked": a_total}
 

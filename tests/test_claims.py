@@ -45,10 +45,10 @@ from goldbach_ab.claims import (
     _chunk_ranges,
     _chunk_s_bound,
     _chunk_same_type,
+    _departures,
     _factor_sieve,
     _odd_factor_lists,
     _pair_count_digits,
-    _sieve_agrees,
     _window_rs,
     TargetContext,
     claim_goldbach_witness,
@@ -466,8 +466,7 @@ def test_witness_and_pairing_fail_without_a_goldbach_pair(table_1k):
     t = EvenTarget(28)
     by_id = {o.claim_id: o for o in evaluate_claims(t, table)}
     pairing = by_id[ClaimId.PAIRING_NON_EMPTY]
-    assert (pairing.status, pairing.payload) == ("fail", {
-        "two_n": 28, "pairs": [], "unpaired_count": 5, "b_self_pair": None})
+    assert (pairing.status, pairing.payload) == ("fail", {"two_n": 28, "count": 0})
     witness = by_id[ClaimId.GOLDBACH_WITNESS]
     assert (witness.status, witness.payload) == ("fail", {"two_n": 28, "count": 0})
     outs = range_verify(28, 28, table=table,
@@ -562,7 +561,7 @@ def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
     read them; a claim run alone must give the outcome it has among all
     claims, failing payloads included."""
     table = table_20k
-    if variant == "flipped":  # 3, 5 and 7 unmarked: s_bound, pairing, witness fail
+    if variant == "flipped":  # 3, 5 and 7 unmarked: all but the three by algebra fail
         bits = bytearray(table.odd_bits)
         for i in (1, 2, 3):
             bits[i] ^= 1
@@ -576,7 +575,7 @@ def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
                                 chunk_evens=chunk_evens)
         assert alone.as_dict() == o.as_dict(), o.claim_id
     failing = sum(o.status == "fail" for o in together)
-    assert failing == (0 if variant == "true" else 3)
+    assert failing == {"true": 0, "flipped": 5, "doctored": 3}[variant]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -879,8 +878,14 @@ def test_comet_rows_and_a_primes_on_doctored_tables(table_20k, case, chunk_evens
     assert rows == want_rows
     comp = range_verify(6, 2_100, claims=(ClaimId.COMPANION_DECOMPOSES,),
                         workers=workers, table=table, chunk_evens=chunk_evens)[0]
-    assert comp.status == "boundary"  # a marked composite is an A-type odd
     assert comp.payload["a_primes_checked"] == want_a_primes
+    if clear:  # 8 = 3 + 5 is the first target with a companion factor cleared
+        want = {"two_n": 8, "p": 3, "companion": 5, "factor": 5,
+                "reason": "factor not marked prime"}
+        assert doctored_companion_fail_td(8, [], lambda m: m == 3) == want
+        assert (comp.status, comp.payload["counterexample"]) == ("fail", want)
+    else:
+        assert comp.status == "boundary"  # a marked composite is an A-type odd
 
 
 @functools.lru_cache
@@ -898,15 +903,15 @@ def _doctored_table_oracle(case):
 
 def test_trust_bit_needs_the_fresh_sieve_both_ways(table_20k):
     """A caller's table is trusted only when it equals a fresh sieve on the
-    odds up to hi - 3: a cleared prime breaks that as a marked composite
-    does, and a bit past hi - 3 does not."""
+    odds up to hi - 3, that is, when it has no departures: a cleared prime is
+    one as a marked composite is, and a bit past hi - 3 is none."""
     bare = PrimeTable(table_20k.limit, table_20k.odd_bits)
-    assert _sieve_agrees(bare, 20_000)
-    for clear, mark in (((7,), ()), ((), (27,))):
-        bits = _doctored_table(table_20k, clear, mark).odd_bits
-        table = PrimeTable(table_20k.limit, bits)
-        assert not _sieve_agrees(table, 20_000)
-        assert _sieve_agrees(table, 28 if mark else 8)  # 27 lies above 28 - 3
+    assert _departures(bare, 20_000) == ()
+    for clear, mark in (((7,), ()), ((), (27,)), ((7, 19_997), (27, 1_309))):
+        table = _doctored_table(table_20k, clear, mark)
+        for hi in (8, 28, 20_000):  # 27 lies above 28 - 3, 19 997 at 20 000 - 3
+            assert _departures(table, hi) == tuple(
+                m for m in sorted((*clear, *mark)) if m <= hi - 3), (clear, mark, hi)
 
 
 def test_marked_small_composites_leave_the_factor_lists_alone():
@@ -925,33 +930,156 @@ def test_marked_small_composites_leave_the_factor_lists_alone():
     assert len(outputs) == 1
 
 
-# The (2N, claim) pairs where the single-target and range routes still give
-# different statuses on the doctored tables below.  Two causes remain: the
-# range route never checks that the factors of a companion or a midpoint
-# flanker are marked prime, so a cleared prime prime to 2N passes there
-# (28 with 17 and 23 cleared, 8 with 3 cleared); and a marked composite
-# partner divisible by its prime fails the range witness, while the
-# single-target witness counts the pair (30 = 3 + 27).
-_KNOWN_GAP = {
-    (28, ClaimId.COMPANION_DECOMPOSES),
-    (8, ClaimId.COMPANION_DECOMPOSES),
-    (8, ClaimId.MIDPOINT_DECOMPOSES),
-    (30, ClaimId.GOLDBACH_WITNESS),
+@pytest.mark.parametrize("two_n, clear, mark", [
+    (28, (17, 23), ()), (30, (), (27,)), (50, (), (45,)), (8, (3,), ())])
+def test_single_target_and_range_routes_agree(two_n, clear, mark):
+    """The one-target chunk decides every single-target fail but s_bound's,
+    so the two routes agree on status and counterexample; s_bound's own
+    verdict agrees too, as the range reads s off the windows here."""
+    table = _doctored_table(build_table(101), clear, mark)
+    single = {o.claim_id: o for o in evaluate_claims(EvenTarget(two_n), table)}
+    ranged = {o.claim_id: o for o in range_verify(two_n, two_n, table=table)}
+    for cid in ALL_CLAIMS:
+        one, many = single[cid], ranged[cid]
+        assert one.status == many.status, cid
+        assert (one.payload if one.status == "fail" else None) == (
+            many.payload.get("counterexample")), cid
+
+
+# One case per class in which the two routes disagreed while each decided
+# its own fail: (2N, cleared, marked, claim, status on both routes, what the
+# range payload holds); a failing single-target payload is the range's
+# counterexample.
+_GAP_CLASSES = {
+    # a companion with a cleared prime factor
+    "companions-28": (28, (17, 23), (), ClaimId.COMPANION_DECOMPOSES, "fail", {
+        "counterexample": {"two_n": 28, "p": 5, "companion": 23, "factor": 23,
+                           "reason": "factor not marked prime"}}),
+    "companions-8": (8, (3,), (), ClaimId.COMPANION_DECOMPOSES, "fail", {
+        "counterexample": {"two_n": 8, "p": 5, "companion": 3, "factor": 3,
+                           "reason": "factor not marked prime"}}),
+    # a flanker with a cleared prime factor
+    "midpoint-8": (8, (3,), (), ClaimId.MIDPOINT_DECOMPOSES, "fail", {
+        "counterexample": {"two_n": 8, "value": 3, "factor": 3,
+                           "reason": "factor not marked prime"}}),
+    # a marked partner that shares the prime 3 with 30
+    "witness-30": (30, (), (27,), ClaimId.GOLDBACH_WITNESS, "fail", {
+        "counterexample": {"two_n": 30, "p": 3,
+                           "reason": "divisible partner reported prime"}}),
+    # s counts 3 and 7, the marked odds prime to 10, where pi - omega is 1
+    "s-bound-10": (10, (5,), (), ClaimId.S_BOUND, "pass", {
+        "min_s": {"s": 2, "two_n": 10}, "max_s": {"s": 2, "two_n": 10}}),
+    # 6 stays the pairing claim's boundary case with 3 cleared
+    "pairing-6": (6, (3,), (), ClaimId.PAIRING_NON_EMPTY, "boundary", {
+        "evens_checked": 0, "boundary_cases": [{"two_n": 6, "pair": None}]}),
 }
 
 
-@pytest.mark.parametrize("two_n, clear, mark", [
-    (28, (17, 23), ()), (30, (), (27,)), (50, (), (45,)), (8, (3,), ())])
-def test_single_target_and_range_routes_agree_but_for_the_known_gap(two_n, clear,
-                                                                    mark):
-    table = _doctored_table(build_table(101), clear, mark)
-    single = {o.claim_id: o.status for o in evaluate_claims(EvenTarget(two_n), table)}
-    ranged = {o.claim_id: o.status for o in range_verify(two_n, two_n, table=table)}
-    for cid in ALL_CLAIMS:
-        if (two_n, cid) in _KNOWN_GAP:
-            assert single[cid] != ranged[cid], cid
+@pytest.mark.parametrize("case", list(_GAP_CLASSES))
+def test_each_class_of_the_old_gap_takes_one_decider(case):
+    two_n, clear, mark, cid, status, payload = _GAP_CLASSES[case]
+    table = _doctored_table(_table_301(), clear, mark)
+    (single,) = evaluate_claims(EvenTarget(two_n), table, (cid,))
+    (ranged,) = range_verify(two_n, two_n, (cid,), table=table)
+    assert single.status == ranged.status == status
+    assert {k: ranged.payload.get(k) for k in payload} == payload
+    if status == "fail":
+        assert single.payload == payload["counterexample"]
+    assert oracles.claim_fails_td(two_n, _doctored_marks(clear, mark))[cid.value] == (
+        payload.get("counterexample"))
+
+
+@functools.lru_cache
+def _table_301():
+    return build_table(301)
+
+
+def _doctored_marks(clear, mark):
+    """Which odds below 301 a table doctored by ``clear`` and ``mark`` marks."""
+    return lambda m: (is_prime_td(m) and m not in clear) or m in mark
+
+
+@settings(max_examples=50, deadline=None)
+@example(flips=[8, 11])  # 17 and 23 cleared
+@example(flips=[1])  # 3 cleared
+@example(flips=[13])  # 27 marked
+@example(flips=[2])  # 5 cleared
+@given(flips=st.lists(st.integers(min_value=1, max_value=149), min_size=1,
+                      max_size=4, unique=True))
+def test_one_decider_on_doctored_tables(flips):
+    """1-4 odds below 300 flipped: at every 2N the one-target chunk fails each
+    claim exactly where the brute-force oracle does, with its counterexample;
+    ``evaluate_claims`` gives the chunk's statuses, s_bound's own verdict
+    included; and each single-target report shows a failure exactly where
+    the outcome fails."""
+    true = _table_301()
+    bits = bytearray(true.odd_bits)
+    for i in flips:
+        bits[i] ^= 1
+    table = PrimeTable(true.limit, bytes(bits))
+    for two_n in range(6, 301, 2):
+        t = EvenTarget(two_n)
+        ranged = range_verify(two_n, two_n, table=table)
+        assert {o.claim_id.value: o.payload.get("counterexample") for o in ranged} == (
+            oracles.claim_fails_td(two_n, lambda m: bits[m >> 1])), two_n
+        ctx = TargetContext(t, table)
+        single = evaluate_claims(t, table, context=ctx)
+        assert [o.status for o in single] == [o.status for o in ranged], two_n
+        fails = {o.claim_id for o in single if o.status == "fail"}
+        try:
+            companions(t, ctx.split, table)
+        except CounterexampleFound:
+            raised = True
         else:
-            assert single[cid] == ranged[cid], cid
+            raised = False
+        pairs = ctx.census.goldbach_pairs
+        p = pairs[0][0] if pairs else None
+        reports = {
+            ClaimId.COMPANION_DECOMPOSES: raised,
+            ClaimId.MIDPOINT_DECOMPOSES: ctx.midpoints is not None and any(
+                v.exps is None for v in ctx.midpoints.values),
+            ClaimId.PAIRING_NON_EMPTY: two_n != 6 and not pairs,
+            ClaimId.GOLDBACH_WITNESS: not pairs or (two_n % p == 0 and 2 * p != two_n),
+            ClaimId.S_BOUND: two_n != 6 and ctx.split.s < 2,
+        }
+        assert {cid for cid, failed in reports.items() if failed} == fails, two_n
+
+
+# Doctorings of build_table(301) for the range runs below: each cleared or
+# marked odd of the five classes, two at once, and four flips elsewhere.
+_RANGE_DOCTORINGS = {
+    "cleared-17-23": ((17, 23), ()),
+    "cleared-3": ((3,), ()),
+    "marked-27": ((), (27,)),
+    "cleared-5-marked-27": ((5,), (27,)),
+    "four-flips": ((61, 137), (221, 287)),
+}
+
+
+@functools.lru_cache
+def _first_fails(case):
+    """Each claim's smallest failing 2N in [6, 300] by the oracle, with its
+    counterexample, or None."""
+    marked = _doctored_marks(*_RANGE_DOCTORINGS[case])
+    first = dict.fromkeys(c.value for c in ALL_CLAIMS)
+    for two_n in range(6, 301, 2):
+        for claim, fail in oracles.claim_fails_td(two_n, marked).items():
+            if first[claim] is None:
+                first[claim] = fail
+    return first
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_evens", [1, 3, 64])
+@pytest.mark.parametrize("case", list(_RANGE_DOCTORINGS))
+def test_range_verify_fails_at_the_oracles_smallest_target(case, chunk_evens, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("doctored range tests run pools only under fork")
+    table = _doctored_table(_table_301(), *_RANGE_DOCTORINGS[case])
+    outs = range_verify(6, 300, table=table, chunk_evens=chunk_evens, workers=workers)
+    want = _first_fails(case)
+    assert {o.claim_id.value: o.payload.get("counterexample") for o in outs} == want
+    assert any(want.values())
 
 
 def test_comparison_sieve_runs_only_for_a_callers_table(monkeypatch, table_20k):
@@ -1104,6 +1232,13 @@ def test_range_s_stats_match_direct_recompute(table_1k):
     assert s_by_two_n[payload["max_s"]["two_n"]] == want_max
 
 
+def _cleared(table, flips):
+    """The primes among the odds 2i + 1 of ``flips`` that ``table`` leaves
+    unmarked, ascending, by trial division."""
+    return sorted({2 * i + 1 for i in flips
+                   if is_prime_td(2 * i + 1) and not table.odd_bits[i]})
+
+
 _PAD = list(range(1_001, 1_061, 2))  # 30 entries that lengthen a list
 
 
@@ -1159,13 +1294,15 @@ def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
         return facs
 
     patch_factor_lists(monkeypatch, doctored)
+    departures = _departures(table, hi)  # on the unmarked table s is read by window
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
-        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
+        chunk = _ChunkContext(c_lo, c_hi, pi, departures, None, table)
         assert (_chunk_s_bound(chunk)
                 == _counted(oracles.s_bound_chunk(
-                    c_lo, c_hi, doctored(c_lo, c_hi, table), table),
+                    c_lo, c_hi, doctored(c_lo, c_hi, table), table, bool(departures)),
                     c_lo, c_hi)), (c_lo, c_hi)
-    whole = oracles.s_bound_chunk(lo, hi, doctored(lo, hi, table), table)
+    whole = oracles.s_bound_chunk(lo, hi, doctored(lo, hi, table), table,
+                                  bool(departures))
     (out,) = range_verify(lo, hi, claims=(ClaimId.S_BOUND,), table=table,
                           chunk_evens=chunk_evens)
     assert out.payload["min_s"] == dict(zip(("s", "two_n"), whole["min_s"]))
@@ -1194,7 +1331,7 @@ def test_s_bound_end_windows_match_the_oracle(table_1e7, chunk_evens, lo, hi):
     table = table_1e7
     met = set()
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
-        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
+        chunk = _ChunkContext(c_lo, c_hi, pi, (), None, table)
         assert (_chunk_s_bound(chunk)
                 == _counted(oracles.s_bound_chunk(
                     c_lo, c_hi, _odd_factor_lists(c_lo, c_hi, table), table),
@@ -1218,7 +1355,7 @@ def test_s_bound_end_windows_match_the_oracle_to_1e7(table_1e7, data):
     ))
     hi = min(lo + 2 * data.draw(st.integers(0, min(2 * chunk_evens, 9_000))), 10**7)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table_1e7):
-        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table_1e7)
+        chunk = _ChunkContext(c_lo, c_hi, pi, (), None, table_1e7)
         assert (_chunk_s_bound(chunk)
                 == _counted(oracles.s_bound_chunk(
                     c_lo, c_hi, _odd_factor_lists(c_lo, c_hi, table_1e7), table_1e7),
@@ -1257,8 +1394,9 @@ def test_s_bound_sieves_only_the_chunk_ends(table_1e7, monkeypatch):
     """The linear claims' s statistics sieve no whole chunk, only its two
     ends.  Companions, alone or with every claim, read the whole omega by
     log weights once per chunk halo, and divide only on the fallback halo
-    from 6; comet makes one division pass per halo, which builds phi and
-    omega together."""
+    from 6; with every claim, companions runs first, so s_bound slices that
+    omega and makes no window pass.  Comet makes one division pass per halo,
+    which builds phi and omega together."""
     passes = _logged_passes(monkeypatch)
     linear = tuple(c for c in ALL_CLAIMS if c not in (
         ClaimId.SAME_TYPE_LEMMA, ClaimId.COMPANION_DECOMPOSES))
@@ -1271,9 +1409,10 @@ def test_s_bound_sieves_only_the_chunk_ends(table_1e7, monkeypatch):
         for lo, hi, fallbacks in ((1_000_000, 1_100_000, []), (6, 50_000, [2])):
             passes.clear()
             range_verify(lo, hi, claims=claims, table=table_1e7)
-            whole_logs = [at for name, at, width, size in passes
-                          if name == "_log_omega" and width == size]
-            assert len(whole_logs) == len(range(lo, hi + 1, 2 * 8192)), passes
+            logs = [(at, width == size) for name, at, width, size in passes
+                    if name == "_log_omega"]
+            assert all(whole for _, whole in logs), passes
+            assert len(logs) == len(range(lo, hi + 1, 2 * 8192)), passes
             assert [at for name, at, _, _ in passes if name == "_divide"] == (
                 fallbacks), passes
     passes.clear()
@@ -1445,10 +1584,11 @@ def _a_primes_td(lo, hi):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
 def test_companion_sums_equal_the_per_target_count(table_100k, chunk_evens, workers):
-    """On a trusted table the companions kernel counts a chunk's A-primes as
-    sum(pi) - sum(omega).  The run's total equals the per-target sum of s,
-    and, in process, each chunk's partial equals the one that the per-target
-    byte windows of an untrusted table give."""
+    """On a table with no departures the companions kernel counts a chunk's
+    A-primes as sum(pi) - sum(omega).  The run's total equals the per-target
+    sum of s, and, in process, each chunk's partial equals the one that the
+    per-target byte windows give, which a departure forces: one past the
+    chunk, which no kernel reads."""
     lo, hi = 6, 20_000
     (out,) = range_verify(lo, hi, claims=(ClaimId.COMPANION_DECOMPOSES,),
                           table=table_100k, workers=workers, chunk_evens=chunk_evens)
@@ -1456,8 +1596,8 @@ def test_companion_sums_equal_the_per_target_count(table_100k, chunk_evens, work
     assert out.payload["a_primes_checked"] == _a_primes_td(lo, hi)
     if workers == 1:
         for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table_100k):
-            assert (_chunk_companions(_ChunkContext(c_lo, c_hi, pi, True, None, table_100k))
-                    == _chunk_companions(_ChunkContext(c_lo, c_hi, pi, False, None,
+            assert (_chunk_companions(_ChunkContext(c_lo, c_hi, pi, (), None, table_100k))
+                    == _chunk_companions(_ChunkContext(c_lo, c_hi, pi, (c_hi + 1,), None,
                                                        table_100k))), (c_lo, c_hi)
 
 
@@ -1555,12 +1695,14 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
         table = PrimeTable(table.limit, bytes(bits))
     chunks = _chunk_ranges(lo, hi, chunk_evens, table)
     assert chunks[0][0] == lo and chunks[-1][1] == hi
+    departures = _departures(table, hi)
+    cleared = _cleared(table, flips)
     for c_lo, c_hi, pi in chunks:
         facs = _odd_factor_lists(c_lo, c_hi, table)
-        chunk = _ChunkContext(c_lo, c_hi, pi, None, None, table)
+        chunk = _ChunkContext(c_lo, c_hi, pi, departures, None, table)
         assert (_chunk_s_bound(chunk)
-                == _counted(oracles.s_bound_chunk(c_lo, c_hi, facs, table),
-                            c_lo, c_hi))
+                == _counted(oracles.s_bound_chunk(c_lo, c_hi, facs, table,
+                                                  bool(departures)), c_lo, c_hi))
         assert (_chunk_pair_scan(chunk)
                 == _counted(oracles.pair_scan_chunk(c_lo, c_hi, table, True, True),
                             c_lo, c_hi))
@@ -1569,8 +1711,8 @@ def test_chunk_kernels_match_scalar_oracles(table_20k, data):
                             c_lo, c_hi))
         halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
         assert (_chunk_midpoint_decomposes(chunk)
-                == _counted(oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table),
-                            c_lo, c_hi))
+                == _counted(oracles.midpoint_decomposes_chunk(c_lo, c_hi, halo, table,
+                                                              cleared), c_lo, c_hi))
         assert (_chunk_prime_power(chunk)
                 == _counted(oracles.prime_power_chunk(c_lo, c_hi, table),
                             c_lo, c_hi))
@@ -1698,7 +1840,8 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
                 facs[i] = facs[i][1:] if q is None else sorted({*facs[i], q})
         return facs
 
-    trusted = _sieve_agrees(table, hi)
+    departures = _departures(table, hi)
+    cleared = _cleared(table, flips)
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         facs = doctored(c_lo, c_hi, table)
@@ -1706,19 +1849,19 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
         chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
         with pytest.MonkeyPatch.context() as patch:
             patch_factor_lists(patch, doctored)
-            chunk = _ChunkContext(c_lo, c_hi, pi, trusted, None, table)
+            chunk = _ChunkContext(c_lo, c_hi, pi, departures, None, table)
             assert (_chunk_same_type(chunk)
                     == _counted(oracles.same_type_chunk(c_lo, c_hi, facs, table),
                                 c_lo, c_hi))
             assert (_chunk_companions(chunk)
-                    == _counted(oracles.companions_chunk(c_lo, c_hi, facs, table),
-                                c_lo, c_hi))
+                    == _counted(oracles.companions_chunk(c_lo, c_hi, facs, table,
+                                                         cleared), c_lo, c_hi))
             halo = doctored(c_lo - 4, c_hi + 4, table)
             assert (_chunk_midpoint_decomposes(chunk)
                     == _counted(oracles.midpoint_decomposes_chunk(
-                        c_lo, c_hi, halo, table), c_lo, c_hi))
+                        c_lo, c_hi, halo, table, cleared), c_lo, c_hi))
             assert _chunk_comet(chunk) == want
-            assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, None, chunk_digits,
+            assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, (), chunk_digits,
                                               table)) == want
 
 
@@ -1773,7 +1916,7 @@ def test_pair_count_digits_give_r_on_flipped_tables(table_20k, hi, data):
 def _one_target(two_n, bits):
     """The chunk context of the one target 2N on the bitmap ``bits``."""
     table = PrimeTable(2 * len(bits) - 1, bits)
-    return _ChunkContext(two_n, two_n, 0, False, None, table)
+    return _ChunkContext(two_n, two_n, 0, (), None, table)
 
 
 def test_one_target_window_rs_is_r_on_every_target(table_20k):

@@ -253,11 +253,12 @@ def _doctored_build(clear=(), mark=()):
 
 # (two_n, cleared, marked, claims that break).  A marked composite is typed
 # by its gcd with 2N, as any odd is: 27 and 8931 share 3 with their targets,
-# so they are B-primes and no report breaks.  A cleared prime partner leaves a
-# companion whose factor the table does not mark prime.
+# so they are B-primes and no report breaks, but 3 is each target's smallest
+# prime with a marked partner, which fails the witness claim.  A cleared
+# prime partner leaves a companion whose factor the table does not mark prime.
 _DOCTORED_ANALYZE = [
-    (30, (), (27,), set()),
-    (8934, (), (8931,), set()),
+    (30, (), (27,), {"goldbach_witness"}),
+    (8934, (), (8931,), {"goldbach_witness"}),
     (100, (97,), (), {"companion_decomposes"}),
     (1000, (997,), (), {"companion_decomposes"}),
 ]
@@ -279,7 +280,7 @@ def test_analyze_reports_a_doctored_table(monkeypatch, capsys, two_n, clear, mar
     assert set(mark) <= set(report["prime_split"]["b_primes"])
     assert set(report["pairing"]) == {"pairs", "unpaired"}
     assert {c["claim"] for c in report["claims"] if c["status"] == "fail"} == broken
-    if broken:
+    if clear:
         (q,) = clear
         assert report["companions"]["witness"] == {
             "two_n": two_n, "p": two_n - q, "companion": q, "factor": q,

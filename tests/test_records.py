@@ -55,7 +55,7 @@ RECORDS = {
     PairingReport: {"pairs": ((3, 7),), "unpaired": ()},
     MidpointValue: {"value": 3, "is_prime": True, "exps": None},
     MidpointReport: {"parity": "odd", "values": MIDPOINTS, "both_prime_pair": (3, 7)},
-    _ChunkContext: {"c_lo": 8, "c_hi": 20, "pi": 1, "trusted": False,
+    _ChunkContext: {"c_lo": 8, "c_hi": 20, "pi": 1, "departures": (),
                     "digits": None, "table": TABLE},
     ClaimSpec: {"verdict": SPEC.verdict, "kernel": SPEC.kernel,
                 "aliases": ("sbounds",)},

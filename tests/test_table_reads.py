@@ -92,25 +92,29 @@ def _pair_scan_span(chunk):
 
 
 def _windows(kernel, chunk):
-    """The odds (lo, hi) that ``kernel`` documents it reads for ``chunk``."""
+    """The odds (lo, hi) that ``kernel`` documents it reads for ``chunk``:
+    the three kernels that read departures read each one's own bit too, and
+    s_bound and companions read every target's window where there are
+    any."""
     c_lo, c_hi = chunk.c_lo, chunk.c_hi
     steps = (c_lo - 1, c_hi - 3)  # the pi steps of the chunk
     first = max(c_lo, 8)
+    own = [(d, d) for d in chunk.departures]
     if kernel in (CLAIM_SPECS[ClaimId.SAME_TYPE_LEMMA].kernel,
                   CLAIM_SPECS[ClaimId.MIDPOINT_COPRIME].kernel):
         return []
     if kernel is CLAIM_SPECS[ClaimId.S_BOUND].kernel:
-        return [steps]
+        return [(3, c_hi - 3) if chunk.departures else steps]
     if kernel is CLAIM_SPECS[ClaimId.PRIME_POWER_EXCLUSION].kernel:
         return [(first >> 1, c_hi >> 1)]
     if kernel is CLAIM_SPECS[ClaimId.MIDPOINT_DECOMPOSES].kernel:
-        return [(((first >> 1) - 2) | 1, (c_hi >> 1) + 2)]
+        return [(((first >> 1) - 2) | 1, (c_hi >> 1) + 2), *own]
     if kernel in (CLAIM_SPECS[ClaimId.PAIRING_NON_EMPTY].kernel,
                   CLAIM_SPECS[ClaimId.GOLDBACH_WITNESS].kernel):
         span = _pair_scan_span(chunk)
         return [(max(1, c_lo + 1 - span), c_hi - 3), (3, min(span, c_hi >> 1))]
     if kernel is CLAIM_SPECS[ClaimId.COMPANION_DECOMPOSES].kernel:
-        return [steps] if chunk.trusted else [(3, c_hi - 3)]
+        return [(3, c_hi - 3), *own] if chunk.departures else [steps]
     assert kernel is _chunk_comet
     if chunk.digits is None:  # each target's prime window
         return [(3, c_hi - 3)]
@@ -119,16 +123,19 @@ def _windows(kernel, chunk):
 
 def _kernel_runs(lo, hi, chunk_evens, table):
     """(kernel, fresh chunk context) for every kernel on every chunk, the
-    companions kernel trusted and not, comet with and without the square."""
+    three that read departures with none and with some (the odd 3 and one
+    past the chunk), comet with and without the square."""
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         for spec in CLAIM_SPECS.values():
-            yield spec.kernel, _ChunkContext(c_lo, c_hi, pi, True, None, table)
-        kernel = CLAIM_SPECS[ClaimId.COMPANION_DECOMPOSES].kernel
-        yield kernel, _ChunkContext(c_lo, c_hi, pi, False, None, table)
+            yield spec.kernel, _ChunkContext(c_lo, c_hi, pi, (), None, table)
+        for claim in (ClaimId.S_BOUND, ClaimId.MIDPOINT_DECOMPOSES,
+                      ClaimId.COMPANION_DECOMPOSES):
+            yield CLAIM_SPECS[claim].kernel, _ChunkContext(c_lo, c_hi, pi, (3, c_hi + 1),
+                                                          None, table)
         slots = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
-        yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, False, slots, table)
-        yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, False, None, table)
+        yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, (), slots, table)
+        yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, (), None, table)
 
 
 @pytest.mark.parametrize("lo, hi", [(6, 2_400), (8, 2_402)])
@@ -154,10 +161,10 @@ def test_kernels_read_only_their_windows_through_odds(marked_odds, lo, hi,
                 kernel.__name__, chunk.c_lo, chunk.c_hi, via, windows)
         if marked_odds:
             kernels_read.add(kernel.__name__)
+    # s_bound reads a one-target chunk's window only where there are
+    # departures: the chunk takes no pi step
     want = {"_chunk_s_bound", "_chunk_prime_power", "_chunk_midpoint_decomposes",
             "_chunk_witness", "_chunk_pairing", "_chunk_companions", "_chunk_comet"}
-    if chunk_evens == 1:  # a one-target chunk takes no pi step
-        want.remove("_chunk_s_bound")
     assert kernels_read == want
 
 
@@ -167,7 +174,8 @@ def _kernel_sources():
     # _chunk_ranges runs in the parent, which carries pi from chunk to chunk
     names = [n for n in vars(claims_mod)
              if n.startswith("_chunk_") and n != "_chunk_ranges"]
-    names += ["_window_rs", "_companion_window", "_odd_factor_lists", "_screened_phi",
+    names += ["_window_rs", "_a_window", "_companion_window", "_odd_factor_lists",
+              "_screened_phi",
               "_zeros", "_factor_sieve", "_Factors", "_SievedFactors"]
     for name in names:
         yield name, inspect.getsource(getattr(claims_mod, name))
