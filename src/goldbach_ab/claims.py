@@ -25,9 +25,9 @@ Other targets take the byte windows of ``classify`` on their factor lists,
 which are built only for them.  r(2N) comes from one square of the bitmap
 polynomial in C ``decimal`` (Kronecker substitution, number-theoretic
 transform) where a work estimate says the targets' prime windows cost more,
-else from the windows.  Three kernels read a caller's table's departures
-from a fresh sieve, where s is no longer pi - omega and a cleared prime
-can break a companion or a flanker.
+else from the windows.  Every chunk reads the table's departures from a
+fresh sieve (``PrimeTable.departures``), where s is no longer pi - omega
+and a cleared prime can break a companion or a flanker.
 
 The linear claims evaluate a whole chunk per step.  The Goldbach scan holds
 the chunk's unresolved targets in one int and resolves, for each odd prime
@@ -60,7 +60,7 @@ from collections.abc import Callable
 from enum import Enum
 from functools import cache, cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import add, eq, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
+from operator import add, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
 
 from ._record import Record, set_field
 from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes, window_end
@@ -710,11 +710,9 @@ def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict |
 
 
 def _departures(table: PrimeTable, hi: int) -> tuple[int, ...]:
-    """The odds up to hi - 3 where ``table`` differs from a fresh sieve."""
-    got, true = table.odds(3, hi - 3), build_table(hi).odds(3, hi - 3)
-    if got == true:
-        return ()
-    return tuple(3 + 2 * i for i in _zeros(bytes(map(eq, got, true))))
+    """The table's departures from 3 to hi - 3, all that a range to hi reads."""
+    found = table.departures
+    return found[bisect_left(found, 3) : bisect_right(found, hi - 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -996,10 +994,10 @@ class _ChunkContext(Record):
     """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
     and then kept, so that every kernel run on the chunk shares them.  The
     fused sieve runs 2 evens past each end, where the midpoint flankers'
-    doubles sit.  ``pi`` is pi(c_lo - 3), carried in; ``departures`` where
-    the table differs from a fresh sieve, empty unless a run's kernels read
-    them; ``digits`` the chunk's slots of the bitmap square (comet).
-    Kernels see ``table`` only through the next two members."""
+    doubles sit.  ``pi`` is pi(c_lo - 3), carried in; ``departures`` the
+    table's (``_departures``), the same for every kernel; ``digits``
+    the chunk's slots of the bitmap square (comet).  Kernels see ``table``
+    only through the next two members."""
 
     def __init__(self, c_lo: int, c_hi: int, pi: int, departures: tuple[int, ...],
                  digits: str | None, table: PrimeTable) -> None:
@@ -1042,12 +1040,21 @@ class _ChunkContext(Record):
     def steps(self) -> bytes:  # bit i steps pi(2N - 3) from target i to i + 1
         return self.odds(self.c_lo - 1, self.c_hi - 3)
 
+    def s_run(self, a: int, b: int) -> list[int]:
+        """s(2N), the marked odds in [3, 2N - 3] prime to 2N, of the targets a
+        to b - 1 from c_lo: pi(2N - 3) - omega_odd(2N), pi counted on from the
+        carried pi, on a chunk without departures, else each A-window's count."""
+        if self.departures:
+            return [_a_window(self.c_lo + 2 * j, self.facs[j], self)[0].bit_count()
+                    for j in range(a, b)]
+        pi = self.pi + self.steps.count(1, 0, a)
+        omega = self.halo.omega_at(self.c_lo + 2 * a, self.c_lo + 2 * b - 2)
+        return list(map(sub, accumulate(self.steps[a : b - 1], initial=pi), omega))
+
     @cached_property
     def s(self) -> list[int]:
-        """s(2N) = pi(2N - 3) - omega_odd(2N) for every target, pi counted on
-        from the carried pi."""
-        pis = accumulate(self.steps, initial=self.pi)
-        return list(map(sub, pis, self.halo.omega[2:-2]))
+        """s(2N) of every target (``s_run``)."""
+        return self.s_run(0, len(self.evens))
 
     @cached_property
     def phis(self) -> list[int]:
@@ -1097,32 +1104,19 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     true maximum gives the same first minimum, maximum and failure.  s, and
     so omega, is evaluated on those two ends only, each tens of targets.
 
-    s(2N) counts the marked odds prime to 2N, which is pi - omega only on a
-    table without departures; on one with some, every target's s is read
-    off its A-window (``_a_window``), and no cut is made.
+    s is the chunk's (``_ChunkContext.s_run``), which is pi - omega only on
+    a table without departures; on one with some, every target's s is read
+    off its A-window, and no cut is made.
     """
-    c_lo, pi, bits, halo = chunk.c_lo, chunk.pi, chunk.steps, chunk.halo
-
-    def s_of(a: int, b: int) -> list[int]:
-        """s of the targets [a, b) from c_lo."""
-        if chunk.departures:
-            i = (c_lo - chunk.c_lo) >> 1
-            return [_a_window(c_lo + 2 * j, chunk.facs[i + j], chunk)[0].bit_count()
-                    for j in range(a, b)]
-        pi_a = pi + bits.count(1, 0, a)
-        omega = halo.omega_at(c_lo + 2 * a, c_lo + 2 * b - 2)
-        return list(map(sub, accumulate(bits[a : b - 1], initial=pi_a), omega))
-
-    boundary = []  # bit i of ``bits`` steps pi from target i to target i + 1
-    if c_lo == 6:  # s_of reads c_lo, pi and bits when called: 6 before they move
-        boundary.append({"two_n": 6, "s": s_of(0, 1)[0]})
-        c_lo, pi, bits = 8, pi + bits[:1].count(1), bits[1:]
+    o = int(chunk.c_lo == 6)  # 6 is a boundary case: the targets start at o
+    boundary = [{"two_n": 6, "s": chunk.s_run(0, 1)[0]}] if o else []
+    c_lo, bits = chunk.c_lo + 2 * o, chunk.steps[o:]  # bit i steps target i to i + 1
     n = (chunk.c_hi - c_lo) // 2 + 1
     out = {"fail": None, "boundary": boundary, "min_s": None, "max_s": None}
     if not n:
         return out
 
-    w = halo.omega_bound()
+    w = chunk.halo.omega_bound()
     j = -1
     for _ in range(w + 1):
         j = bits.find(1, j + 1, n - 1)
@@ -1136,10 +1130,10 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
             break
     first = j + 1  # the tail's first target
     if chunk.departures or first <= last + 1:  # the whole chunk serves as both
-        head = tail = s_of(0, n)
+        head = tail = chunk.s_run(o, o + n)
         first = 0
     else:
-        head, tail = s_of(0, last + 1), s_of(first, n)
+        head, tail = chunk.s_run(o, o + last + 1), chunk.s_run(o + first, o + n)
     lo, hi = min(head), max(tail)
     out["min_s"] = [lo, c_lo + 2 * head.index(lo)]
     out["max_s"] = [hi, c_lo + 2 * (first + tail.index(hi))]
@@ -1354,8 +1348,9 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
     phi(2N) odds prime to 2N in mirrored pairs (a, 2N - a), a != N, and none
     is mixed: a_count is those pairs less (1, 2N - 1), b_count h - a_count.
     Any other target mirrors the B-type window of its factor list once and
-    keeps its r, which reads only the table.  phi is read first, so that the
-    fused sieve builds it in the pass that builds omega, s's input.
+    keeps its r, which reads only the table.  s is the chunk's (``s_run``),
+    s_bound's.  phi is read first, so that the fused sieve builds it in the
+    pass that builds omega, s's input on a table without departures.
     """
     c_lo, c_hi, digits = chunk.c_lo, chunk.c_hi, chunk.digits
     phis = chunk.phis
@@ -1547,15 +1542,12 @@ def range_verify(
 
     Returns one aggregated outcome per claim, with the smallest failing
     target as the counterexample when a claim fails.  Output is independent
-    of the worker count.
+    of the worker count.  Chunks read the table's departures (``_departures``).
     """
-    given = table is not None
     table = _range_table(lo, hi, workers, chunk_evens, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     kernels = tuple(CLAIM_SPECS[c].kernel for c in selected)
-    # only these kernels read departures, and a table sieved here has none
-    reads = {ClaimId.S_BOUND, ClaimId.MIDPOINT_DECOMPOSES, ClaimId.COMPANION_DECOMPOSES}
-    departures = _departures(table, hi) if given and reads & set(selected) else ()
+    departures = _departures(table, hi)
     jobs = [(kernels, *chunk, departures, None)
             for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
     partials = _map_chunks(jobs, workers, table)
@@ -1571,7 +1563,8 @@ def comet_rows(
     chunk_evens: int = DEFAULT_CHUNK_EVENS,
 ) -> list[tuple[int, int, int, int, int]]:
     """(two_n, r, s, a_count, b_count) for every even in [lo, hi], ascending;
-    r from one square of the bitmap when that costs less than the windows."""
+    r from one square of the bitmap when that costs less than the windows, s
+    as s_bound reads it on any table (``_ChunkContext.s_run``)."""
     table = _range_table(lo, hi, workers, chunk_evens, table)
     chunks = _chunk_ranges(lo, hi, chunk_evens, table)
     slots = [None] * len(chunks)
@@ -1581,6 +1574,7 @@ def comet_rows(
         slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
                  for c_lo, c_hi, _ in chunks]
         del digits
-    jobs = [((_chunk_comet,), *chunk, (), digits)
+    departures = _departures(table, hi)
+    jobs = [((_chunk_comet,), *chunk, departures, digits)
             for chunk, digits in zip(chunks, slots)]
     return [row for (rows,) in _map_chunks(jobs, workers, table) for row in rows]

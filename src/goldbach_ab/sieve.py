@@ -18,6 +18,7 @@ import math
 import os
 from functools import cached_property
 from itertools import chain, compress
+from operator import ne
 
 from ._record import Record, set_field
 from .errors import UsageError
@@ -75,8 +76,9 @@ class PrimeTable(Record):
     but this class's members reads it.  ``small_primes`` holds 2 and the odd
     primes up to sqrt(limit), all that trial division below the limit needs,
     from a fresh sieve, so that no bit of the table changes which are tried.
-    ``prime_list``, every prime up to ``limit``, is derived on first access
-    and cached; no library route reads it, and pickling drops it.
+    ``prime_list``, every prime up to ``limit``, and ``departures`` are
+    derived on first access and cached, and pickling drops them; a table
+    that ``build_table`` returns holds no departures, as it is that sieve.
     """
 
     def __init__(self, limit: int, odd_bits: bytes) -> None:
@@ -86,6 +88,16 @@ class PrimeTable(Record):
     @cached_property
     def prime_list(self) -> tuple[int, ...]:
         return (2, *self.odd_primes(3, self.limit))
+
+    @cached_property
+    def departures(self) -> tuple[int, ...]:
+        """The odds that the bitmap marks otherwise than a fresh sieve would."""
+        fresh, bits, w = build_table(self.limit).odd_bits, self.odd_bits, 1 << 14
+        if fresh == bits:
+            return ()
+        cuts = ((i, fresh[i : i + w], bits[i : i + w]) for i in range(0, len(fresh), w))
+        return tuple(2 * j + 1 for i, a, b in cuts if a != b
+                     for j in compress(range(i, i + w), map(ne, a, b)))
 
     @cached_property
     def small_primes(self) -> tuple[int, ...]:
@@ -184,7 +196,9 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTa
         out.write(seg)
 
     # getvalue() hands over the buffer itself: the bitmap is held once
-    return PrimeTable(limit, out.getvalue())
+    table = PrimeTable(limit, out.getvalue())
+    vars(table)["departures"] = ()  # the table is the fresh sieve
+    return table
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:

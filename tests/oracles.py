@@ -244,12 +244,10 @@ def claim_fails_td(two_n: int, prime) -> dict:
 
 def comet_row_td(two_n: int, prime) -> tuple[int, int, int, int, int]:
     """(two_n, r, s, a_count, b_count) when ``prime(m)`` says which odds are
-    prime: r counts the marked pairs, s the marked odds in [3, 2N - 3] less
-    the odd prime factors of 2N, and the counts classify by gcd."""
+    prime: r counts the marked pairs, s the marked odds in [3, 2N - 3] prime
+    to 2N (``s_td``), and the counts classify by gcd."""
     cen = census_td(two_n, prime)
-    marked = sum(1 for m in range(3, two_n - 2, 2) if prime(m))
-    omega = sum(1 for q in factorize_td(two_n) if q != 2)
-    return (two_n, len(cen["pairs"]), marked - omega, cen["a_count"],
+    return (two_n, len(cen["pairs"]), s_td(two_n, prime), cen["a_count"],
             cen["b_count"])
 
 
@@ -601,9 +599,10 @@ def companions_chunk(c_lo, c_hi, facs, table, cleared=()) -> dict:
             "a_primes_checked": a_total}
 
 
-def comet_chunk(c_lo, c_hi, pi, facs, table) -> list:
+def comet_chunk(c_lo, c_hi, pi, facs, table, windows=False) -> list:
     """Rows (two_n, r, s, a_count, b_count), pi = pi(c_lo - 3) carried in;
-    the counts are those of ``census`` on the bit windows."""
+    the counts are those of ``census`` on the bit windows, and s is
+    ``s_bound_chunk``'s."""
     bits = table.odd_bits
     win = BitWindows(table, c_hi)
     rows = []
@@ -616,7 +615,8 @@ def comet_chunk(c_lo, c_hi, pi, facs, table) -> list:
         mask = (1 << h) - 1
         b, rb = win.btype(k, qs, mask)
         pf, pr = win.primes(k, mask)
-        rows.append((two_n, (pf & pr).bit_count(), pi - len(qs),
+        s = s_td(two_n, lambda m: bits[m >> 1], qs) if windows else pi - len(qs)
+        rows.append((two_n, (pf & pr).bit_count(), s,
                      h - (b | rb).bit_count(), (b & rb).bit_count()))
     return rows
 

@@ -33,6 +33,8 @@ from goldbach_ab import (
     verify_same_type_lemma,
 )
 import goldbach_ab.claims as claims_mod
+import goldbach_ab.cli as cli_mod
+import goldbach_ab.sieve as sieve_mod
 from goldbach_ab.claims import (
     _ChunkContext,
     _Factors,
@@ -55,7 +57,7 @@ from goldbach_ab.claims import (
     claim_pairing_non_empty,
 )
 from goldbach_ab.classify import btype_bytes
-from goldbach_ab.cli import build_analyze_report
+from goldbach_ab.cli import build_analyze_report, main
 from goldbach_ab.partition import PartitionKind, classify_partition, goldbach_partitions
 from goldbach_ab.sieve import PrimeTable, _base_primes, pi_upto
 
@@ -1010,13 +1012,17 @@ def test_one_decider_on_doctored_tables(flips):
     """1-4 odds below 300 flipped: at every 2N the one-target chunk fails each
     claim exactly where the brute-force oracle does, with its counterexample;
     ``evaluate_claims`` gives the chunk's statuses, s_bound's own verdict
-    included; and each single-target report shows a failure exactly where
-    the outcome fails."""
+    included; each single-target report shows a failure exactly where the
+    outcome fails; and comet's s is the split's at every chunk size."""
     true = _table_301()
     bits = bytearray(true.odd_bits)
     for i in flips:
         bits[i] ^= 1
     table = PrimeTable(true.limit, bytes(bits))
+    s = [split_primes(EvenTarget(two_n), table).s for two_n in range(6, 301, 2)]
+    for chunk_evens in (1, 3, 64):
+        rows = comet_rows(6, 300, table=table, chunk_evens=chunk_evens)
+        assert [row[2] for row in rows] == s, chunk_evens
     for two_n in range(6, 301, 2):
         t = EvenTarget(two_n)
         ranged = range_verify(two_n, two_n, table=table)
@@ -1082,24 +1088,41 @@ def test_range_verify_fails_at_the_oracles_smallest_target(case, chunk_evens, wo
     assert any(want.values())
 
 
-def test_comparison_sieve_runs_only_for_a_callers_table(monkeypatch, table_20k):
-    """A run that sieves its own table has nothing to compare it against; a
-    caller's table is compared against one fresh sieve."""
-    calls = []
-    real = claims_mod.build_table
+def test_comparison_sieve_runs_once_and_only_for_a_rebuilt_table(monkeypatch, capsys,
+                                                                  table_20k):
+    """A table that ``build_table`` returns is a fresh sieve, with no
+    departures, so no route sieves it a second time; a table rebuilt from its
+    fields is compared with one fresh sieve of its limit, once for all runs."""
+    limits = []
+    real = sieve_mod.build_table
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(limit, *args, **kwargs):
+        limits.append(limit)
+        return real(limit, *args, **kwargs)
 
-    monkeypatch.setattr(claims_mod, "build_table", counted)
-    claims = (ClaimId.COMPANION_DECOMPOSES,)
-    own = range_verify(8, 20_000, claims=claims)
-    assert calls == [(20_001,)]
-    calls.clear()
-    given = range_verify(8, 20_000, claims=claims, table=table_20k)
-    assert calls == [(20_000,)]
-    assert [o.as_dict() for o in own] == [o.as_dict() for o in given]
+    for module in (sieve_mod, claims_mod, cli_mod):
+        monkeypatch.setattr(module, "build_table", counted)
+
+    def sieves():  # whole-table sieves since the last call, the base primes' left out
+        got = [limit for limit in limits if limit > 1_000]
+        limits.clear()
+        return got
+
+    def runs(table):
+        outs = range_verify(8, 20_000, table=table)
+        return [[o.as_dict() for o in outs], comet_rows(8, 20_000, table=table)]
+
+    want = runs(table_20k)
+    evaluate_claims(EvenTarget(19_998), table_20k)
+    assert sieves() == []
+    assert main(["analyze", "88934"]) == 0 and main(["census", "88934"]) == 0
+    capsys.readouterr()
+    assert sieves() == [88_935, 88_935]  # each command's own table
+    rebuilt = PrimeTable(table_20k.limit, table_20k.odd_bits)
+    assert runs(rebuilt) == want
+    assert sieves() == [20_001]
+    assert runs(rebuilt) == want
+    assert sieves() == []
 
 
 def test_doctored_partner_cases_reach_every_failure_branch():
@@ -1845,7 +1868,7 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
         facs = doctored(c_lo, c_hi, table)
-        want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table)
+        want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table, bool(departures))
         chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
         with pytest.MonkeyPatch.context() as patch:
             patch_factor_lists(patch, doctored)
@@ -1861,7 +1884,7 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
                     == _counted(oracles.midpoint_decomposes_chunk(
                         c_lo, c_hi, halo, table, cleared), c_lo, c_hi))
             assert _chunk_comet(chunk) == want
-            assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, (), chunk_digits,
+            assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, departures, chunk_digits,
                                               table)) == want
 
 

@@ -15,7 +15,7 @@ import multiprocessing
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goldbach_ab.claims as claims_mod
@@ -112,6 +112,22 @@ def test_small_primes_are_2_and_the_odd_primes_to_the_root(limit):
     # every bit flipped: no bit of the table changes them
     inverted = PrimeTable(limit, bytes(1 - b for b in table.odd_bits))
     assert inverted.small_primes == want
+
+
+@settings(max_examples=30, deadline=None)
+@example(flips={0, 16_383, 16_384, 50_000})
+@given(st.sets(st.integers(min_value=0, max_value=50_000), max_size=5))
+def test_departures_are_the_flipped_odds(table_100k, flips):
+    """The flipped odds, 1, the last odd and the two sides of a block edge
+    of the comparison among them, are the departures, ascending; a true
+    table has none, built or rebuilt."""
+    bits = bytearray(table_100k.odd_bits)
+    for i in flips:
+        bits[i] ^= 1
+    flipped = PrimeTable(table_100k.limit, bytes(bits))
+    assert flipped.departures == tuple(2 * i + 1 for i in sorted(flips))
+    rebuilt = PrimeTable(table_100k.limit, table_100k.odd_bits)
+    assert table_100k.departures == rebuilt.departures == ()
 
 
 def test_tables_pickle_without_the_prime_tuple():

@@ -109,9 +109,12 @@ def test_cached_properties_cache_and_pickling_drops_them():
     table = PrimeTable(TABLE.limit, TABLE.odd_bits)
     assert table.prime_list is table.prime_list
     assert table.small_primes == (2, 3, 5, 7)
-    assert {"prime_list", "small_primes"} <= set(vars(table))
+    assert table.departures is table.departures and table.departures == ()
+    assert {"prime_list", "small_primes", "departures"} <= set(vars(table))
     back = pickle.loads(pickle.dumps(table))
     assert back == table and "prime_list" not in vars(back)
+    assert "departures" not in vars(back)
+    assert "departures" not in vars(pickle.loads(pickle.dumps(TABLE)))
 
     chunk = _ChunkContext(8, 20, 1, None, None, TABLE)
     assert chunk.facs is chunk.facs and chunk.s is chunk.s

@@ -93,9 +93,9 @@ def _pair_scan_span(chunk):
 
 def _windows(kernel, chunk):
     """The odds (lo, hi) that ``kernel`` documents it reads for ``chunk``:
-    the three kernels that read departures read each one's own bit too, and
-    s_bound and companions read every target's window where there are
-    any."""
+    companions and midpoint-decomposes read each departure's own bit too,
+    and s_bound, companions and comet read every target's window where
+    there are any."""
     c_lo, c_hi = chunk.c_lo, chunk.c_hi
     steps = (c_lo - 1, c_hi - 3)  # the pi steps of the chunk
     first = max(c_lo, 8)
@@ -118,12 +118,13 @@ def _windows(kernel, chunk):
     assert kernel is _chunk_comet
     if chunk.digits is None:  # each target's prime window
         return [(3, c_hi - 3)]
-    return [steps, (c_lo >> 1, c_hi >> 1)]  # and the odd N marked prime
+    odd_n = [steps, (c_lo >> 1, c_hi >> 1)]  # and the odd N marked prime
+    return [*odd_n, (3, c_hi - 3)] if chunk.departures else odd_n
 
 
 def _kernel_runs(lo, hi, chunk_evens, table):
     """(kernel, fresh chunk context) for every kernel on every chunk, the
-    three that read departures with none and with some (the odd 3 and one
+    four that read departures with none and with some (the odd 3 and one
     past the chunk), comet with and without the square."""
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
@@ -134,8 +135,9 @@ def _kernel_runs(lo, hi, chunk_evens, table):
             yield CLAIM_SPECS[claim].kernel, _ChunkContext(c_lo, c_hi, pi, (3, c_hi + 1),
                                                           None, table)
         slots = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
-        yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, (), slots, table)
-        yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, (), None, table)
+        for departures in ((), (3, c_hi + 1)):
+            yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, departures, slots, table)
+            yield _chunk_comet, _ChunkContext(c_lo, c_hi, pi, departures, None, table)
 
 
 @pytest.mark.parametrize("lo, hi", [(6, 2_400), (8, 2_402)])
