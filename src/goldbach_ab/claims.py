@@ -5,29 +5,29 @@ factor every companion over them, and so on), reading the per-target objects
 from one TargetContext, which builds each of them at most once.  Range
 verification decides every claim from window arithmetic that is
 feasible for millions of targets: a running prime count, and one fused
-chunk sieve over the odd prime factors of the chunk's evens and of the
-midpoint flankers' doubles, so no range route trial-divides.  A claim but
+chunk sieve over the odd prime factors of the chunk's evens, so no range
+route trial-divides.  A claim but
 s_bound fails on a single target only where its one-target chunk fails.
 
-The fused sieve (``_factor_sieve``) walks each small prime's strides with
+The fused sieve (``_SievedFactors``) walks each small prime's strides with
 slice operations and gives, per even, omega (its count of odd primes, its
 big prime found by exact log weights; comet reads it whole and companions
-sums it), a bit that every counted factor divides 2N, and phi(2N) where the
-factors are exactly the odd primes of 2N.  The s statistics read omega only
-on a short head and tail of each chunk, under an a-priori primorial bound,
-so the linear claims sieve no whole chunk.  On
-the sieve both bits hold by construction.  When every factor divides 2N,
-the B-type window is its own mirror and no partition is mixed; same-type
-needs no more.  When they are exactly the odd primes of 2N, gcd(a, 2N) =
-gcd(2N - a, 2N) also gives a_count = phi(2N) / 2 - 1, and its A-primes are
-s(2N) on a trusted table: one the run sieved, or one equal to a fresh sieve.
-Other targets take the byte windows of ``classify`` on their factor lists,
-which are built only for them.  r(2N) comes from one square of the bitmap
-polynomial in C ``decimal`` (Kronecker substitution, number-theoretic
-transform) where a work estimate says the targets' prime windows cost more,
-else from the windows.  Every chunk reads the table's departures from a
-fresh sieve (``PrimeTable.departures``), where s is no longer pi - omega
-and a cleared prime can break a companion or a flanker.
+sums it) and phi(2N).  The s statistics read omega only on a short head and
+tail of each chunk, under an a-priori primorial bound, so the linear claims
+sieve no whole chunk.  The sieve is the one factor record a kernel reads,
+and its factors are exactly the odd primes of 2N by construction.  So the
+B-type window of 2N is its own mirror and no partition is mixed, which
+decides same-type; gcd(a, 2N) = gcd(2N - a, 2N) gives the A-type partitions
+as phi(2N) / 2 - 1; an A-prime's companion and a midpoint flanker are prime
+to 2N; and a target's A-primes are s(2N) = pi - omega on a trusted table:
+one the run sieved, or one equal to a fresh sieve.  Each chunk reads the
+table's departures from a fresh sieve (``PrimeTable.departures``) up to its
+own last window; with some, s is no longer pi - omega and a cleared prime
+can break a companion or a flanker, so its targets take the byte windows of
+``classify`` on their factor lists, which are built only for them.  r(2N)
+comes from one square of the bitmap polynomial in C ``decimal`` (Kronecker
+substitution, number-theoretic transform) where a work estimate says the
+targets' prime windows cost more, else from the windows.
 
 The linear claims evaluate a whole chunk per step.  The Goldbach scan holds
 the chunk's unresolved targets in one int and resolves, for each odd prime
@@ -60,7 +60,7 @@ from collections.abc import Callable
 from enum import Enum
 from functools import cache, cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, gt, itemgetter, mod, mul, not_, rshift, sub, truth
+from operator import add, floordiv, gt, itemgetter, mul, rshift, sub
 
 from ._record import Record, set_field
 from .classify import EvenTarget, PrimeSplit, btype_bytes, split_primes, window_end
@@ -70,7 +70,6 @@ from .partition import (
     census,
     kind_of_prime_pair,
     mirror_pair,
-    mixed_partitions,
     partition_total,
     prime_mirror,
     self_pair,
@@ -600,24 +599,6 @@ def _pack(bits: bytes) -> int:
     return int(bits.translate(_ASCII_BITS)[::-1], 2)
 
 
-def _screened_phi(two_n: int, qs) -> int:
-    """phi(2N) when ``qs`` are exactly the odd prime factors of 2N (each q
-    divides 2N, and dividing out their powers leaves a power of two), else 0.
-
-    >>> _screened_phi(30, [3, 5]), _screened_phi(30, [5]), _screened_phi(30, [3, 5, 7])
-    (8, 0, 0)
-    """
-    m, phi = two_n, two_n >> 1
-    for q in qs:
-        if m % q:
-            return 0
-        phi = phi // q * (q - 1)
-        m //= q
-        while not m % q:
-            m //= q
-    return phi if m & (m - 1) == 0 else 0
-
-
 def _pair_count_digits(bits: bytes, lo: int, hi: int) -> tuple[str, int]:
     """(digits, w): c[N - 1] for N = lo/2, ..., hi/2 in w-digit slots, c the
     square of sum(bits[i] x^i) with x^0 (the odd 1) forced to 0, so that
@@ -657,60 +638,34 @@ def _window_rs(chunk: _ChunkContext) -> list[int]:
             for two_n in range(c_lo, c_hi + 1, 2)]
 
 
-def _a_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, int]:
-    """(A, rB) of 2N on its byte windows, the odd m at byte (m - 3) / 2,
-    ``qs`` taken as its odd prime factors: A the marked odds prime to them,
-    s(2N) of them on the true factors, and rB the B-type window mirrored."""
-    k = (two_n >> 1) - 2
-    b, rb = mirror_pair(btype_bytes(k, qs), k)
-    return int.from_bytes(chunk.odds(3, two_n - 3), "little") & ~b, rb
+def _a_window(two_n: int, qs, chunk: _ChunkContext) -> int:
+    """The A-window of 2N on its byte windows, the odd m at byte (m - 3) / 2,
+    ``qs`` its odd prime factors: the marked odds prime to 2N, s(2N) of them."""
+    b = btype_bytes((two_n >> 1) - 2, qs)
+    return int.from_bytes(chunk.odds(3, two_n - 3), "little") & ~int.from_bytes(b, "little")
 
 
 def _companion_window(two_n: int, qs, chunk: _ChunkContext) -> tuple[int, dict | None]:
-    """(A-primes, first failed check) of 2N on its byte windows (``_a_window``),
-    ``qs`` taken as its odd prime factors: (1) no companion is B-type,
-    (2) every listed factor divides 2N, (3) no A-prime divides its companion,
-    (4) no companion has a prime factor that the table clears.
-
-    An A-prime p divides 2N - p iff it divides 2N, and then it divides m, the
-    odd part of 2N with the listed primes stripped; so (3) reports the
-    smallest A-prime among the divisors of m.  (4) mirrors the window of the
-    cleared primes' multiples as (1) mirrors the B-type window, and reports
-    the smallest A-prime hit, with its companion's smallest cleared prime."""
-    a, rb = _a_window(two_n, qs, chunk)
-    count = a.bit_count()
-    if not a:
-        return 0, None
-    if a & rb:
-        p = 3 + 2 * (_low_bit(a & rb) >> 3)
-        return count, {"two_n": two_n, "p": p, "companion": two_n - p,
-                       "reason": "companion is B-type"}
-    for q in qs:
-        if two_n % q:
-            return count, {"two_n": two_n, "q": q,
-                           "reason": "factor route missed an odd prime factor"}
-    m = two_n >> _low_bit(two_n)
-    for q in qs:
-        while not m % q:
-            m //= q
-    if m > 1:
-        small = [d for d in range(3, math.isqrt(m) + 1, 2) if not m % d]
-        for p in sorted({*small, *(m // d for d in small), m}):
-            if a >> (4 * (p - 3)) & 1:  # byte (p - 3) / 2 of the window
-                return count, {"two_n": two_n, "p": p, "companion": two_n - p,
-                               "reason": "companion divisible by its own prime"}
+    """(A-primes, failure) of 2N on its byte windows (``_a_window``), ``qs``
+    its odd prime factors.  A companion 2N - p of an A-prime p is prime to
+    2N, as p is, so each of its prime factors is an A-prime unless the table
+    clears it.  The window of the cleared primes' multiples, mirrored, marks
+    the A-primes whose companion has one: the smallest such A-prime fails,
+    with its companion's smallest cleared prime."""
+    a = _a_window(two_n, qs, chunk)
     k = (two_n >> 1) - 2
     hit = a & mirror_pair(btype_bytes(k, chunk.cleared), k)[1]
-    if hit:
-        p = 3 + 2 * (_low_bit(hit) >> 3)
-        q = next(q for q in chunk.cleared if not (two_n - p) % q)
-        return count, {"two_n": two_n, "p": p, "companion": two_n - p, "factor": q,
-                       "reason": "factor not marked prime"}
-    return count, None
+    if not hit:
+        return a.bit_count(), None
+    p = 3 + 2 * (_low_bit(hit) >> 3)
+    q = next(q for q in chunk.cleared if not (two_n - p) % q)
+    return a.bit_count(), {"two_n": two_n, "p": p, "companion": two_n - p,
+                           "factor": q, "reason": "factor not marked prime"}
 
 
 def _departures(table: PrimeTable, hi: int) -> tuple[int, ...]:
-    """The table's departures from 3 to hi - 3, all that a range to hi reads."""
+    """The table's departures from 3 to hi - 3, all that a chunk of targets up
+    to hi reads: a chunk below the first departure reads a fresh sieve."""
     found = table.departures
     return found[bisect_left(found, 3) : bisect_right(found, hi - 3)]
 
@@ -749,61 +704,6 @@ def _odd_factor_lists(c_lo: int, c_hi: int, source) -> list[list[int]]:
     return facs
 
 
-def _zeros(flags: bytes):
-    """The indices of the zero bytes of ``flags``, ascending."""
-    i = flags.find(0)
-    while i >= 0:
-        yield i
-        i = flags.find(0, i + 1)
-
-
-class _Factors(Record):
-    """The per-target inputs that the range kernels read off the odd prime
-    factors ``lists`` of the evens lo, lo + 2, ..., hi, each built from the
-    lists on first read, so that a run reads only what its kernels need:
-
-    - ``omega``: the length of each list, one byte per even, also read by
-      window (``omega_at``) and bounded above (``omega_bound``);
-    - ``divides``: 1 where every listed prime divides 2N, else 0;
-    - ``phi``: phi(2N) where the list is exactly the odd primes of 2N, else 0
-      (``_screened_phi``);
-    - ``exact``: 1 where ``phi`` is nonzero, else 0.
-    """
-
-    def __init__(self, lo: int, hi: int, lists: list[list[int]]) -> None:
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "lists", lists)
-
-    @property
-    def evens(self) -> range:
-        return range(self.lo, self.hi + 1, 2)
-
-    @cached_property
-    def omega(self) -> bytes:
-        return bytes(map(len, self.lists))
-
-    def omega_bound(self) -> int:
-        """An upper bound on every ``omega``: here their maximum."""
-        return max(self.omega)
-
-    def omega_at(self, lo: int, hi: int) -> bytes:
-        """``omega`` of the evens in [lo, hi], a window of the record's."""
-        return self.omega[(lo - self.lo) >> 1 : ((hi - self.lo) >> 1) + 1]
-
-    @cached_property
-    def divides(self) -> bytes:
-        return bytes(map(not_, map(mod, self.evens, map(math.prod, self.lists))))
-
-    @cached_property
-    def phi(self) -> list[int]:
-        return list(map(_screened_phi, self.evens, self.lists))
-
-    @cached_property
-    def exact(self) -> bytes:
-        return bytes(map(truth, self.phi))
-
-
 @cache
 def _plus(w: int) -> bytes:
     """The ``translate`` table that adds w to every byte, modulo 256, cut
@@ -832,10 +732,23 @@ def _add_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "little") + int.from_bytes(b, "little")).to_bytes(n, "little")
 
 
-class _SievedFactors(_Factors):
-    """The fields of ``_Factors`` for the true factor lists, read off the
-    strides of the small primes up to sqrt(hi) that ``_odd_factor_lists``
-    walks, without building a list.
+class _SievedFactors(Record):
+    """The factor inputs of the evens lo, lo + 2, ..., hi that the range
+    kernels read, off the strides of the small primes up to sqrt(hi) that
+    ``_odd_factor_lists`` walks, each built on first read, so that a run
+    builds only what its kernels need:
+
+    - ``omega``: the count of odd primes of each 2N, one byte per even, also
+      read by window (``omega_at``) and bounded above (``omega_bound``);
+    - ``phi``: phi(2N), which only comet reads;
+    - ``lists``: the odd primes themselves, read only by the byte-window
+      routes of a table with departures.
+
+    The factors counted are exactly the odd primes of 2N, by construction:
+    each small prime is counted only on its own stride, so it divides 2N;
+    the small primes are a fresh sieve's, so every one that divides 2N is
+    counted; and the cofactor is what is left of 2N's odd part, 1 or a
+    single prime, as two factors above sqrt(hi) would exceed hi.
 
     ``omega`` of 2N = 2 * N is the number of walked odd primes that divide N,
     each adding 1 along its stride with one ``translate``, plus 1 where N
@@ -869,22 +782,12 @@ class _SievedFactors(_Factors):
     (``omega_at``) takes a pass over that window alone until the whole is
     built, ``omega_bound`` is a primorial count that reads no stride, and
     ``lists`` are built only when read.
-
-    ``divides`` and ``exact`` are 1 everywhere, by construction: each small
-    prime is counted only on its own stride, so it divides 2N, and the
-    cofactor is what is left of 2N's odd part, so it divides 2N too; the small
-    primes are a fresh sieve's, every one that divides 2N is counted, and the
-    cofactor is 1 or a single prime, as two factors above sqrt(hi) would
-    exceed hi.  So the factors counted are exactly the odd primes of 2N.
     """
 
     def __init__(self, lo: int, hi: int, small_primes: tuple[int, ...]) -> None:
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
         set_field(self, "small_primes", small_primes)
-        ones = b"\x01" * ((hi - lo) // 2 + 1)
-        set_field(self, "divides", ones)
-        set_field(self, "exact", ones)
 
     @cached_property
     def lists(self) -> list[list[int]]:
@@ -918,7 +821,7 @@ class _SievedFactors(_Factors):
         is built, else the log pass over that window alone, or the division
         pass where the log bounds do not separate."""
         if "omega" in self.__dict__:
-            return super().omega_at(lo, hi)
+            return self.omega[(lo - self.lo) >> 1 : ((hi - self.lo) >> 1) + 1]
         omega = self._log_omega(lo, hi)
         return self._divide(lo, hi)[0] if omega is None else omega
 
@@ -984,20 +887,14 @@ class _SievedFactors(_Factors):
         return _add_bytes(omega, big), phi
 
 
-def _factor_sieve(lo: int, hi: int, source) -> _Factors:
-    """The fused chunk sieve: the ``_Factors`` of the evens in [lo, hi] on the
-    small primes of ``source``, read off the strides (``_SievedFactors``)."""
-    return _SievedFactors(lo, hi, source.small_primes)
-
-
 class _ChunkContext(Record):
     """The kernel inputs of the evens in [c_lo, c_hi], each built on first use
     and then kept, so that every kernel run on the chunk shares them.  The
-    fused sieve runs 2 evens past each end, where the midpoint flankers'
-    doubles sit.  ``pi`` is pi(c_lo - 3), carried in; ``departures`` the
-    table's (``_departures``), the same for every kernel; ``digits``
-    the chunk's slots of the bitmap square (comet).  Kernels see ``table``
-    only through the next two members."""
+    fused sieve's record runs 2 evens past each end.  ``pi`` is pi(c_lo - 3),
+    carried in; ``departures`` the table's up to c_hi - 3 (``_departures``),
+    the same for every kernel; ``digits`` the chunk's slots of the bitmap
+    square (comet).  Kernels see ``table`` only through the next two
+    members."""
 
     def __init__(self, c_lo: int, c_hi: int, pi: int, departures: tuple[int, ...],
                  digits: str | None, table: PrimeTable) -> None:
@@ -1026,14 +923,14 @@ class _ChunkContext(Record):
                      if d <= self.c_hi - 3 and not self.odds(d, d)[0])
 
     @cached_property
-    def halo(self) -> _Factors:
+    def halo(self) -> _SievedFactors:
         """The fused sieve's inputs of the evens from c_lo - 4 to c_hi + 4."""
-        return _factor_sieve(self.c_lo - 4, self.c_hi + 4, self)
+        return _SievedFactors(self.c_lo - 4, self.c_hi + 4, self.small_primes)
 
     @cached_property
     def facs(self) -> list[list[int]]:
-        """The targets' factor lists, read only by the targets that take a
-        byte window."""
+        """The targets' factor lists, read only on a chunk with departures,
+        whose targets take the byte windows."""
         return self.halo.lists[2:-2]
 
     @cached_property
@@ -1045,7 +942,7 @@ class _ChunkContext(Record):
         to b - 1 from c_lo: pi(2N - 3) - omega_odd(2N), pi counted on from the
         carried pi, on a chunk without departures, else each A-window's count."""
         if self.departures:
-            return [_a_window(self.c_lo + 2 * j, self.facs[j], self)[0].bit_count()
+            return [_a_window(self.c_lo + 2 * j, self.facs[j], self).bit_count()
                     for j in range(a, b)]
         pi = self.pi + self.steps.count(1, 0, a)
         omega = self.halo.omega_at(self.c_lo + 2 * a, self.c_lo + 2 * b - 2)
@@ -1058,7 +955,7 @@ class _ChunkContext(Record):
 
     @cached_property
     def phis(self) -> list[int]:
-        """phi(2N) where the target's factors are exactly its odd primes, else 0."""
+        """phi(2N) of every target."""
         return self.halo.phi[2:-2]
 
     @cached_property
@@ -1072,20 +969,10 @@ class _ChunkContext(Record):
 
 
 def _chunk_same_type(chunk: _ChunkContext) -> dict:
-    """Mixed partitions of the chunk's evens.  A target whose factors all
-    divide 2N (``divides``) has none: a is a multiple of a listed q iff
-    2N - a is, so its B-type window is its own mirror.  Any other target
-    compares that window with the mirror."""
-    mixed_total = 0
-    fail = None
-    for i in _zeros(chunk.halo.divides[2:-2]):
-        two_n = chunk.c_lo + 2 * i
-        qs = chunk.facs[i]
-        count, first = mixed_partitions(two_n, btype_bytes((two_n >> 1) - 2, qs))
-        mixed_total += count
-        if first and fail is None:
-            fail = {"two_n": two_n, "partition": list(first)}
-    return {"mixed_total": mixed_total, "fail": fail, "boundary": []}
+    """No partition of the chunk's evens is mixed, by algebra, as ``census``
+    states: the odd primes of 2N each divide it, so a is a multiple of one
+    iff 2N - a is, and the B-type window of 2N is its own mirror."""
+    return {"mixed_total": 0, "fail": None, "boundary": []}
 
 
 def _chunk_s_bound(chunk: _ChunkContext) -> dict:
@@ -1094,12 +981,12 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
     s = pi - omega, where pi = pi(2N - 3) rises by 0 or 1 from one target to
     the next, and omega lies in [0, W] for the halo's ``omega_bound`` W: an
     even 2N <= hi with k distinct odd primes is at least 2 * 3 * 5 * ... *
-    p_k, so W is the largest k whose product stays within hi (a record
-    built from lists gives their maximum instead).  So every s at or below
-    the first target's, and every s < 2 once the first is not, sits where
-    pi <= pi_first + W: a prefix that ends before the (W + 1)-th marked
-    bit.  Every s at or above the last target's sits where pi >= pi_last -
-    W: a suffix that starts after the (W + 1)-th marked bit from the end.
+    p_k, so W is the largest k whose product stays within hi.  So every s
+    at or below the first target's, and every s < 2 once the first is not,
+    sits where pi <= pi_first + W: a prefix that ends before the (W + 1)-th
+    marked bit.  Every s at or above the last target's sits where pi >=
+    pi_last - W: a suffix that starts after the (W + 1)-th marked bit from
+    the end.
     A larger W only lengthens the two ends, so any bound at or above the
     true maximum gives the same first minimum, maximum and failure.  s, and
     so omega, is evaluated on those two ends only, each tens of targets.
@@ -1146,19 +1033,18 @@ def _chunk_s_bound(chunk: _ChunkContext) -> dict:
 def _chunk_companions(chunk: _ChunkContext) -> dict:
     """Companion checks for the chunk's evens.
 
-    On a table without departures a target whose factors are exactly its
-    odd primes (``exact``) cannot fail: they are each marked, so its A-primes
-    are s(2N) = pi(2N - 3) - omega_odd(2N).  When every target is such, as on
-    the fused sieve, the chunk's count is a difference of two sums, with no
-    per-target value: sum(pi) from the carried pi and the steps between
-    targets, and sum(omega) over the chunk's bytes.  Otherwise (doctored
-    lists, or departures) every target takes ``_companion_window`` on its
-    factor list in ascending order, which counts s on such a target too.
+    On a chunk without departures no target can fail: a companion is prime
+    to 2N and the table marks each of its prime factors, and a target's
+    A-primes are s(2N) = pi(2N - 3) - omega_odd(2N).  So the chunk's count is
+    a difference of two sums, with no per-target value: sum(pi) from the
+    carried pi and the steps between targets, and sum(omega) over the
+    chunk's bytes.  On a chunk with departures every target takes
+    ``_companion_window`` on its factor list in ascending order.
     """
-    c_lo, halo = chunk.c_lo, chunk.halo
+    c_lo = chunk.c_lo
     boundary = [{"two_n": 6}] if c_lo == 6 else []
-    if not chunk.departures and 0 not in halo.exact[2:-2]:
-        n, pi, omega = len(chunk.evens), chunk.pi, halo.omega[2:-2]
+    if not chunk.departures:
+        n, pi, omega = len(chunk.evens), chunk.pi, chunk.halo.omega[2:-2]
         # pi(2N - 3) of target i is pi plus the steps j < i, so step j is
         # counted by the n - 1 - j targets after it
         a_total = (n * pi + sum(compress(range(n - 1, 0, -1), chunk.steps))
@@ -1260,7 +1146,7 @@ def _chunk_midpoint_coprime(chunk: _ChunkContext) -> dict:
 
     For even N the flankers N -+ 1 are odd and coprime to N; for odd N the
     flankers N -+ 2 are odd and gcd(N -+ 2, N) = gcd(2, N) = 1.  Either way
-    both flankers are prime to 2N, whatever the table or the factor lists say:
+    both flankers are prime to 2N, whatever the table says:
 
     >>> all(math.gcd(v, 2 * n) == 1
     ...     for n in range(4, 20_000) for v in midpoint_values(2 * n))
@@ -1273,44 +1159,25 @@ def _chunk_midpoint_decomposes(chunk: _ChunkContext) -> dict:
     """Check that the midpoint flankers of each even in [c_lo, c_hi] factor
     over its A-primes.
 
-    The halo holds the fused sieve's inputs of the evens in
-    [c_lo - 4, c_hi + 4], 2 evens past each end of the chunk.  A flanker v of
-    2N has 2v = 2N -+ 2 or 2N -+ 4, so its factors sit at index
-    (2v - c_lo + 4) >> 1.  A factor of v that divides v is prime to 2N, as it
-    would else divide 2 or 4; so only a flanker whose factors do not all
-    divide 2v (``divides``), a wrong list, can fail, and only its four
-    targets 2v -+ 2 and 2v -+ 4 are checked, on its factor list, in
-    ascending order.  A flanker marked prime is prime to 2N, so it is its own
-    A-prime.  A flanker with a factor that the table clears is no product of
-    A-primes: where the table clears any prime, every target is checked.
-    The targets with two flankers marked prime are counted off the bitmap:
-    N -+ 1 for even N, N -+ 2 for odd N, one byte apart per step of 4.
+    A flanker v of 2N is prime to 2N (``_chunk_midpoint_coprime``), so each
+    of its prime factors is an A-prime unless the table clears it: a flanker
+    marked prime is its own A-prime, and only a flanker with a factor that
+    the table clears can fail.  So only a chunk whose table clears a prime
+    checks its targets, in ascending order, each flanker with its smallest
+    cleared factor.  The targets with two flankers marked prime are counted
+    off the bitmap: N -+ 1 for even N, N -+ 2 for odd N, one byte apart per
+    step of 4.
     """
-    c_lo, c_hi, halo, cleared = chunk.c_lo, chunk.c_hi, chunk.halo, chunk.cleared
+    c_lo, c_hi, cleared = chunk.c_lo, chunk.c_hi, chunk.cleared
     first = max(c_lo, 8)
-    vb = ((first >> 1) - 2) | 1
-    vs = range(vb, (((c_hi >> 1) + 1) | 1) + 1, 2)  # every flanker in the chunk
-    bits = chunk.odds(vb, vs[-1])  # byte j: the flanker vb + 2j
-    at = vb - (c_lo >> 1) + 2  # the halo index of 2 * vb
-    divides = halo.divides[at : at + 2 * len(vs) : 2]
-    todo = {2 * vs[j] + d for j in _zeros(divides) for d in (-4, -2, 2, 4)}
-    if cleared:  # a flanker of any target may have a factor the table clears
-        todo = range(first, c_hi + 1, 2)
+    vb = ((first >> 1) - 2) | 1  # the first flanker in the chunk
+    bits = chunk.odds(vb, ((c_hi >> 1) + 1) | 1)  # byte j: the flanker vb + 2j
     fail = None
-    for two_n in sorted(t for t in todo if first <= t <= c_hi):
-        for v in midpoint_values(two_n):
-            # lists ascend, so shared[0] is the smallest shared prime
-            shared = [q for q in halo.lists[(2 * v - c_lo + 4) >> 1] if two_n % q == 0]
-            if shared and not bits[(v - vb) >> 1]:
-                fail = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
-                break
-            q = next((q for q in cleared if not v % q), None)
-            if q is not None:
-                fail = {"two_n": two_n, "value": v, "factor": q,
-                        "reason": "factor not marked prime"}
-                break
-        if fail is not None:
-            break
+    if cleared:  # targets ascending, each flanker with its smallest cleared factor
+        fail = next(({"two_n": two_n, "value": v, "factor": q,
+                      "reason": "factor not marked prime"}
+                     for two_n in range(first, c_hi + 1, 2)
+                     for v in midpoint_values(two_n) for q in cleared if not v % q), None)
     both_prime = 0
     f = first >> 1
     for step, n in ((1, f + (f & 1)), (2, f | 1)):  # the smallest even, odd N
@@ -1344,13 +1211,11 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
     from the chunk's slots of the bitmap square or else from each target's
     prime window.
 
-    A target whose factors are exactly its odd primes (phi(2N) > 0) has its
-    phi(2N) odds prime to 2N in mirrored pairs (a, 2N - a), a != N, and none
-    is mixed: a_count is those pairs less (1, 2N - 1), b_count h - a_count.
-    Any other target mirrors the B-type window of its factor list once and
-    keeps its r, which reads only the table.  s is the chunk's (``s_run``),
-    s_bound's.  phi is read first, so that the fused sieve builds it in the
-    pass that builds omega, s's input on a table without departures.
+    A target has its phi(2N) odds prime to 2N in mirrored pairs (a, 2N - a),
+    a != N, and none is mixed: a_count is those pairs less (1, 2N - 1),
+    b_count h - a_count.  s is the chunk's (``s_run``), s_bound's.  phi is
+    read first, so that the fused sieve builds it in the pass that builds
+    omega, s's input on a table without departures.
     """
     c_lo, c_hi, digits = chunk.c_lo, chunk.c_hi, chunk.digits
     phis = chunk.phis
@@ -1365,13 +1230,7 @@ def _chunk_comet(chunk: _ChunkContext) -> list[tuple[int, int, int, int, int]]:
         rs = list(map(rshift, map(add, slots, odd_n), repeat(1)))
     a_counts = list(map(sub, map(rshift, phis, repeat(1)), repeat(1)))
     hs = map(floordiv, range(c_lo - 2, c_hi - 1, 2), repeat(4))  # h(2N) = (2N - 2) // 4
-    rows = list(zip(chunk.evens, rs, chunk.s, a_counts, map(sub, hs, a_counts)))
-    for i in _zeros(chunk.halo.exact[2:-2]):
-        two_n, r, s = rows[i][:3]
-        h = partition_total(two_n)
-        fwd, rev = mirror_pair(btype_bytes((two_n >> 1) - 2, chunk.facs[i]), h)
-        rows[i] = two_n, r, s, h - (fwd | rev).bit_count(), (fwd & rev).bit_count()
-    return rows
+    return list(zip(chunk.evens, rs, chunk.s, a_counts, map(sub, hs, a_counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -1542,14 +1401,14 @@ def range_verify(
 
     Returns one aggregated outcome per claim, with the smallest failing
     target as the counterexample when a claim fails.  Output is independent
-    of the worker count.  Chunks read the table's departures (``_departures``).
+    of the worker count.  Each chunk reads the table's departures up to its
+    own last window (``_departures``).
     """
     table = _range_table(lo, hi, workers, chunk_evens, table)
     selected = tuple(c for c in ALL_CLAIMS if c in set(claims))
     kernels = tuple(CLAIM_SPECS[c].kernel for c in selected)
-    departures = _departures(table, hi)
-    jobs = [(kernels, *chunk, departures, None)
-            for chunk in _chunk_ranges(lo, hi, chunk_evens, table)]
+    jobs = [(kernels, c_lo, c_hi, pi, _departures(table, c_hi), None)
+            for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table)]
     partials = _map_chunks(jobs, workers, table)
     return [_merge_partials(cid, [p[i] for p in partials], lo, hi)
             for i, cid in enumerate(selected)]
@@ -1574,7 +1433,6 @@ def comet_rows(
         slots = [digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
                  for c_lo, c_hi, _ in chunks]
         del digits
-    departures = _departures(table, hi)
-    jobs = [((_chunk_comet,), *chunk, departures, digits)
-            for chunk, digits in zip(chunks, slots)]
+    jobs = [((_chunk_comet,), c_lo, c_hi, pi, _departures(table, c_hi), digits)
+            for (c_lo, c_hi, pi), digits in zip(chunks, slots)]
     return [row for (rows,) in _map_chunks(jobs, workers, table) for row in rows]

@@ -139,17 +139,6 @@ def goldbach_pairs(two_n: int, table: PrimeTable) -> tuple[tuple[int, int], ...]
     return tuple(pairs)
 
 
-def mixed_partitions(two_n: int, bmask: bytes) -> tuple[int, tuple[int, int] | None]:
-    """(count, smallest-a member) of the partitions of 2N whose components the
-    B-type window ``bmask`` classifies differently."""
-    fwd, rev = mirror_pair(bmask, partition_total(two_n))
-    diff = fwd ^ rev
-    if not diff:
-        return 0, None
-    a = 3 + 2 * (((diff & -diff).bit_length() - 1) >> 3)
-    return diff.bit_count(), (a, two_n - a)
-
-
 def self_pair(t: EvenTarget, table: PrimeTable) -> tuple[int, int] | None:
     """The partition (N, N) when it is a prime pair, else None.
 

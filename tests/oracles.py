@@ -157,16 +157,6 @@ def companions_td(t, split, table) -> list:
     return records
 
 
-def doctored_same_type_td(two_n: int, listed) -> tuple[list[int], int]:
-    """(smallest mixed partition or [], mixed count) of 2N when ``listed`` are
-    taken as its odd prime factors: an odd m is B-type iff it shares a factor
-    with their product."""
-    rad = math.prod(listed)
-    mixed = [a for a, b in partitions_td(two_n)
-             if (math.gcd(a, rad) == 1) != (math.gcd(b, rad) == 1)]
-    return ([mixed[0], two_n - mixed[0]] if mixed else []), len(mixed)
-
-
 def doctored_companion_fail_td(two_n: int, listed, prime=None) -> dict | None:
     """First failure of the companion checks when ``listed`` are taken as the
     odd prime factors of 2N and ``prime(m)`` says which odds are marked, None
@@ -622,20 +612,43 @@ def comet_chunk(c_lo, c_hi, pi, facs, table, windows=False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Doctored factor lists
+# The factor record built from lists
 # ---------------------------------------------------------------------------
 
 
-def patch_factor_lists(monkeypatch, lists) -> None:
-    """Make every range run read its chunks' factor inputs off
-    ``lists(c_lo, c_hi, source)``, factor lists a test doctors, typically an
-    edit of ``claims._odd_factor_lists``: the fused chunk sieve returns the
-    record built from them.  ``monkeypatch`` is pytest's, or a
-    ``pytest.MonkeyPatch.context()``; pool workers inherit the patch under
-    fork."""
-    import goldbach_ab.claims as claims_mod
+def screened_phi(two_n: int, qs) -> int:
+    """phi(2N) when ``qs`` are exactly the odd prime factors of 2N (each q
+    divides 2N, and dividing out their powers leaves a power of two), else 0.
 
-    def listed(lo, hi, source):
-        return claims_mod._Factors(lo, hi, lists(lo, hi, source))
+    >>> screened_phi(30, [3, 5]), screened_phi(30, [5]), screened_phi(30, [3, 5, 7])
+    (8, 0, 0)
+    """
+    m, phi = two_n, two_n // 2
+    for q in qs:
+        if m % q:
+            return 0
+        phi = phi // q * (q - 1)
+        while m % q == 0:
+            m //= q
+    return phi if m & (m - 1) == 0 else 0
 
-    monkeypatch.setattr(claims_mod, "_factor_sieve", listed)
+
+class ListedFactors:
+    """The factor record of the evens lo, lo + 2, ..., hi that the range
+    kernels read, built from ``lists``, the odd prime factors given for each
+    even: ``omega`` their lengths, ``phi`` by ``screened_phi``.  On the true
+    lists it is the reference the fused sieve is pinned to; built from
+    doctored lists, a test places it in a chunk context's ``halo`` slot."""
+
+    def __init__(self, lo: int, hi: int, lists) -> None:
+        self.lo, self.hi, self.lists = lo, hi, lists
+        self.omega = bytes(map(len, lists))
+        self.phi = list(map(screened_phi, range(lo, hi + 1, 2), lists))
+
+    def omega_bound(self) -> int:
+        """An upper bound on every ``omega``: here their maximum."""
+        return max(self.omega)
+
+    def omega_at(self, lo: int, hi: int) -> bytes:
+        """``omega`` of the evens in [lo, hi], a window of the record's."""
+        return self.omega[(lo - self.lo) >> 1 : ((hi - self.lo) >> 1) + 1]

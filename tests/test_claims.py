@@ -37,7 +37,7 @@ import goldbach_ab.cli as cli_mod
 import goldbach_ab.sieve as sieve_mod
 from goldbach_ab.claims import (
     _ChunkContext,
-    _Factors,
+    _SievedFactors,
     _chunk_comet,
     _chunk_companions,
     _chunk_midpoint_coprime,
@@ -48,7 +48,6 @@ from goldbach_ab.claims import (
     _chunk_s_bound,
     _chunk_same_type,
     _departures,
-    _factor_sieve,
     _odd_factor_lists,
     _pair_count_digits,
     _window_rs,
@@ -68,11 +67,9 @@ from oracles import (
     companions_td,
     doctored_companion_fail_td,
     doctored_pair_scan_fails_td,
-    doctored_same_type_td,
     factorize_td,
     is_prime_td,
     midpoints_td,
-    patch_factor_lists,
     split_td,
 )
 
@@ -539,37 +536,23 @@ def test_range_both_prime_pairs_match_midpoint_reports(table_20k, chunk_evens):
     assert ranged.payload["both_prime_pairs"] == want > 0
 
 
-def _doctor_factor_lists(monkeypatch, even, q, drop=False):
-    """Make every chunk factor sieve that covers ``even`` also list prime q,
-    or with ``drop`` leave its factor q out."""
-    real = claims_mod._odd_factor_lists
-
-    def doctored(c_lo, c_hi, table):
-        facs = real(c_lo, c_hi, table)
-        if c_lo <= even <= c_hi:
-            i = (even - c_lo) >> 1
-            facs[i] = [p for p in facs[i] if p != q] if drop else sorted(facs[i] + [q])
-        return facs
-
-    patch_factor_lists(monkeypatch, doctored)
+# Every claim but the three that hold by algebra fails with 3, 5 and 7
+# unmarked; with 17 and 23 cleared, a companion and a flanker have a factor
+# the table clears, and 28 = 5 + 23 = 11 + 17 loses both prime partitions.
+_CLAIM_ALONE_TABLES = {"flipped": ((3, 5, 7), ()), "doctored": ((17, 23), ())}
 
 
 @pytest.mark.parametrize("chunk_evens", [1, 3, 64, 8192])
 @pytest.mark.parametrize("variant", ["true", "flipped", "doctored"])
 def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
-    table_20k, monkeypatch, variant, chunk_evens
+    table_20k, variant, chunk_evens
 ):
     """A chunk builds its factor sieve and pair scan once, for the claims that
     read them; a claim run alone must give the outcome it has among all
     claims, failing payloads included."""
     table = table_20k
-    if variant == "flipped":  # 3, 5 and 7 unmarked: all but the three by algebra fail
-        bits = bytearray(table.odd_bits)
-        for i in (1, 2, 3):
-            bits[i] ^= 1
-        table = PrimeTable(table.limit, bytes(bits))
-    elif variant == "doctored":  # same-type, midpoint-decomposes, companions fail
-        _doctor_factor_lists(monkeypatch, 2002, 167)
+    if variant in _CLAIM_ALONE_TABLES:
+        table = _doctored_table(table, *_CLAIM_ALONE_TABLES[variant])
     together = range_verify(6, 4_000, table=table, chunk_evens=chunk_evens)
     assert [o.claim_id for o in together] == list(ALL_CLAIMS)
     for o in together:
@@ -577,7 +560,46 @@ def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
                                 chunk_evens=chunk_evens)
         assert alone.as_dict() == o.as_dict(), o.claim_id
     failing = sum(o.status == "fail" for o in together)
-    assert failing == {"true": 0, "flipped": 5, "doctored": 3}[variant]
+    assert failing == {"true": 0, "flipped": 5, "doctored": 4}[variant]
+
+
+# Tables that clear a prime, and one that also marks the composite 27: each
+# breaks companions and midpoint-decomposes.
+_FAILING_RUN_TABLES = [((41,), ()), ((167,), ()), ((3,), ()), ((17, 23), (27,))]
+
+
+@pytest.mark.parametrize("doctor", _FAILING_RUN_TABLES)
+def test_failing_run_payloads_do_not_depend_on_chunks(table_20k, doctor):
+    clear, mark = doctor
+    table = _doctored_table(table_20k, clear, mark)
+    worker_counts = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+    runs = {
+        (chunk_evens, workers): [o.as_dict() for o in range_verify(
+            6, 2_100, workers=workers, table=table, chunk_evens=chunk_evens)]
+        for chunk_evens in (1, 2, 3, 64, 8192) for workers in worker_counts
+    }
+    first = runs[(1, 1)]
+    assert all(run == first for run in runs.values())
+    by_id = {o["claim"]: o for o in first}
+    comp = by_id[ClaimId.COMPANION_DECOMPOSES.value]
+    mid = by_id[ClaimId.MIDPOINT_DECOMPOSES.value]
+    assert comp["status"] == mid["status"] == "fail"
+    # every target counts: its A-primes are the marked odds prime to 2N, and
+    # its flankers are both marked or not on the doctored table
+    marked = _doctored_marks(clear, mark)
+    assert comp["payload"]["a_primes_checked"] == sum(
+        oracles.s_td(two_n, marked) for two_n in range(8, 2_101, 2))
+    assert mid["payload"]["both_prime_pairs"] == sum(
+        all(map(marked, midpoints_td(two_n))) for two_n in range(8, 2_101, 2))
+
+
+@functools.lru_cache
+def _window_first_fail(lo, hi, clear, mark, claim):
+    """The oracle's counterexample of ``claim`` at the smallest failing target
+    in [lo, hi] of a table doctored by ``clear`` and ``mark``, or None."""
+    marked = _doctored_marks(clear, mark)
+    return next(filter(None, (oracles.claim_fails_td(two_n, marked)[claim.value]
+                              for two_n in range(lo, hi + 1, 2))), None)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -586,90 +608,71 @@ def test_each_claim_alone_equals_its_entry_in_the_all_claims_run(
     "v, q", [(25, 3), (25, 23), (45, 23), (1001, 167), (1025, 3)]
 )
 def test_range_midpoint_decomposes_reports_doctored_factor(
-    table_20k, monkeypatch, v, q, chunk_evens, workers
+    table_20k, v, q, chunk_evens, workers
 ):
+    """The prime q cleared from the table, over the five targets about 2v, of
+    which four have the flanker v: midpoint-decomposes fails at the first
+    target with a flanker that q divides, on that flanker and with q as its
+    factor, and passes where q divides none."""
     if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the doctored sieve reaches pool workers only under fork")
-    assert not is_prime_td(v)
-    listed = sorted([*factorize_td(v), q])
-    # Brute force: the four targets with flanker v, ascending; the first one
-    # some listed factor divides is the smallest failure.
-    want = None
-    for n in (v - 2, v - 1, v + 1, v + 2):
-        two_n = 2 * n
-        assert v in midpoints_td(two_n)
-        shared = [p for p in listed if two_n % p == 0]
-        if shared:
-            want = {"two_n": two_n, "value": v, "shared_prime": shared[0]}
-            break
-    assert want is not None
-    _doctor_factor_lists(monkeypatch, 2 * v, q)
-    out = range_verify(6, 2_100, claims=(ClaimId.MIDPOINT_DECOMPOSES,),
-                       workers=workers, table=table_20k, chunk_evens=chunk_evens)[0]
-    assert out.status == "fail"
-    assert out.payload["counterexample"] == want
+        pytest.skip("doctored range tests run pools only under fork")
+    lo, hi = 2 * v - 4, 2 * v + 4
+    assert sum(v in midpoints_td(two_n) for two_n in range(lo, hi + 1, 2)) == 4
+    # Brute force: the targets ascending, each flanker in order.
+    want = next(({"two_n": two_n, "value": w, "factor": q,
+                  "reason": "factor not marked prime"}
+                 for two_n in range(lo, hi + 1, 2)
+                 for w in midpoints_td(two_n) if w % q == 0), None)
+    assert want == _window_first_fail(lo, hi, (q,), (), ClaimId.MIDPOINT_DECOMPOSES)
+    table = _doctored_table(table_20k, (q,))
+    out = range_verify(lo, hi, claims=(ClaimId.MIDPOINT_DECOMPOSES,),
+                       workers=workers, table=table, chunk_evens=chunk_evens)[0]
+    assert out.status == ("pass" if want is None else "fail")
+    assert out.payload.get("counterexample") == want
+    marked = _doctored_marks((q,), ())
+    assert out.payload["both_prime_pairs"] == sum(
+        all(map(marked, midpoints_td(two_n))) for two_n in range(lo, hi + 1, 2))
 
 
-def _listed_with(two_n, q):
-    """The odd prime factors of ``two_n`` plus the non-factor prime q."""
-    assert is_prime_td(q) and two_n % q and 3 <= q <= two_n - 3
-    return sorted([*(p for p in factorize_td(two_n) if p != 2), q])
-
-
-# (two_n, q): q lands below and above N, on a power of two, and on 2000,
-# where no A-prime has a companion divisible by 1951 (2000 - 1951 = 49).
+# (two_n, q): the prime q, which does not divide two_n, lands below and above
+# N and on a power of two; on 2000 no A-prime has a companion divisible by
+# 1951 (2000 - 1951 = 49), and the first failure is 2004 = 53 + 1951.
 _DOCTORED_EVENS = [(30, 7), (1024, 3), (1366, 41), (2000, 1951), (2002, 5)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
 @pytest.mark.parametrize("two_n, q", _DOCTORED_EVENS)
-def test_range_same_type_reports_doctored_factor(
-    table_20k, monkeypatch, two_n, q, chunk_evens, workers
-):
-    if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the doctored sieve reaches pool workers only under fork")
-    want, mixed = doctored_same_type_td(two_n, _listed_with(two_n, q))
-    _doctor_factor_lists(monkeypatch, two_n, q)
-    out = range_verify(6, 2_100, claims=(ClaimId.SAME_TYPE_LEMMA,),
-                       workers=workers, table=table_20k, chunk_evens=chunk_evens)[0]
-    assert out.status == "fail"
-    assert out.payload["counterexample"] == {"two_n": two_n, "partition": want}
-    assert out.payload["mixed_total"] == mixed > 0
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
-@pytest.mark.parametrize("two_n, q", _DOCTORED_EVENS)
 def test_range_companions_report_doctored_factor(
-    table_20k, monkeypatch, two_n, q, chunk_evens, workers
+    table_20k, two_n, q, chunk_evens, workers
 ):
+    """The prime q cleared from the table, over the six targets from two_n:
+    the companion claim fails at the first target with an A-prime whose
+    companion q divides, on the smallest such A-prime and with q as the
+    factor, and counts each target's marked odds prime to it."""
     if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the doctored sieve reaches pool workers only under fork")
-    want = doctored_companion_fail_td(two_n, _listed_with(two_n, q))
-    assert want is not None
-    _doctor_factor_lists(monkeypatch, two_n, q)
-    out = range_verify(6, 2_100, claims=(ClaimId.COMPANION_DECOMPOSES,),
-                       workers=workers, table=table_20k, chunk_evens=chunk_evens)[0]
-    assert out.status == "fail"
-    assert out.payload["counterexample"] == want
+        pytest.skip("doctored range tests run pools only under fork")
+    assert two_n % q and is_prime_td(q)
+    lo, hi = two_n, two_n + 10
+    marked = _doctored_marks((q,), ())
+    # Brute force: the targets ascending, each A-prime ascending.
+    want = next(({"two_n": t, "p": p, "companion": t - p, "factor": q,
+                  "reason": "factor not marked prime"}
+                 for t in range(lo, hi + 1, 2) for p in range(3, t - 2, 2)
+                 if marked(p) and math.gcd(p, t) == 1 and (t - p) % q == 0), None)
+    assert want == _window_first_fail(lo, hi, (q,), (), ClaimId.COMPANION_DECOMPOSES)
+    assert (want["two_n"] == two_n) == (two_n != 2_000)
+    table = _doctored_table(table_20k, (q,))
+    out = range_verify(lo, hi, claims=(ClaimId.COMPANION_DECOMPOSES,),
+                       workers=workers, table=table, chunk_evens=chunk_evens)[0]
+    assert out.status == ("pass" if want is None else "fail")
+    assert out.payload.get("counterexample") == want
+    assert out.payload["a_primes_checked"] == sum(
+        oracles.s_td(t, marked) for t in range(lo, hi + 1, 2))
 
 
-def test_doctored_companion_cases_reach_both_failure_branches():
-    reasons = {doctored_companion_fail_td(two_n, _listed_with(two_n, q))["reason"]
-               for two_n, q in _DOCTORED_EVENS}
-    assert reasons == {"companion is B-type",
-                       "factor route missed an odd prime factor"}
-
-
-def _listed_without(two_n, q):
-    """The odd prime factors of ``two_n`` except its factor q."""
-    assert two_n % q == 0 and is_prime_td(q) and q > 2
-    return sorted(p for p in factorize_td(two_n) if p not in (2, q))
-
-
-# (two_n, q): the factor q of two_n left out of its list, so the lowest
-# A-prime q divides its companion two_n - q.
+# (two_n, q): an odd prime factor q of two_n that the table clears while it
+# marks the composite q * q.
 _DROPPED_FACTORS = [(30, 3), (1050, 7), (2046, 3)]
 
 
@@ -677,130 +680,34 @@ _DROPPED_FACTORS = [(30, 3), (1050, 7), (2046, 3)]
 @pytest.mark.parametrize("chunk_evens", [1, 2, 3, 8192])
 @pytest.mark.parametrize("two_n, q", _DROPPED_FACTORS)
 def test_range_companions_report_dropped_factor(
-    table_20k, monkeypatch, two_n, q, chunk_evens, workers
+    table_20k, two_n, q, chunk_evens, workers
 ):
+    """A table that clears the factor q of two_n and marks q * q: the fused
+    sieve still lists q, so q * q is B-type at two_n and no A-prime there
+    divides its companion, as one would on a factor list that dropped the
+    cleared q.  Same-type holds, and the companion claim counts and fails
+    as the oracle does over the five targets about two_n."""
     if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the doctored sieve reaches pool workers only under fork")
-    want = doctored_companion_fail_td(two_n, _listed_without(two_n, q))
-    assert want == {"two_n": two_n, "p": q, "companion": two_n - q,
-                    "reason": "companion divisible by its own prime"}
-    _doctor_factor_lists(monkeypatch, two_n, q, drop=True)
-    outs = range_verify(6, 2_100, workers=workers, table=table_20k,
-                        chunk_evens=chunk_evens,
-                        claims=(ClaimId.SAME_TYPE_LEMMA, ClaimId.COMPANION_DECOMPOSES))
-    same_type, comp = outs
-    # a dropped factor still divides 2N, so no partition turns mixed
-    assert doctored_same_type_td(two_n, _listed_without(two_n, q)) == ([], 0)
-    assert same_type.status == "pass" and same_type.payload["mixed_total"] == 0
-    assert comp.status == "fail"
-    assert comp.payload["counterexample"] == want
-
-
-# Every (target, odd prime factor, position of the factor in the list) of
-# [8, 2100].
-_EVERY_DROP = [(two_n, q, i) for two_n in range(8, 2_101, 2)
-               for i, q in enumerate(p for p in sorted(factorize_td(two_n)) if p > 2)]
-
-
-@functools.lru_cache
-def _every_drop_witness():
-    """The oracle's companion failure for every single-factor drop."""
-    marked = frozenset(p for p in range(3, 2_100, 2) if is_prime_td(p))
-    return {(two_n, q): doctored_companion_fail_td(
-                two_n, _listed_without(two_n, q), marked.__contains__)
-            for two_n, q, _ in _EVERY_DROP}
-
-
-def _drop_runs(chunk_evens):
-    """(lo, hi, {two_n: dropped q}) runs that together drop every factor of
-    _EVERY_DROP once, with at most one doctored target per chunk."""
-    if chunk_evens >= 5:  # one run per drop, on a window of one chunk
-        return [(max(6, two_n - 4), two_n + 4, {two_n: q})
-                for two_n, q, _ in _EVERY_DROP]
-    runs = defaultdict(dict)
-    for two_n, q, i in _EVERY_DROP:
-        runs[i, (two_n - 6) // 2 % chunk_evens][two_n] = q
-    return [(6, 2_100, drops) for drops in runs.values()]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("chunk_evens", [1, 3, 8192])
-def test_range_companions_fail_on_every_dropped_factor(
-    table_20k, monkeypatch, chunk_evens, workers
-):
-    """A dropped factor q of 2N is an A-prime dividing its companion 2N - q;
-    each such list fails with the oracle's witness, whichever factor it
-    drops, and each chunk's failure is its doctored target's."""
-    if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the doctored sieve reaches pool workers only under fork")
-    witness = _every_drop_witness()
-    assert all(w == {"two_n": two_n, "p": q, "companion": two_n - q,
-                     "reason": "companion divisible by its own prime"}
-               for (two_n, q), w in witness.items())
-    drops = {}
-    real_lists = claims_mod._odd_factor_lists
-
-    def doctored(c_lo, c_hi, table):
-        facs = real_lists(c_lo, c_hi, table)
-        for two_n, q in drops.items():
-            i = (two_n - c_lo) >> 1
-            if 0 <= i < len(facs):
-                facs[i] = [p for p in facs[i] if p != q]
-        return facs
-
-    chunk_fails = []
-    real_merge = claims_mod._merge_partials
-
-    def merge(claim_id, partials, lo, hi):
-        chunk_fails.extend(p["fail"] for p in partials if p["fail"])
-        return real_merge(claim_id, partials, lo, hi)
-
-    patch_factor_lists(monkeypatch, doctored)
-    monkeypatch.setattr(claims_mod, "_merge_partials", merge)
-    dropped = 0
-    for lo, hi, run in _drop_runs(chunk_evens):
-        drops.clear()
-        drops.update(run)
-        chunk_fails.clear()
-        (out,) = range_verify(lo, hi, claims=(ClaimId.COMPANION_DECOMPOSES,),
-                              workers=workers, table=table_20k,
-                              chunk_evens=chunk_evens)
-        want = [witness[two_n, run[two_n]] for two_n in sorted(run)]
-        assert chunk_fails == want
-        assert out.payload["counterexample"] == want[0]
-        dropped += len(run)
-    assert dropped == len(_EVERY_DROP)
-
-
-@pytest.mark.parametrize("doctor", [(1366, 41, False), (2002, 167, False),
-                                    (50, 3, False), (30, 3, True)])
-def test_failing_run_payloads_do_not_depend_on_chunks(table_20k, monkeypatch, doctor):
-    two_n, q, drop = doctor
-    passing = {o.claim_id: o.payload
-               for o in range_verify(6, 2_100, table=table_20k)}
-    _doctor_factor_lists(monkeypatch, two_n, q, drop=drop)
-    worker_counts = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
-    runs = {
-        (chunk_evens, workers): [o.as_dict() for o in range_verify(
-            6, 2_100, workers=workers, table=table_20k, chunk_evens=chunk_evens)]
-        for chunk_evens in (1, 2, 3, 64, 8192) for workers in worker_counts
-    }
-    first = runs[(1, 1)]
-    assert all(run == first for run in runs.values())
-    by_id = {o["claim"]: o for o in first}
-    comp = by_id[ClaimId.COMPANION_DECOMPOSES.value]
-    assert comp["status"] == "fail"
-    # every target counts: one A-prime fewer where a prime is added, and
-    # where q is dropped it and its multiples count again
-    listed = (_listed_without(two_n, q) if drop else _listed_with(two_n, q))
-    a_primes = sum(1 for m in range(3, two_n - 2, 2)
-                   if is_prime_td(m) and math.gcd(m, math.prod(listed)) == 1)
-    assert comp["payload"]["a_primes_checked"] == (
-        passing[ClaimId.COMPANION_DECOMPOSES]["a_primes_checked"]
-        - _split(two_n, table_20k).s + a_primes)
-    mid = by_id[ClaimId.MIDPOINT_DECOMPOSES.value]["payload"]
-    assert (mid["both_prime_pairs"]
-            == passing[ClaimId.MIDPOINT_DECOMPOSES]["both_prime_pairs"])
+        pytest.skip("doctored range tests run pools only under fork")
+    assert two_n % q == 0 and is_prime_td(q) and q * q <= two_n - 3
+    clear, mark = (q,), (q * q,)
+    marked = _doctored_marks(clear, mark)
+    # q * q would be an A-prime of two_n on a list without q, and fail
+    listed = [p for p in factorize_td(two_n) if p not in (2, q)]
+    assert doctored_companion_fail_td(two_n, listed, marked)["two_n"] == two_n
+    assert oracles.claim_fails_td(two_n, marked)["companion_decomposes"] is None
+    table = _doctored_table(table_20k, clear, mark)
+    lo, hi = max(6, two_n - 4), two_n + 4
+    for a, b in ((two_n, two_n), (lo, hi)):
+        same_type, comp = range_verify(
+            a, b, workers=workers, table=table, chunk_evens=chunk_evens,
+            claims=(ClaimId.SAME_TYPE_LEMMA, ClaimId.COMPANION_DECOMPOSES))
+        assert same_type.status == "pass" and same_type.payload["mixed_total"] == 0
+        want = _window_first_fail(a, b, clear, mark, ClaimId.COMPANION_DECOMPOSES)
+        assert comp.status == ("pass" if want is None else "fail")
+        assert comp.payload.get("counterexample") == want
+        assert comp.payload["a_primes_checked"] == sum(
+            oracles.s_td(t, marked) for t in range(max(a, 8), b + 1, 2))
 
 
 def _doctored_table(table, clear=(), mark=()):
@@ -1125,6 +1032,32 @@ def test_comparison_sieve_runs_once_and_only_for_a_rebuilt_table(monkeypatch, ca
     assert sieves() == []
 
 
+def test_a_chunk_below_the_first_departure_takes_no_window(monkeypatch):
+    """Each chunk reads the table's departures up to its own c_hi - 3: with
+    the odd 30 001 flipped, only the chunks that reach it take the per-target
+    A-windows, and every target below it gets the true table's row."""
+    true = build_table(40_001)
+    bits = bytearray(true.odd_bits)
+    bits[30_001 >> 1] ^= 1
+    table = PrimeTable(true.limit, bytes(bits))
+    want = comet_rows(6, 30_002, table=true)
+    reached = set()
+    real = claims_mod._a_window
+
+    def recorded(two_n, qs, chunk):
+        reached.add(chunk.c_hi)
+        return real(two_n, qs, chunk)
+
+    monkeypatch.setattr(claims_mod, "_a_window", recorded)
+    rows = comet_rows(6, 40_000, table=table)
+    assert reached and min(reached) - 3 >= 30_001, sorted(reached)
+    assert rows[: len(want)] == want
+    reached.clear()
+    range_verify(6, 40_000, claims=(ClaimId.S_BOUND, ClaimId.COMPANION_DECOMPOSES),
+                 table=table)
+    assert reached and min(reached) - 3 >= 30_001, sorted(reached)
+
+
 def test_doctored_partner_cases_reach_every_failure_branch():
     got = set()
     for clear, mark in _DOCTORED_PARTNERS.values():
@@ -1221,8 +1154,8 @@ def test_range_runs_reject_a_chunk_size_below_one(table_1k, chunk_evens):
 
 
 def test_range_runs_build_each_chunk_input_once(table_20k, monkeypatch):
-    """All claims of a chunk share one fused sieve, and on a true table no
-    kernel builds a factor list or screens a list for phi."""
+    """All claims of a chunk share one fused sieve record, and on a true table
+    no kernel builds a factor list."""
     calls = defaultdict(int)
 
     def counted(name):
@@ -1233,14 +1166,13 @@ def test_range_runs_build_each_chunk_input_once(table_20k, monkeypatch):
             return real(*args)
         monkeypatch.setattr(claims_mod, name, wrapper)
 
-    counted("_factor_sieve")
+    counted("_SievedFactors")
     counted("_odd_factor_lists")
-    counted("_screened_phi")
     range_verify(6, 3_000, table=table_20k, chunk_evens=100)
-    assert calls == {"_factor_sieve": 15}
+    assert calls == {"_SievedFactors": 15}
     calls.clear()
     comet_rows(6, 3_000, table=table_20k, chunk_evens=100)
-    assert calls == {"_factor_sieve": 15}
+    assert calls == {"_SievedFactors": 15}
 
 
 def test_range_s_stats_match_direct_recompute(table_1k):
@@ -1298,36 +1230,36 @@ _S_BOUND_CASES = {
 
 @pytest.mark.parametrize("chunk_evens", [1, 2, 3, 64, 8192])
 @pytest.mark.parametrize("case", list(_S_BOUND_CASES))
-def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, monkeypatch,
-                                                     chunk_evens, case):
+def test_s_stats_on_doctored_lists_match_the_oracle(table_20k, chunk_evens, case):
+    """Each chunk's s_bound partial, on the record that the doctored lists
+    define placed in its context's ``halo`` slot, equals the scalar oracle's
+    on those lists, and the partials merge to the oracle's run; on the
+    unmarked table, whose lists are true, a range run gives that merge."""
     lo, hi, edits, unmarked, (key, two_n) = _S_BOUND_CASES[case]
-    table = table_20k
-    if unmarked:
-        bits = bytearray(table.odd_bits)
-        for m in unmarked:
-            bits[m >> 1] = 0
-        table = PrimeTable(table.limit, bytes(bits))
-    real = claims_mod._odd_factor_lists
+    table = _doctored_table(table_20k, unmarked)
 
-    def doctored(c_lo, c_hi, table):
-        facs = real(c_lo, c_hi, table)
+    def doctored(c_lo, c_hi):
+        facs = _odd_factor_lists(c_lo, c_hi, table)
         for t, edit in edits.items():
             if c_lo <= t <= c_hi:
                 facs[(t - c_lo) >> 1] = edit(facs[(t - c_lo) >> 1])
         return facs
 
-    patch_factor_lists(monkeypatch, doctored)
-    departures = _departures(table, hi)  # on the unmarked table s is read by window
+    partials = []
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
-        chunk = _ChunkContext(c_lo, c_hi, pi, departures, None, table)
-        assert (_chunk_s_bound(chunk)
+        chunk = _ChunkContext(c_lo, c_hi, pi, _departures(table, c_hi), None, table)
+        vars(chunk)["halo"] = oracles.ListedFactors(c_lo - 4, c_hi + 4,
+                                                    doctored(c_lo - 4, c_hi + 4))
+        partials.append(_chunk_s_bound(chunk))
+        assert (partials[-1]
                 == _counted(oracles.s_bound_chunk(
-                    c_lo, c_hi, doctored(c_lo, c_hi, table), table, bool(departures)),
+                    c_lo, c_hi, doctored(c_lo, c_hi), table, bool(chunk.departures)),
                     c_lo, c_hi)), (c_lo, c_hi)
-    whole = oracles.s_bound_chunk(lo, hi, doctored(lo, hi, table), table,
-                                  bool(departures))
-    (out,) = range_verify(lo, hi, claims=(ClaimId.S_BOUND,), table=table,
-                          chunk_evens=chunk_evens)
+    whole = oracles.s_bound_chunk(lo, hi, doctored(lo, hi), table, bool(unmarked))
+    out = claims_mod._merge_partials(ClaimId.S_BOUND, partials, lo, hi)
+    if not edits:
+        assert range_verify(lo, hi, claims=(ClaimId.S_BOUND,), table=table,
+                            chunk_evens=chunk_evens) == [out]
     assert out.payload["min_s"] == dict(zip(("s", "two_n"), whole["min_s"]))
     assert out.payload["max_s"] == dict(zip(("s", "two_n"), whole["max_s"]))
     assert out.payload.get("counterexample") == whole["fail"]
@@ -1391,7 +1323,7 @@ def test_omega_bound_holds_on_every_chunk_to_1e7(table_1e7):
     and 9 699 690 = 2 * 3 * ... * 19."""
     met = []
     for c_lo, c_hi, _ in _chunk_ranges(6, 10**7, 8192, table_1e7):
-        halo = _factor_sieve(c_lo - 4, c_hi + 4, table_1e7)
+        halo = _SievedFactors(c_lo - 4, c_hi + 4, table_1e7.small_primes)
         top, bound = max(halo.omega), halo.omega_bound()
         assert top <= bound, (c_lo, c_hi, top, bound)
         if c_lo <= 510_510 <= c_hi or c_lo <= 9_699_690 <= c_hi:
@@ -1489,34 +1421,6 @@ def test_log_omega_near_1e9_and_1e12(height, below, span):
     log, divided = _passes(lo, hi, small)
     listed = _odd_factor_lists(lo, hi, SimpleNamespace(small_primes=small))
     assert log == divided == bytes(map(len, listed)), (lo, hi)
-
-
-def test_same_type_screens_on_divisibility_alone(table_20k, monkeypatch):
-    """A same-type run computes no phi(2N).  A list whose entries all divide
-    2N, true or short of a factor, takes no byte window; a listed prime that
-    does not divide 2N takes the window and fails as before."""
-    calls = defaultdict(int)
-    for name in ("_screened_phi", "mixed_partitions"):
-        def counted(*args, real=getattr(claims_mod, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(claims_mod, name, counted)
-
-    def run():
-        return range_verify(6, 2_100, claims=(ClaimId.SAME_TYPE_LEMMA,),
-                            table=table_20k, chunk_evens=64)[0]
-
-    base = run()
-    assert base.status == "pass" and calls == {}
-    _doctor_factor_lists(monkeypatch, 30, 3, drop=True)  # 30 lists only 5
-    assert run().as_dict() == base.as_dict() and calls == {}
-    _doctor_factor_lists(monkeypatch, 50, 3)  # 50 lists 3 and 5
-    added = run()
-    want, mixed = doctored_same_type_td(50, [3, 5])
-    assert added.status == "fail"
-    assert added.payload["counterexample"] == {"two_n": 50, "partition": want}
-    assert added.payload["mixed_total"] == mixed > 0
-    assert calls == {"mixed_partitions": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1753,12 +1657,12 @@ def test_odd_factor_lists_on_random_ranges(table_20k, c_lo, span):
         assert fac == sorted(q for q in factorize_td(two_n) if q != 2), two_n
 
 
-_FIELDS = ("omega", "divides", "phi", "exact")
+_FIELDS = ("omega", "phi")
 
 
 def _listed(lo, hi, table):
     """The record of the evens in [lo, hi] built from their factor lists."""
-    return _Factors(lo, hi, _odd_factor_lists(lo, hi, table))
+    return oracles.ListedFactors(lo, hi, _odd_factor_lists(lo, hi, table))
 
 
 @functools.lru_cache
@@ -1792,10 +1696,10 @@ def test_fused_sieve_equals_the_listed_record_to_2e5(chunk_evens):
             fallbacks.append((lo, hi))
         else:
             assert log == want["omega"], (lo, hi)
+        record = functools.partial(_SievedFactors, lo, hi, table.small_primes)
         if chunk_evens == 1:
-            assert _factor_sieve(lo, hi, table).omega_at(c_lo, c_lo) == want["omega"][2:3]
-        sieved = _factor_sieve(lo, hi, table)
-        assert isinstance(sieved, claims_mod._SievedFactors)
+            assert record().omega_at(c_lo, c_lo) == want["omega"][2:3]
+        sieved = record()
         for name in _FIELDS:
             assert getattr(sieved, name) == want[name], (name, lo, hi)
         if c_hi <= lists_up_to:
@@ -1809,7 +1713,8 @@ def test_fused_sieve_equals_the_listed_record_to_2e5(chunk_evens):
 def test_fused_sieve_equals_the_listed_record_to_1e7(table_1e7, h, span, phi_first):
     """Random halos up to 1e7, omega read before phi or after it."""
     lo, hi = 2 * h, min(2 * (h + span), 10**7)
-    sieved, listed = _factor_sieve(lo, hi, table_1e7), _listed(lo, hi, table_1e7)
+    sieved = _SievedFactors(lo, hi, table_1e7.small_primes)
+    listed = _listed(lo, hi, table_1e7)
     names = ("phi", "omega") if phi_first else ("omega", "phi")
     assert [getattr(sieved, n) for n in names] == [getattr(listed, n) for n in names]
     for name in _FIELDS:
@@ -1820,7 +1725,7 @@ def test_fused_sieve_equals_the_listed_record_to_1e7(table_1e7, h, span, phi_fir
 
 
 # ---------------------------------------------------------------------------
-# screened window kernels against the bit-window oracles
+# window kernels against the bit-window oracles
 # ---------------------------------------------------------------------------
 
 
@@ -1845,47 +1750,27 @@ def test_window_kernels_match_bit_window_oracles(table_20k, data):
         for i in flips:
             bits[i] ^= 1
         table = PrimeTable(table.limit, bytes(bits))
-    # doctored lists: None drops a target's smallest factor, a prime is added
-    edits = data.draw(st.dictionaries(
-        st.integers(min_value=lo // 2, max_value=hi // 2).map(lambda n: 2 * n),
-        st.one_of(st.none(), st.sampled_from((3, 5, 7, 41)),
-                  st.integers(min_value=1, max_value=hi // 2).map(
-                      lambda n: 2 * n + 1).filter(is_prime_td)),
-        max_size=3,
-    ))
-    real = claims_mod._odd_factor_lists
-
-    def doctored(c_lo, c_hi, table):
-        facs = real(c_lo, c_hi, table)
-        for two_n, q in edits.items():
-            i = (two_n - c_lo) >> 1
-            if 0 <= i < len(facs):
-                facs[i] = facs[i][1:] if q is None else sorted({*facs[i], q})
-        return facs
-
     departures = _departures(table, hi)
     cleared = _cleared(table, flips)
     digits, w = _pair_count_digits(table.odd_bits, lo, hi)
     for c_lo, c_hi, pi in _chunk_ranges(lo, hi, chunk_evens, table):
-        facs = doctored(c_lo, c_hi, table)
+        facs = _odd_factor_lists(c_lo, c_hi, table)
         want = oracles.comet_chunk(c_lo, c_hi, pi, facs, table, bool(departures))
         chunk_digits = digits[(c_lo - lo) // 2 * w : (c_hi - lo + 2) // 2 * w]
-        with pytest.MonkeyPatch.context() as patch:
-            patch_factor_lists(patch, doctored)
-            chunk = _ChunkContext(c_lo, c_hi, pi, departures, None, table)
-            assert (_chunk_same_type(chunk)
-                    == _counted(oracles.same_type_chunk(c_lo, c_hi, facs, table),
-                                c_lo, c_hi))
-            assert (_chunk_companions(chunk)
-                    == _counted(oracles.companions_chunk(c_lo, c_hi, facs, table,
-                                                         cleared), c_lo, c_hi))
-            halo = doctored(c_lo - 4, c_hi + 4, table)
-            assert (_chunk_midpoint_decomposes(chunk)
-                    == _counted(oracles.midpoint_decomposes_chunk(
-                        c_lo, c_hi, halo, table, cleared), c_lo, c_hi))
-            assert _chunk_comet(chunk) == want
-            assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, departures, chunk_digits,
-                                              table)) == want
+        chunk = _ChunkContext(c_lo, c_hi, pi, departures, None, table)
+        assert (_chunk_same_type(chunk)
+                == _counted(oracles.same_type_chunk(c_lo, c_hi, facs, table),
+                            c_lo, c_hi))
+        assert (_chunk_companions(chunk)
+                == _counted(oracles.companions_chunk(c_lo, c_hi, facs, table,
+                                                     cleared), c_lo, c_hi))
+        halo = _odd_factor_lists(c_lo - 4, c_hi + 4, table)
+        assert (_chunk_midpoint_decomposes(chunk)
+                == _counted(oracles.midpoint_decomposes_chunk(
+                    c_lo, c_hi, halo, table, cleared), c_lo, c_hi))
+        assert _chunk_comet(chunk) == want
+        assert _chunk_comet(_ChunkContext(c_lo, c_hi, pi, departures, chunk_digits,
+                                          table)) == want
 
 
 @pytest.mark.parametrize("lo, hi, squared", [

@@ -9,7 +9,6 @@ comet row of its target, whose counts the census JSON prints too.
 
 import contextlib
 import io
-import json
 import math
 import multiprocessing
 import pickle
@@ -30,11 +29,9 @@ from goldbach_ab import (
     range_verify,
     split_primes,
 )
-from goldbach_ab.partition import partition_total
 from goldbach_ab.sieve import PrimeTable
 
-from oracles import doctored_same_type_td, factorize_td, primes_td
-from test_claims import _DOCTORED_EVENS, _doctor_factor_lists, _listed_with
+from oracles import factorize_td, primes_td
 
 
 class _NoListTable(PrimeTable):
@@ -176,20 +173,3 @@ def test_census_csv_is_the_census_row(two_n):
         "two_n,r,s,a_count,b_count\n"
         f"{two_n},{cen.goldbach_count},{s},{cen.a_count},{cen.b_count}\n"
     ))
-
-
-@pytest.mark.parametrize("two_n, q", _DOCTORED_EVENS)
-def test_census_exits_1_on_a_doctored_factor(monkeypatch, two_n, q):
-    _, mixed = doctored_same_type_td(two_n, _listed_with(two_n, q))
-    _doctor_factor_lists(monkeypatch, two_n, q)
-    code, out = _run(["census", str(two_n), "--format", "csv"])
-    row_two_n, _, _, a_count, b_count = map(int, out.splitlines()[1].split(","))
-    assert code == 1
-    assert row_two_n == two_n
-    assert partition_total(two_n) - a_count - b_count == mixed > 0
-    # the JSON counts come from the same row, so they agree with the exit code
-    code, out = _run(["census", str(two_n), "--format", "json"])
-    doc = json.loads(out)
-    assert code == 1
-    assert (doc["a_count"], doc["b_count"]) == (a_count, b_count)
-    assert doc["mixed_count"] == doc["total"] - a_count - b_count == mixed

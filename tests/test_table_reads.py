@@ -177,8 +177,7 @@ def _kernel_sources():
     names = [n for n in vars(claims_mod)
              if n.startswith("_chunk_") and n != "_chunk_ranges"]
     names += ["_window_rs", "_a_window", "_companion_window", "_odd_factor_lists",
-              "_screened_phi",
-              "_zeros", "_factor_sieve", "_Factors", "_SievedFactors"]
+              "_SievedFactors"]
     for name in names:
         yield name, inspect.getsource(getattr(claims_mod, name))
     for name, member in vars(_ChunkContext).items():
